@@ -19,10 +19,14 @@
 ///
 /// Instrumented sites (grep for fault::hit / fault::inject):
 ///   ledger.record   checkpoint_ledger::record — a crash here publishes the
-///                   ledger first (under the state lock, so the on-disk
+///                   ledger first (under the ledger lock, so the on-disk
 ///                   record count is exactly N) and supersedes PR 4's
 ///                   --abort-after-replicas crash injection.
-///   ledger.publish  checkpoint_ledger's atomic manifest write.
+///   ledger.publish  checkpoint_ledger's record append.
+///   trace.publish   trace_sink's event append.
+///   log.append      append_log's write(): fail and crash both write only
+///                   half of the lines first — fail then takes the atomic
+///                   republish fallback, crash dies with a torn tail.
 ///   sink.publish    atomic_file_sink's CSV/JSON publish.
 ///   lease.acquire   fabric lease claim (the O_EXCL create).
 ///   lease.renew     fabric lease heartbeat refresh.

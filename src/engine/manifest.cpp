@@ -1,14 +1,12 @@
 #include "engine/manifest.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <bit>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <string_view>
 
 #include "core/scenario.h"
 #include "engine/fault.h"
@@ -134,6 +132,11 @@ std::string hex64(std::uint64_t v) {
     return {buf};
 }
 
+/// The format constant the fingerprint hashes: the manifest text format's
+/// version when fingerprints were first pinned. The text format has moved
+/// on (run_manifest::format_version) without changing a single digest.
+constexpr std::uint64_t fingerprint_format = 1;
+
 [[noreturn]] void corrupt(const std::string& what) {
     throw manifest_error("manifest: " + what);
 }
@@ -193,7 +196,7 @@ bool run_manifest::complete() const {
 std::uint64_t sweep_fingerprint(std::span<const sweep_point> points,
                                 std::size_t repetitions) {
     fingerprint_hasher h;
-    h.u64(run_manifest::format_version);
+    h.u64(fingerprint_format);
     h.u64(engine_output_version);
     h.u64(repetitions);
     h.u64(points.size());
@@ -401,81 +404,119 @@ std::string first_spec_difference(std::span<const sweep_point> a,
     return {};
 }
 
-void atomic_write_file(const std::string& path, const std::string& contents) {
-    // All failures below raise transient io errors: an interrupted syscall,
-    // a momentarily full descriptor table or a busy file may clear on retry,
-    // and a genuinely broken destination fails identically a few hundred
-    // milliseconds later (engine::with_retry caps the total).
-    const std::string tmp = path + ".tmp";
-    std::FILE* file = std::fopen(tmp.c_str(), "wb");
-    if (file == nullptr) {
-        throw error(errc::io, "cannot open '" + tmp + "' for writing", true);
+namespace {
+
+/// FNV-1a over a record line's bytes before its digest token. Every single
+/// changed byte changes the digest, so a damaged line never passes.
+std::uint64_t line_digest(std::string_view bytes) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const char c : bytes) {
+        h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
     }
-    const bool wrote = contents.empty() ||
-                       std::fwrite(contents.data(), 1, contents.size(), file) ==
-                           contents.size();
-    const bool flushed = std::fflush(file) == 0;
-    // fsync before rename: the rename must never publish a file whose bytes
-    // are still in the page cache only.
-    const bool synced = ::fsync(::fileno(file)) == 0;
-    std::fclose(file);
-    if (!(wrote && flushed && synced)) {
-        std::remove(tmp.c_str());
-        throw error(errc::io, "write failed for '" + tmp + "'", true);
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        throw error(errc::io, "cannot rename '" + tmp + "' to '" + path + "'", true);
-    }
-    // Best-effort directory sync so the rename itself survives a power cut.
-    const std::size_t slash = path.find_last_of('/');
-    const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-    const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (dir_fd >= 0) {
-        ::fsync(dir_fd);
-        ::close(dir_fd);
-    }
+    return h;
 }
 
-std::string serialize_manifest(const run_manifest& manifest) {
-    std::string out = "manhattan-manifest v" + std::to_string(run_manifest::format_version) +
-                      "\nfingerprint " + hex64(manifest.fingerprint) + "\npoints " +
-                      std::to_string(manifest.points) + "\nrepetitions " +
-                      std::to_string(manifest.repetitions) + "\n";
-    for (const auto& rec : manifest.records) {
-        out += "record " + std::to_string(rec.point) + ' ' + std::to_string(rec.replica) +
-               ' ' + hex64(std::bit_cast<std::uint64_t>(rec.stat.time)) + ' ' +
-               (rec.stat.completed ? '1' : '0') + ' ' +
-               (rec.stat.cz_step ? std::to_string(*rec.stat.cz_step) : std::string{"-"}) +
-               ' ' + hex64(std::bit_cast<std::uint64_t>(rec.stat.suburb_diameter)) + ' ' +
-               hex64(std::bit_cast<std::uint64_t>(rec.stat.wall_seconds)) + ' ' +
-               std::to_string(rec.stat.message_times.size());
-        for (const double t : rec.stat.message_times) {
-            out += ' ' + hex64(std::bit_cast<std::uint64_t>(t));
-        }
-        for (const std::uint8_t c : rec.stat.message_completed) {
-            out += c != 0 ? " 1" : " 0";
-        }
-        out += '\n';
+std::string header_text(const run_manifest& manifest) {
+    return "manhattan-manifest v" + std::to_string(run_manifest::format_version) +
+           "\nfingerprint " + hex64(manifest.fingerprint) + "\npoints " +
+           std::to_string(manifest.points) + "\nrepetitions " +
+           std::to_string(manifest.repetitions) + "\n";
+}
+
+/// One self-checked ledger line: the record's fields, then the FNV-1a
+/// digest of everything before it.
+std::string record_line(const replica_record& rec) {
+    std::string line = "record " + std::to_string(rec.point) + ' ' +
+                       std::to_string(rec.replica) + ' ' +
+                       hex64(std::bit_cast<std::uint64_t>(rec.stat.time)) + ' ' +
+                       (rec.stat.completed ? '1' : '0') + ' ' +
+                       (rec.stat.cz_step ? std::to_string(*rec.stat.cz_step) : std::string{"-"}) +
+                       ' ' + hex64(std::bit_cast<std::uint64_t>(rec.stat.suburb_diameter)) +
+                       ' ' + hex64(std::bit_cast<std::uint64_t>(rec.stat.wall_seconds)) + ' ' +
+                       std::to_string(rec.stat.message_times.size());
+    for (const double t : rec.stat.message_times) {
+        line += ' ' + hex64(std::bit_cast<std::uint64_t>(t));
     }
-    // Trailing count line: a truncated file (lost records, cut mid-line)
-    // can never parse as a valid manifest.
-    out += "end " + std::to_string(manifest.records.size()) + "\n";
+    for (const std::uint8_t c : rec.stat.message_completed) {
+        line += c != 0 ? " 1" : " 0";
+    }
+    line += ' ' + hex64(line_digest(line)) + '\n';
+    return line;
+}
+
+/// Does \p line end in the digest of the bytes before its last space (in
+/// exactly the rendering record_line writes)? \p body receives those bytes.
+bool digest_holds(std::string_view line, std::string_view& body) {
+    const std::size_t space = line.rfind(' ');
+    if (space == std::string_view::npos) {
+        return false;
+    }
+    body = line.substr(0, space);
+    return line.substr(space + 1) == hex64(line_digest(body));
+}
+
+replica_record parse_record(const std::string& body) {
+    std::istringstream fields(body);
+    if (next_token(fields, "record tag") != "record") {
+        corrupt("unknown line '" + body + "'");
+    }
+    replica_record rec;
+    rec.point = parse_u64(next_token(fields, "point"), "point");
+    rec.replica = parse_u64(next_token(fields, "replica"), "replica");
+    rec.stat.time = parse_f64_bits(next_token(fields, "time"), "time");
+    rec.stat.completed = parse_u64(next_token(fields, "completed"), "completed") != 0;
+    const std::string cz = next_token(fields, "cz_step");
+    if (cz != "-") {
+        rec.stat.cz_step = parse_u64(cz, "cz_step");
+    }
+    rec.stat.suburb_diameter =
+        parse_f64_bits(next_token(fields, "suburb_diameter"), "suburb_diameter");
+    rec.stat.wall_seconds = parse_f64_bits(next_token(fields, "wall_seconds"), "wall_seconds");
+    const std::uint64_t messages =
+        parse_u64(next_token(fields, "message count"), "message count");
+    for (std::uint64_t m = 0; m < messages; ++m) {
+        rec.stat.message_times.push_back(
+            parse_f64_bits(next_token(fields, "message time"), "message time"));
+    }
+    for (std::uint64_t m = 0; m < messages; ++m) {
+        rec.stat.message_completed.push_back(
+            parse_u64(next_token(fields, "message completed"), "message completed") != 0 ? 1
+                                                                                       : 0);
+    }
+    std::string extra;
+    if (fields >> extra) {
+        corrupt("trailing tokens on record line '" + body + "'");
+    }
+    return rec;
+}
+
+}  // namespace
+
+std::string serialize_manifest(const run_manifest& manifest) {
+    std::string out = header_text(manifest);
+    for (const auto& rec : manifest.records) {
+        out += record_line(rec);
+    }
     return out;
 }
 
 run_manifest parse_manifest(const std::string& text) {
-    std::istringstream in(text);
-    std::string line;
+    // Newline-terminated lines only: bytes after the last newline are a
+    // torn append and never parse.
+    std::vector<std::string_view> lines;
+    const std::string_view all{text};
+    for (std::size_t at = 0, nl = 0; (nl = all.find('\n', at)) != std::string_view::npos;
+         at = nl + 1) {
+        lines.push_back(all.substr(at, nl - at));
+    }
 
-    const auto expect_line = [&](const std::string& what) {
-        if (!std::getline(in, line)) {
-            corrupt("truncated file: missing " + what);
-        }
-        return std::istringstream{line};
-    };
+    std::size_t next = 0;
     const auto keyed_value = [&](const std::string& key) {
-        auto fields = expect_line(key + " line");
+        if (next == lines.size()) {
+            corrupt("truncated file: missing '" + key + "' line");
+        }
+        const std::string line{lines[next++]};
+        std::istringstream fields(line);
         if (next_token(fields, "key") != key) {
             corrupt("expected '" + key + "' line, got '" + line + "'");
         }
@@ -489,68 +530,24 @@ run_manifest parse_manifest(const std::string& text) {
 
     std::string version = "v";  // split concat: GCC 12 -Wrestrict false positive
     version += std::to_string(run_manifest::format_version);
-    if (keyed_value("manhattan-manifest") != version) {
-        corrupt("unsupported format '" + line + "'");
+    if (const std::string got = keyed_value("manhattan-manifest"); got != version) {
+        corrupt("unsupported format '" + got + "'");
     }
     run_manifest manifest;
     manifest.fingerprint = parse_u64(keyed_value("fingerprint"), "fingerprint", 16);
     manifest.points = parse_u64(keyed_value("points"), "points");
     manifest.repetitions = parse_u64(keyed_value("repetitions"), "repetitions");
 
-    bool ended = false;
-    while (std::getline(in, line)) {
-        std::istringstream fields(line);
-        const std::string kind = next_token(fields, "record tag");
-        if (kind == "end") {
-            const std::uint64_t count = parse_u64(next_token(fields, "record count"),
-                                                  "record count");
-            if (count != manifest.records.size()) {
-                corrupt("record count mismatch: end says " + std::to_string(count) +
-                        ", file holds " + std::to_string(manifest.records.size()));
+    for (; next < lines.size(); ++next) {
+        std::string_view body;
+        if (!digest_holds(lines[next], body)) {
+            if (next + 1 == lines.size()) {
+                break;  // a damaged final line is a torn tail: dropped
             }
-            ended = true;
-            std::string extra;
-            if (fields >> extra || std::getline(in, line)) {
-                corrupt("trailing content after 'end'");
-            }
-            break;
+            corrupt("line " + std::to_string(next + 1) + " fails its digest: '" +
+                    std::string{lines[next]} + "'");
         }
-        if (kind != "record") {
-            corrupt("unknown line '" + line + "'");
-        }
-        replica_record rec;
-        rec.point = parse_u64(next_token(fields, "point"), "point");
-        rec.replica = parse_u64(next_token(fields, "replica"), "replica");
-        rec.stat.time = parse_f64_bits(next_token(fields, "time"), "time");
-        rec.stat.completed = parse_u64(next_token(fields, "completed"), "completed") != 0;
-        const std::string cz = next_token(fields, "cz_step");
-        if (cz != "-") {
-            rec.stat.cz_step = parse_u64(cz, "cz_step");
-        }
-        rec.stat.suburb_diameter =
-            parse_f64_bits(next_token(fields, "suburb_diameter"), "suburb_diameter");
-        rec.stat.wall_seconds =
-            parse_f64_bits(next_token(fields, "wall_seconds"), "wall_seconds");
-        const std::uint64_t messages = parse_u64(next_token(fields, "message count"),
-                                                 "message count");
-        for (std::uint64_t m = 0; m < messages; ++m) {
-            rec.stat.message_times.push_back(
-                parse_f64_bits(next_token(fields, "message time"), "message time"));
-        }
-        for (std::uint64_t m = 0; m < messages; ++m) {
-            rec.stat.message_completed.push_back(
-                parse_u64(next_token(fields, "message completed"), "message completed") != 0
-                    ? 1
-                    : 0);
-        }
-        std::string extra;
-        if (fields >> extra) {
-            corrupt("trailing tokens on record line '" + line + "'");
-        }
-        manifest.records.push_back(std::move(rec));
-    }
-    if (!ended) {
-        corrupt("truncated file: missing 'end' line");
+        manifest.records.push_back(parse_record(std::string{body}));
     }
     (void)manifest.by_point();  // range/duplicate validation
     return manifest;
@@ -577,78 +574,43 @@ run_manifest load_manifest(const std::string& path) {
 checkpoint_ledger::checkpoint_ledger(run_manifest manifest, std::string path,
                                      std::size_t checkpoint_every)
     : manifest_(std::move(manifest)),
-      path_(std::move(path)),
+      log_(std::move(path), header_text(manifest_), "ledger.publish"),
       checkpoint_every_(checkpoint_every == 0 ? 1 : checkpoint_every) {}
 
 void checkpoint_ledger::record(std::size_t point, std::size_t replica, replica_stat stat) {
-    std::string snapshot;
-    std::size_t generation = 0;
-    {
-        const std::lock_guard<std::mutex> lock(state_mutex_);
-        manifest_.records.push_back({point, replica, std::move(stat)});
-        ++unsaved_;
-        const fault::outcome due = fault::hit("ledger.record");
-        if (due.act == fault::action::crash) {
-            // Crash injection for the CI resume/chaos smokes: publish while
-            // still holding the state lock (keeping the on-disk record count
-            // exactly the fatal hit number — no concurrent record can slip
-            // in), then die exactly like an external `kill -9`: no stack
-            // unwinding, no sink finish(), no final flush.
-            publish(serialize_manifest(manifest_), manifest_.records.size(), true);
-        }
-        fault::act("ledger.record", due);  // crash / fail / delay
-        if (unsaved_ >= checkpoint_every_) {
-            snapshot = serialize_manifest(manifest_);
-            generation = manifest_.records.size();
-            unsaved_ = 0;
-        }
+    const std::lock_guard<std::mutex> lock(mutex_);
+    manifest_.records.push_back({point, replica, std::move(stat)});
+    const fault::outcome due = fault::hit("ledger.record");
+    if (due.act == fault::action::crash) {
+        // Crash injection for the CI resume/chaos smokes: publish while
+        // still holding the lock (keeping the on-disk record count exactly
+        // the fatal hit number — no concurrent record can slip in), then die
+        // exactly like an external `kill -9`: no stack unwinding, no sink
+        // finish(), no final flush.
+        publish_locked(true);
     }
-    if (!snapshot.empty()) {
-        publish(snapshot, generation, false);
+    fault::act("ledger.record", due);  // crash / fail / delay
+    // Every checkpoint_every records, also while a failed publish keeps
+    // earlier records pending (a broken disk is retried at the cadence, not
+    // on every record).
+    if ((manifest_.records.size() - published_) % checkpoint_every_ == 0) {
+        publish_locked(false);
     }
 }
 
 void checkpoint_ledger::flush() {
-    std::string snapshot;
-    std::size_t generation = 0;
-    {
-        const std::lock_guard<std::mutex> lock(state_mutex_);
-        snapshot = serialize_manifest(manifest_);
-        generation = manifest_.records.size();
-        unsaved_ = 0;
-    }
-    publish(snapshot, generation, true);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    publish_locked(true);
 }
 
-void checkpoint_ledger::publish(const std::string& snapshot, std::size_t generation,
-                                bool surface_errors) {
-    const std::lock_guard<std::mutex> lock(io_mutex_);
-    // A concurrent thread may already have landed a snapshot with more
-    // records; never overwrite newer state with older. Equal generations
-    // republish (same content — lets flush() always force a write).
-    if (generation < published_generation_) {
-        return;
+void checkpoint_ledger::publish_locked(bool surface_errors) {
+    std::string lines;
+    for (std::size_t i = published_; i < manifest_.records.size(); ++i) {
+        lines += record_line(manifest_.records[i]);
     }
-    try {
-        with_retry(backoff_policy{}, "manifest publish", [&] {
-            fault::inject("ledger.publish");
-            atomic_write_file(path_, snapshot);
-        });
-    } catch (const error&) {
-        if (surface_errors) {
-            throw;
-        }
-        // Report and keep sweeping: the records stay in the in-memory
-        // manifest, so the next checkpoint retries the full snapshot and a
-        // recovered filesystem loses nothing. Only the final flush() makes
-        // a persistent failure fatal.
-        std::fprintf(stderr,
-                     "manifest: checkpoint publish of '%s' failed (will retry at the "
-                     "next checkpoint)\n",
-                     path_.c_str());
-        return;
+    if (log_.publish(lines, surface_errors)) {
+        published_ = manifest_.records.size();
     }
-    published_generation_ = generation;
 }
 
 }  // namespace manhattan::engine

@@ -1,17 +1,18 @@
 /// \file manifest.h
 /// Checkpoint/restart for long sweeps: the run manifest is a sweep-spec
-/// fingerprint plus a (grid point, replica) completion ledger, written
-/// atomically alongside the sink output. An interrupted run_sweep resumes by
-/// replaying recorded replicas and computing only the missing ones — with
-/// the splitmix64 replica sharding, the resumed run restarts each partially
+/// fingerprint plus a (grid point, replica) completion ledger, appended to
+/// alongside the sink output. An interrupted run_sweep resumes by replaying
+/// recorded replicas and computing only the missing ones — with the
+/// splitmix64 replica sharding, the resumed run restarts each partially
 /// complete point at the exact replica boundary and its output is
 /// bit-identical to an uninterrupted run at any thread count (docs/ENGINE.md
 /// pins the contract).
 ///
 /// Safety rules:
-///   - save_manifest publishes via write-temp + fsync + rename, so a crash
-///     at any instant leaves either the previous manifest or the new one on
-///     disk — never a half-written ledger.
+///   - The ledger grows through engine::append_log: the header is published
+///     atomically once, and each record is one whole line carrying its own
+///     FNV-1a digest. A kill mid-append leaves at most one torn final line,
+///     which parse_manifest drops; any earlier bad line is corruption.
 ///   - A manifest whose fingerprint does not match the sweep it is resumed
 ///     against (edited axes, different seed or repetitions, an engine whose
 ///     output semantics changed) hard-fails with manifest_error rather than
@@ -27,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/append_log.h"
 #include "engine/error.h"
 #include "engine/sweep.h"
 
@@ -76,7 +78,10 @@ struct replica_record {
 
 /// The on-disk checkpoint state of one run_sweep call.
 struct run_manifest {
-    static constexpr std::uint32_t format_version = 1;
+    /// Version of the text format (the header's "manhattan-manifest vN").
+    /// The fingerprint does not hash it: sweep_fingerprint keeps hashing the
+    /// v1 constant, so every pinned fingerprint and cache key stays valid.
+    static constexpr std::uint32_t format_version = 2;
 
     std::uint64_t fingerprint = 0;  ///< sweep_fingerprint of the owning sweep
     std::size_t points = 0;         ///< expanded grid size
@@ -120,15 +125,11 @@ struct run_manifest {
                                                 std::span<const sweep_point> b,
                                                 std::size_t repetitions_b);
 
-/// Publish \p contents to \p path atomically: write path.tmp, fsync, rename
-/// over path (then best-effort fsync the directory). A reader or a crash
-/// never observes a partial file. Throws engine::error (class io, marked
-/// transient) on failure — wrap calls in with_retry to ride out transient
-/// filesystem hiccups.
-void atomic_write_file(const std::string& path, const std::string& contents);
-
 /// Serialize / parse the manifest text format (see docs/ENGINE.md). Doubles
 /// are stored as IEEE-754 bit patterns, so a round trip is always exact.
+/// The parser drops a final line that is unterminated or fails its digest —
+/// the torn tail a kill mid-append leaves — and throws manifest_error on a
+/// bad header or any earlier bad line.
 [[nodiscard]] std::string serialize_manifest(const run_manifest& manifest);
 [[nodiscard]] run_manifest parse_manifest(const std::string& text);
 
@@ -136,9 +137,8 @@ void atomic_write_file(const std::string& path, const std::string& contents);
 /// an I/O failure.
 void save_manifest(const run_manifest& manifest, const std::string& path);
 
-/// Load and strictly validate a manifest file. Throws manifest_error on a
-/// missing, truncated or corrupt file (truncation is caught by the trailing
-/// record-count line that serialize_manifest always writes).
+/// Load and validate a manifest file (parse_manifest's torn-tail rule).
+/// Throws manifest_error on a missing or corrupt file.
 [[nodiscard]] run_manifest load_manifest(const std::string& path);
 
 /// Reduce one scenario run's outcome (which carries n-sized vectors) to the
@@ -156,28 +156,27 @@ void save_manifest(const run_manifest& manifest, const std::string& path);
 
 /// Thread-safe checkpoint writer for one run_sweep call: workers record()
 /// replicas as they complete, and every `checkpoint_every` fresh records the
-/// whole manifest is republished atomically. flush() forces a final publish
-/// (the driver calls it once the workers drained — also on the error path,
+/// unpublished record lines are appended to the ledger file (one write plus
+/// fdatasync, engine::append_log). flush() publishes whatever is left
+/// (run_sweep calls it once the workers drained — also on the error path,
 /// so a failed sweep keeps its completed work).
 ///
-/// The ledger state and the file I/O are guarded separately: a publishing
-/// thread serializes its snapshot under the state lock but writes (fsync is
-/// ms-scale) outside it, so other workers keep recording — and simulating —
-/// while a checkpoint lands on disk. A publish generation counter keeps an
-/// older snapshot from overwriting a newer one.
+/// The first publish of an adopted ledger (one built from a manifest that
+/// already holds records: a resume, a restarted fabric owner) rewrites it
+/// atomically, so it never appends after a torn tail left by a kill.
 ///
-/// Failure handling: each publish retries transient I/O errors with
-/// exponential backoff (engine::with_retry). A mid-run publish that still
-/// fails is *reported and skipped* — the records stay in memory and the next
-/// publish retries the full snapshot, so a recovered disk loses nothing and
-/// a broken one never aborts the sweep mid-flight. Only flush() (the final,
-/// driver-side publish) surfaces the failure to the caller.
+/// Failure handling (engine::append_log's): each publish retries transient
+/// I/O errors with exponential backoff. A mid-run publish that still fails
+/// is *reported and skipped* — the records stay in memory and the next
+/// publish appends them too, so a recovered disk loses nothing and a broken
+/// one never aborts the sweep mid-flight. Only flush() (the final publish,
+/// after the workers drained) surfaces the failure.
 ///
 /// Fault injection (engine/fault.h): record() hits site "ledger.record" —
-/// a crash rule publishes the ledger under the state lock first, so the
-/// on-disk record count is exactly the fatal hit number (the CI resume
-/// smoke's SIGKILL, formerly --abort-after-replicas) — and every publish
-/// hits "ledger.publish" inside its retry loop.
+/// a crash rule publishes the ledger first, so the on-disk record count is
+/// exactly the fatal hit number (the CI resume smoke's SIGKILL, formerly
+/// --abort-after-replicas) — and every publish hits "ledger.publish" inside
+/// its retry loop.
 class checkpoint_ledger {
  public:
     checkpoint_ledger(run_manifest manifest, std::string path,
@@ -186,7 +185,7 @@ class checkpoint_ledger {
     /// Record one completed replica (any worker thread).
     void record(std::size_t point, std::size_t replica, replica_stat stat);
 
-    /// Publish the current state unconditionally (driver thread). Throws
+    /// Publish every unpublished record (after the workers drained). Throws
     /// engine::error (class io) when the publish fails even after retries.
     void flush();
 
@@ -194,21 +193,16 @@ class checkpoint_ledger {
     [[nodiscard]] const run_manifest& manifest() const noexcept { return manifest_; }
 
  private:
-    /// Atomically write \p snapshot (serialized at generation \p generation,
-    /// i.e. with that many records) unless a newer snapshot already landed.
-    /// \p surface_errors: rethrow a persistent publish failure (flush) vs
-    /// report-and-continue (worker-side checkpoints).
-    void publish(const std::string& snapshot, std::size_t generation,
-                 bool surface_errors);
+    /// Append records [published_, end) under mutex_. \p surface_errors:
+    /// rethrow a persistent publish failure (flush) vs report-and-continue
+    /// (worker-side checkpoints).
+    void publish_locked(bool surface_errors);
 
-    std::mutex state_mutex_;
+    std::mutex mutex_;
     run_manifest manifest_;
-    std::string path_;
+    append_log log_;
     std::size_t checkpoint_every_;
-    std::size_t unsaved_ = 0;  ///< records since the last publish snapshot
-
-    std::mutex io_mutex_;
-    std::size_t published_generation_ = 0;
+    std::size_t published_ = 0;  ///< records durable in the file
 };
 
 }  // namespace manhattan::engine

@@ -6,9 +6,9 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "engine/append_log.h"
 #include "engine/error.h"
 #include "engine/fault.h"
-#include "engine/manifest.h"
 #include "mobility/factory.h"
 
 namespace manhattan::engine {

@@ -481,6 +481,8 @@ sweep_result run_sweep(const sweep_spec& spec, const run_options& opts,
         // sweep_end lands even on the error path (error flag set), so every
         // sweep_begin in a surviving trace has its matching end unless the
         // process died — which the publish-per-event buffering tolerates.
+        // emit() never throws on I/O; a trace that still cannot be written
+        // surfaces from flush(), and never masks the sweep's own error.
         std::lock_guard<std::mutex> lock(profile_mutex);
         trace->emit("sweep_end",
                     {trace_field::num("sweep", sweep_id),
@@ -495,7 +497,13 @@ sweep_result run_sweep(const sweep_spec& spec, const run_options& opts,
                      trace_field::raw("phases", phases_json(sweep_phases)),
                      trace_field::raw("pool", pool_json(pool.stats())),
                      trace_field::raw("metrics", metrics_json(pool.metrics().snapshot()))});
-        trace->flush();
+        try {
+            trace->flush();
+        } catch (...) {
+            if (!first_error) {
+                first_error = std::current_exception();
+            }
+        }
     }
     if (first_error) {
         std::rethrow_exception(first_error);

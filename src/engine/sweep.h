@@ -116,7 +116,7 @@ struct sweep_result {
 /// engine/manifest.h; docs/ENGINE.md documents format and contract). With an
 /// empty manifest_path run_sweep behaves exactly as before.
 struct checkpoint_options {
-    /// Ledger location, written atomically alongside the sink output. When
+    /// Ledger location, appended to alongside the sink output. When
     /// the file already exists, run_sweep resumes from it: recorded replicas
     /// are replayed (their rows re-aggregate bit-identically and stream to
     /// the sinks in expansion order), finished grid points are skipped, and
@@ -126,7 +126,7 @@ struct checkpoint_options {
     std::string manifest_path;
 
     /// Completed replicas between manifest publishes (>= 1; 0 is treated
-    /// as 1). Each publish rewrites the whole ledger atomically.
+    /// as 1). Each publish appends the unpublished records and syncs them.
     ///
     /// (Crash injection moved to the structured fault harness: a
     /// MANHATTAN_FAULT=ledger.record:crash:K rule — engine/fault.h —

@@ -7,7 +7,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "engine/manifest.h"
 #include "engine/thread_pool.h"
 
 namespace manhattan::engine {
@@ -140,13 +139,13 @@ std::string pool_json(const pool_stats& stats) {
 }
 
 trace_sink::trace_sink(std::string path, std::size_t publish_every)
-    : path_(std::move(path)), publish_every_(publish_every == 0 ? 1 : publish_every) {
+    : publish_every_(publish_every == 0 ? 1 : publish_every), log_(path, "", "trace.publish") {
     // Publish the empty document now: an unwritable path fails before any
     // simulation work is spent (the same rule the result sinks follow).
     try {
-        atomic_write_file(path_, "");
+        log_.publish("", true);
     } catch (const std::exception& e) {
-        throw std::invalid_argument("trace_sink: cannot write '" + path_ + "': " + e.what());
+        throw std::invalid_argument("trace_sink: cannot write '" + path + "': " + e.what());
     }
 }
 
@@ -154,8 +153,7 @@ trace_sink::~trace_sink() {
     try {
         flush();
     } catch (const std::exception& e) {
-        std::fprintf(stderr, "trace_sink: final publish of '%s' failed: %s\n", path_.c_str(),
-                     e.what());
+        std::fprintf(stderr, "trace_sink: final publish failed: %s\n", e.what());
     }
 }
 
@@ -177,15 +175,17 @@ void trace_sink::emit(const std::string& event, const std::vector<trace_field>& 
     buffer_ += ", \"seq\": " + std::to_string(seq_++);
     buffer_ += ", \"t\": " + fmt(clock_.seconds());
     buffer_ += tail;
-    if (++unpublished_ >= publish_every_) {
-        publish_locked();
+    // Every publish_every events, also while a failed publish keeps earlier
+    // ones buffered.
+    if (++unpublished_ % publish_every_ == 0) {
+        publish_locked(false);
     }
 }
 
 void trace_sink::flush() {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (unpublished_ > 0) {
-        publish_locked();
+        publish_locked(true);
     }
 }
 
@@ -199,9 +199,11 @@ std::size_t trace_sink::next_sweep_id() {
     return sweeps_++;
 }
 
-void trace_sink::publish_locked() {
-    atomic_write_file(path_, buffer_);
-    unpublished_ = 0;
+void trace_sink::publish_locked(bool surface_errors) {
+    if (log_.publish(buffer_, surface_errors)) {
+        buffer_.clear();
+        unpublished_ = 0;
+    }
 }
 
 }  // namespace manhattan::engine

@@ -1,11 +1,12 @@
 /// \file trace_sink.h
 /// Structured engine telemetry as a JSONL event stream: one self-contained
-/// JSON object per line, appended by whoever observes something (the sweep
-/// driver, its workers, a bench harness) and published to disk with the
-/// manifest's atomic idiom — write-temp + fsync + rename of the whole
-/// document — so a kill -9 at any instant leaves a file of complete,
-/// parseable lines (possibly missing the newest unpublished events, exactly
-/// like a checkpoint ledger).
+/// JSON object per line, appended by whoever observes something (run_sweep,
+/// its workers, a bench harness) and published to disk through the
+/// engine's append-only log (engine/append_log.h): each publish appends only
+/// the new lines and syncs them. A kill -9 at any instant leaves complete,
+/// parseable lines, possibly missing the newest unpublished events (exactly
+/// like a checkpoint ledger) and possibly followed by one unterminated
+/// final line from an interrupted append, which readers skip.
 ///
 /// Event vocabulary (docs/OBSERVABILITY.md pins the schema; the CI
 /// trace-validate job parses every line and checks the begin/end pairing):
@@ -30,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/append_log.h"
 #include "engine/metrics.h"
 #include "util/telemetry.h"
 #include "util/timer.h"
@@ -68,8 +70,14 @@ struct trace_field {
 
 /// The JSONL writer. Construction publishes an empty file (an unwritable
 /// destination fails before any work is spent — the atomic_file_sink rule);
-/// every \p publish_every emitted events the whole document-so-far is
-/// republished atomically, and flush() / destruction force a final publish.
+/// every \p publish_every emitted events the buffered lines are appended,
+/// and flush() / destruction force a final publish.
+///
+/// Failure handling is the append log's, shared with the checkpoint ledger:
+/// each publish retries transient I/O errors (fault site "trace.publish").
+/// A publish from emit() that still fails is reported once, its lines stay
+/// buffered for the next publish, and the caller carries on — a trace
+/// write failure never aborts the sweep it observes. Only flush() throws.
 class trace_sink {
  public:
     /// Throws std::invalid_argument when \p path cannot be written.
@@ -87,7 +95,8 @@ class trace_sink {
     void emit(const std::string& event, std::initializer_list<trace_field> fields);
     void emit(const std::string& event, const std::vector<trace_field>& fields);
 
-    /// Force an atomic publish of everything emitted so far (thread-safe).
+    /// Publish everything emitted so far (thread-safe). Throws engine::error
+    /// (class io) when the publish fails even after retries.
     void flush();
 
     /// Events emitted so far.
@@ -98,14 +107,16 @@ class trace_sink {
     [[nodiscard]] std::size_t next_sweep_id();
 
  private:
-    void publish_locked();  ///< caller holds mutex_
+    /// Append buffer_ to the log (caller holds mutex_). \p surface_errors:
+    /// rethrow a persistent failure (flush) vs report-and-continue (emit).
+    void publish_locked(bool surface_errors);
 
-    std::string path_;
     std::size_t publish_every_;
     util::timer clock_;
 
     mutable std::mutex mutex_;
-    std::string buffer_;       ///< complete lines only
+    append_log log_;
+    std::string buffer_;       ///< unpublished complete lines only
     std::size_t seq_ = 0;
     std::size_t unpublished_ = 0;
     std::size_t sweeps_ = 0;

@@ -10,7 +10,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <optional>
 
 #include "engine/fabric.h"
@@ -251,21 +250,25 @@ void daemon::accept_loop() {
 namespace {
 
 /// Count the replicas a work-dir ledger already holds (crash recovery): the
-/// resumed run computes only the rest. Unreadable / foreign ledgers count 0
-/// — run_sweep's own validation decides what to do with them.
+/// resumed run computes only the rest. A ledger this binary cannot resume
+/// from (an older manifest format, a damaged file, another sweep) is stale
+/// crash state: it is removed and the job starts over, rather than failing
+/// every later submission of the spec.
 std::size_t recorded_replicas(const std::string& path, std::uint64_t fingerprint) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    std::error_code ec;
+    if (!fs::exists(path, ec)) {
         return 0;
     }
     try {
-        const std::string text{std::istreambuf_iterator<char>(in),
-                               std::istreambuf_iterator<char>()};
-        const engine::run_manifest manifest = engine::parse_manifest(text);
-        return manifest.fingerprint == fingerprint ? manifest.records.size() : 0;
-    } catch (const std::exception&) {
-        return 0;
+        const engine::run_manifest manifest = engine::load_manifest(path);
+        if (manifest.fingerprint == fingerprint) {
+            return manifest.records.size();
+        }
+    } catch (const engine::manifest_error& e) {
+        std::fprintf(stderr, "daemon: discarding stale crash ledger: %s\n", e.what());
     }
+    fs::remove(path, ec);
+    return 0;
 }
 
 }  // namespace
@@ -479,18 +482,33 @@ engine::run_manifest daemon::run_on_fabric(const engine::sweep_spec& spec,
                                            engine::result_sink& sink) {
     const std::uint64_t fp = engine::sweep_fingerprint(spec);
     const std::string dir = config_.fabric_root + "/job-" + engine::fingerprint_hex(fp);
-    const engine::fabric_spec fspec = engine::init_fabric(dir, spec, 8);
-    engine::fabric_options fopts;
-    fopts.dir = dir;
-    fopts.owner = "daemon";
-    engine::run_options ropts;
-    ropts.pool = pool_.get();
-    const engine::fabric_report report = engine::run_fabric_worker(fopts, ropts);
-    if (!report.complete) {
-        throw engine::fabric_partial("fabric job '" + dir +
-                                     "' stopped before full coverage");
+    const auto drain = [&](engine::fabric_spec& fspec) {
+        fspec = engine::init_fabric(dir, spec, 8);
+        engine::fabric_options fopts;
+        fopts.dir = dir;
+        fopts.owner = "daemon";
+        engine::run_options ropts;
+        ropts.pool = pool_.get();
+        if (!engine::run_fabric_worker(fopts, ropts).complete) {
+            throw engine::fabric_partial("fabric job '" + dir +
+                                         "' stopped before full coverage");
+        }
+        return engine::merge_fabric(dir, fspec);
+    };
+    engine::fabric_spec fspec;
+    engine::fabric_merge merged;
+    try {
+        merged = drain(fspec);
+    } catch (const engine::manifest_error& e) {
+        // A job directory holding a ledger this binary cannot read (an older
+        // manifest format, a damaged file) is stale state: start the job
+        // over in a fresh directory instead of failing it forever.
+        std::fprintf(stderr, "daemon: discarding stale fabric job '%s': %s\n", dir.c_str(),
+                     e.what());
+        std::error_code ec;
+        fs::remove_all(dir, ec);
+        merged = drain(fspec);
     }
-    const engine::fabric_merge merged = engine::merge_fabric(dir, fspec);
     if (!merged.complete()) {
         throw engine::fabric_partial("fabric job '" + dir +
                                      "' left quarantined or missing replicas");

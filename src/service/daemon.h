@@ -18,7 +18,9 @@
 /// `<work_dir>/<fingerprint>.manifest`. A daemon killed mid-job leaves that
 /// ledger behind; the restarted daemon's next submission of the same spec
 /// resumes at the exact replica boundary (engine/manifest.h) and completes
-/// with only the missing replicas — then caches the result as usual.
+/// with only the missing replicas — then caches the result as usual. A
+/// crash ledger or fabric job directory the daemon cannot read (written in
+/// an older manifest format, or damaged) is removed and the job recomputed.
 #pragma once
 
 #include <atomic>

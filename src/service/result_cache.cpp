@@ -49,10 +49,11 @@ std::optional<engine::run_manifest> result_cache::load(std::uint64_t fingerprint
     const std::string text{std::istreambuf_iterator<char>(in),
                            std::istreambuf_iterator<char>()};
     in.close();
-    // Re-verify on every read: the parse catches truncation (trailing count
-    // line) and corrupt fields, the fingerprint check catches a renamed or
-    // cross-linked entry, complete() catches a partial ledger that must
-    // never masquerade as a finished sweep.
+    // Re-verify on every read: the parse catches corrupt fields and record
+    // digests, the fingerprint check catches a renamed or cross-linked
+    // entry, and complete() catches a truncated or partial ledger (the
+    // parse drops a torn tail, so lost records show up as missing pairs)
+    // that must never masquerade as a finished sweep.
     try {
         engine::run_manifest manifest = engine::parse_manifest(text);
         if (manifest.fingerprint != fingerprint || !manifest.complete()) {

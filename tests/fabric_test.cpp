@@ -435,6 +435,36 @@ TEST(fabric_test, merge_verifies_duplicated_records_agree) {
               engine::errc::state);
 }
 
+TEST(fabric_test, merge_accepts_a_worker_ledger_cut_mid_record) {
+    scratch_dir dir("torn");
+    (void)engine::init_fabric(dir.path(), small_spec(), 2);
+    (void)engine::run_fabric_worker(worker_opts(dir.path(), "w1"), two_threads());
+    const engine::fabric_spec spec = engine::load_fabric(dir.path());
+
+    // w1 killed mid-append: its ledger ends inside its last record.
+    const std::string ledger = dir.path() + "/ledger-w1.manifest";
+    const std::string text = [&] {
+        std::ifstream in(ledger, std::ios::binary);
+        return std::string{std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>()};
+    }();
+    write_file(ledger, text.substr(0, text.size() - 10));
+    const engine::fabric_merge torn = engine::merge_fabric(dir.path(), spec);
+    EXPECT_EQ(torn.manifest.records.size(), 3u);
+    EXPECT_EQ(torn.missing.size(), 1u);
+
+    // The restarted owner adopts its ledger (republishing it whole before
+    // any append) and recomputes only the lost pair.
+    fs::remove(dir.path() + "/leases/batch-0.done");
+    fs::remove(dir.path() + "/leases/batch-1.done");
+    const engine::fabric_report report =
+        engine::run_fabric_worker(worker_opts(dir.path(), "w1"), two_threads());
+    EXPECT_TRUE(report.complete);
+    EXPECT_EQ(report.fresh, 1u);
+    EXPECT_EQ(engine::load_manifest(ledger).records.size(), 4u);
+    EXPECT_EQ(merged_csv(dir.path()), reference_csv());
+}
+
 TEST(fabric_test, graceful_stop_reports_stopped_then_resumes) {
     scratch_dir dir("stop");
     (void)engine::init_fabric(dir.path(), small_spec(), 2);

@@ -118,15 +118,20 @@ TEST(manifest_test, missing_file_fails) {
                  engine::manifest_error);
 }
 
-TEST(manifest_test, truncated_manifest_fails) {
-    const std::string text = engine::serialize_manifest(tricky_manifest());
-    // Drop the trailing 'end' line: lost-tail truncation.
-    const std::string no_end = text.substr(0, text.rfind("end "));
-    EXPECT_THROW((void)engine::parse_manifest(no_end), engine::manifest_error);
-    // Cut mid-record: a half-written line can never parse.
-    EXPECT_THROW((void)engine::parse_manifest(text.substr(0, text.size() / 2)),
+TEST(manifest_test, torn_tail_is_dropped_and_truncated_header_fails) {
+    const auto m = tricky_manifest();
+    const std::string text = engine::serialize_manifest(m);
+    // Cut mid-way through the last record (a kill mid-append): the torn
+    // line is dropped and every complete record survives.
+    const std::size_t last = text.rfind("record ");
+    auto kept = m;
+    kept.records.pop_back();
+    EXPECT_EQ(engine::parse_manifest(text.substr(0, last + 20)), kept);
+    // Cut exactly at a line boundary: nothing is torn, nothing dropped.
+    EXPECT_EQ(engine::parse_manifest(text.substr(0, last)), kept);
+    // A header is published atomically, so a short one is corruption.
+    EXPECT_THROW((void)engine::parse_manifest(text.substr(0, text.find("points"))),
                  engine::manifest_error);
-    // Empty file.
     EXPECT_THROW((void)engine::parse_manifest(""), engine::manifest_error);
 }
 
@@ -134,23 +139,34 @@ TEST(manifest_test, corrupt_manifest_fails) {
     const auto m = tricky_manifest();
     const std::string text = engine::serialize_manifest(m);
 
-    // Wrong format header.
+    // Wrong format header — including the retired v1 format.
     std::string bad = text;
-    bad.replace(bad.find("v1"), 2, "v9");
+    bad.replace(bad.find("v2"), 2, "v9");
+    EXPECT_THROW((void)engine::parse_manifest(bad), engine::manifest_error);
+    bad = text;
+    bad.replace(bad.find("v2"), 2, "v1");
     EXPECT_THROW((void)engine::parse_manifest(bad), engine::manifest_error);
 
-    // Garbage in a numeric field.
+    // Garbage in a numeric header field.
     bad = text;
     bad.replace(bad.find("fingerprint ") + 12, 4, "zzzz");
     EXPECT_THROW((void)engine::parse_manifest(bad), engine::manifest_error);
 
-    // Record-count trailer disagrees with the records present.
+    // A damaged record that is not the final line: its digest fails.
     bad = text;
-    bad.replace(bad.rfind("end 2"), 5, "end 7");
+    bad[text.find("record ") + 9] ^= 0x01;
     EXPECT_THROW((void)engine::parse_manifest(bad), engine::manifest_error);
 
-    // Content after the trailer.
-    EXPECT_THROW((void)engine::parse_manifest(text + "extra\n"), engine::manifest_error);
+    // A foreign line followed by more records is not a torn tail. (As the
+    // final line it would be: "extra\n" alone is dropped.)
+    auto more = m;
+    more.records.push_back({1, 0, {}});
+    const std::string more_text = engine::serialize_manifest(more);
+    const std::string third = more_text.substr(more_text.rfind("record "));
+    EXPECT_EQ(engine::parse_manifest(text + third), more);
+    EXPECT_THROW((void)engine::parse_manifest(text + "extra\n" + third),
+                 engine::manifest_error);
+    EXPECT_EQ(engine::parse_manifest(text + "extra\n"), m);
 
     // A record outside the declared grid.
     auto out_of_grid = m;
@@ -290,6 +306,51 @@ TEST(manifest_test, resume_at_replica_boundary_is_bit_identical) {
         EXPECT_EQ(resumed.rows[p].times, reference.rows[p].times);
     }
     // And the manifest was completed by the resumed run.
+    EXPECT_TRUE(engine::load_manifest(file.path()).complete());
+}
+
+TEST(manifest_test, resume_from_a_ledger_cut_mid_record_is_bit_identical) {
+    const auto spec = small_spec();
+    std::ostringstream ref_json;
+    engine::json_sink ref_sink(ref_json);
+    engine::result_sink* ref_sinks[] = {&ref_sink};
+    (void)engine::run_sweep(spec, {.threads = 1}, ref_sinks);
+    ref_sink.finish();
+
+    // A kill mid-append: the ledger ends half-way through its fourth record.
+    scratch_file file("torn.manifest");
+    (void)engine::run_sweep(spec, {.threads = 2}, {}, {.manifest_path = file.path()});
+    const std::string full = file.read();
+    std::size_t cut = 0;
+    for (int line = 0; line < 4 + 3; ++line) {  // header (4 lines) + 3 records
+        cut = full.find('\n', cut) + 1;
+    }
+    cut += 25;
+    {
+        std::ofstream out(file.path(), std::ios::binary | std::ios::trunc);
+        out << full.substr(0, cut);
+    }
+    ASSERT_EQ(engine::load_manifest(file.path()).records.size(), 3u);
+
+    std::ostringstream res_json;
+    engine::json_sink res_sink(res_json);
+    engine::result_sink* res_sinks[] = {&res_sink};
+    (void)engine::run_sweep(spec, {.threads = 4}, res_sinks, {.manifest_path = file.path()});
+    res_sink.finish();
+    EXPECT_EQ(res_json.str(), ref_json.str());
+
+    // The resumed writer republished before appending: no torn line is left
+    // anywhere in the final file, and every record is there exactly once.
+    const std::string final_text = file.read();
+    ASSERT_FALSE(final_text.empty());
+    EXPECT_EQ(final_text.back(), '\n');
+    std::istringstream lines(final_text);
+    std::string line;
+    std::size_t records = 0;
+    while (std::getline(lines, line)) {
+        records += line.rfind("record ", 0) == 0 ? 1 : 0;
+    }
+    EXPECT_EQ(records, 6u);
     EXPECT_TRUE(engine::load_manifest(file.path()).complete());
 }
 

@@ -4,8 +4,9 @@
 // slots, cancellation), and the daemon end-to-end over a real AF_UNIX socket:
 // byte-identical streamed rows vs a direct run_sweep, the cache-hit replay
 // with zero fresh pool tasks, the in-flight dedup rendezvous, busy shedding,
-// queued-job cancellation, and crash-ledger resume. The wire format itself
-// is covered by wire_test.
+// queued-job cancellation, crash-ledger resume, and recovery from the state
+// an earlier manifest format left behind. The wire format itself is covered
+// by wire_test.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "engine/fabric.h"
 #include "engine/fault.h"
 #include "engine/manifest.h"
 #include "engine/sink.h"
@@ -146,6 +148,26 @@ void await_status(const std::string& socket, const std::string& job,
 
 std::uint64_t counter_value(engine::metrics_registry& registry, const std::string& name) {
     return registry.get_counter(name).value();
+}
+
+/// \p m in the retired v1 manifest format (no record digests, a trailing
+/// `end <count>` line): what a daemon of an earlier release left on disk.
+std::string v1_text(const engine::run_manifest& m) {
+    std::istringstream in(engine::serialize_manifest(m));
+    std::string out;
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("manhattan-manifest ", 0) == 0) {
+            line = "manhattan-manifest v1";
+        } else if (line.rfind("record ", 0) == 0) {
+            line.erase(line.rfind(' '));  // the v2 digest token
+        }
+        out += line + '\n';
+    }
+    return out + "end " + std::to_string(m.records.size()) + '\n';
+}
+
+void write_file(const std::string& path, const std::string& text) {
+    std::ofstream(path, std::ios::binary) << text;
 }
 
 // ----------------------------------------------------------- result cache ---
@@ -460,6 +482,71 @@ TEST(service_test, daemon_resumes_a_crash_ledger_at_the_replica_boundary) {
 
     // The spent ledger is promoted into the cache.
     EXPECT_FALSE(fs::exists(config.work_dir + "/" + job_hex(spec) + ".manifest"));
+    service::submit_outcome again;
+    EXPECT_EQ(submit_csv(config.socket_path, spec, again), reference_csv());
+    EXPECT_TRUE(again.cached);
+    d.stop();
+}
+
+TEST(service_test, daemon_recomputes_over_a_v1_crash_ledger_and_cache_entry) {
+    util::telemetry::scoped_enable telemetry;
+    scratch_dir dir("upgrade");
+    const service::daemon_config config = daemon_config_for(dir);
+
+    // An earlier release killed between promoting a job to the cache and
+    // removing its crash ledger: both files are in the v1 format.
+    const engine::sweep_spec spec = small_spec();
+    const std::string old = v1_text(complete_manifest(spec, dir.path()));
+    const std::string ledger = config.work_dir + "/" + job_hex(spec) + ".manifest";
+    const std::string entry = config.cache_dir + "/" + job_hex(spec) + ".manifest";
+    fs::create_directories(config.work_dir);
+    fs::create_directories(config.cache_dir);
+    write_file(ledger, old);
+    write_file(entry, old);
+
+    service::daemon d(config);
+    d.start();
+    service::submit_outcome outcome;
+    EXPECT_EQ(submit_csv(config.socket_path, spec, outcome), reference_csv());
+    EXPECT_FALSE(outcome.cached);
+    EXPECT_EQ(outcome.fresh_replicas, 4u);  // nothing resumed from the v1 ledger
+    EXPECT_FALSE(fs::exists(ledger));
+    EXPECT_TRUE(engine::load_manifest(entry).complete());  // rewritten in v2
+
+    service::submit_outcome again;
+    EXPECT_EQ(submit_csv(config.socket_path, spec, again), reference_csv());
+    EXPECT_TRUE(again.cached);
+    d.stop();
+}
+
+TEST(service_test, daemon_recomputes_over_a_v1_fabric_job_directory) {
+    util::telemetry::scoped_enable telemetry;
+    scratch_dir dir("upgrade_fabric");
+    service::daemon_config config = daemon_config_for(dir);
+    config.fabric_root = dir.path() + "/fabric";
+
+    // A fabric job an earlier release drained to completion (spec, done
+    // markers, the daemon's ledger), its ledger and cache entry in v1.
+    const engine::sweep_spec spec = small_spec();
+    const std::string job_dir = config.fabric_root + "/job-" + job_hex(spec);
+    (void)engine::init_fabric(job_dir, spec, 8);
+    engine::fabric_options fopts;
+    fopts.dir = job_dir;
+    fopts.owner = "daemon";
+    ASSERT_TRUE(engine::run_fabric_worker(fopts, {.threads = 2}).complete);
+    const std::string ledger = job_dir + "/ledger-daemon.manifest";
+    const std::string old = v1_text(engine::load_manifest(ledger));
+    write_file(ledger, old);
+    fs::create_directories(config.cache_dir);
+    write_file(config.cache_dir + "/" + job_hex(spec) + ".manifest", old);
+
+    service::daemon d(config);
+    d.start();
+    service::submit_outcome outcome;
+    EXPECT_EQ(submit_csv(config.socket_path, spec, outcome), reference_csv());
+    EXPECT_FALSE(outcome.cached);
+    EXPECT_EQ(engine::load_manifest(ledger).records.size(), 4u);  // redrained in v2
+
     service::submit_outcome again;
     EXPECT_EQ(submit_csv(config.socket_path, spec, again), reference_csv());
     EXPECT_TRUE(again.cached);

@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "core/scenario.h"
+#include "engine/error.h"
+#include "engine/fault.h"
 #include "engine/metrics.h"
 #include "engine/progress.h"
 #include "engine/runner.h"
@@ -33,6 +35,7 @@ namespace core = manhattan::core;
 namespace engine = manhattan::engine;
 namespace util = manhattan::util;
 namespace telemetry = manhattan::util::telemetry;
+namespace fault = manhattan::engine::fault;
 
 core::scenario small_scenario() {
     core::scenario sc;
@@ -49,6 +52,16 @@ std::string temp_path(const std::string& tag) {
     return testing::TempDir() + "telemetry_test." + tag + "." +
            std::to_string(::getpid()) + ".jsonl";
 }
+
+/// Disarm the fault registry (including a MANHATTAN_FAULT plan from the
+/// environment) for the test body and again on exit.
+struct fault_guard {
+    fault_guard() {
+        (void)fault::armed();
+        fault::configure("");
+    }
+    ~fault_guard() { fault::configure(""); }
+};
 
 std::string slurp(const std::string& path) {
     std::ifstream in(path);
@@ -330,6 +343,60 @@ TEST(trace_sink_test, publishes_complete_lines_per_cadence) {
         ++seq;
     }
     EXPECT_EQ(seq, 4u);
+    std::remove(path.c_str());
+}
+
+TEST(trace_sink_test, publish_faults_never_fail_the_sweep) {
+    const fault_guard guard;
+    engine::sweep_spec spec;
+    spec.base = small_scenario();
+    spec.c1 = {2.5, 3.5};
+    spec.repetitions = 2;
+    const auto run_csv = [&spec](engine::trace_sink* trace) {
+        std::ostringstream csv;
+        engine::csv_sink sink(csv);
+        engine::result_sink* sinks[] = {&sink};
+        engine::run_options opts;
+        opts.threads = 2;
+        opts.trace = trace;
+        (void)engine::run_sweep(spec, opts, sinks);
+        return csv.str();
+    };
+    const std::string plain = run_csv(nullptr);
+
+    // fail:2 is absorbed by one publish's retries; fail:7 exhausts the
+    // first publish's (reported once, events kept buffered) and the next
+    // publish carries them.
+    for (const char* plan : {"trace.publish:fail:2", "trace.publish:fail:7"}) {
+        const std::string path = temp_path("fault");
+        engine::trace_sink trace(path, 1);
+        fault::configure(plan);
+        EXPECT_EQ(run_csv(&trace), plain) << plan;
+        EXPECT_NO_THROW(trace.flush()) << plan;
+        std::istringstream lines(slurp(path));
+        std::string line;
+        std::size_t seq = 0;
+        while (std::getline(lines, line)) {
+            EXPECT_NE(line.find("\"seq\": " + std::to_string(seq) + ","), std::string::npos)
+                << plan;
+            ++seq;
+        }
+        EXPECT_EQ(seq, trace.events()) << plan;
+        std::remove(path.c_str());
+    }
+}
+
+TEST(trace_sink_test, persistent_publish_failure_surfaces_only_from_flush) {
+    const fault_guard guard;
+    const std::string path = temp_path("persistent");
+    engine::trace_sink sink(path, 1);
+    fault::configure("trace.publish:fail:100");
+    EXPECT_NO_THROW(sink.emit("a", {}));  // reported, kept buffered
+    EXPECT_EQ(slurp(path), "");
+    EXPECT_THROW(sink.flush(), engine::error);
+    fault::configure("");  // the disk recovers: the buffered event lands
+    sink.flush();
+    EXPECT_NE(slurp(path).find("\"event\": \"a\""), std::string::npos);
     std::remove(path.c_str());
 }
 
