@@ -15,14 +15,20 @@
 //        --baseline=BENCH_flood.json --regress-tol=0.25
 //        --min-speedup=3 --min-speedup-cores=8 --overhead-tol=0.02
 //
-// Per-phase breakdown: after the (telemetry-off, baseline-comparable) rows,
-// each n gets one extra serial pass with telemetry enabled
-// (util/telemetry.h). That pass yields the advance / grid_rebuild / scan /
-// components split in the report and in BENCH_flood.json ("phases" on the
-// serial rows), plus telemetry_steps_per_sec. --overhead-tol=TOL arms the
-// telemetry overhead gate: at the largest n, the enabled pass's throughput
-// must stay within TOL of the disabled serial row (the instrumented spans
-// are ms-scale steps, so clock reads should cost well under 1%).
+// --threads= lists pool sizes; 0 resolves to this host's hardware
+// concurrency and repeated sizes are measured once.
+//
+// Per-phase breakdown: every engine row (serial and pool) gets one extra
+// pass with telemetry enabled (util/telemetry.h) after its telemetry-off,
+// baseline-comparable measurement. That pass yields the advance /
+// grid_rebuild / scan / components split in the report and in
+// BENCH_flood.json ("phases"), plus telemetry_steps_per_sec, and on pool
+// rows the lane dispatch figures from the pool's registry: lane start skew
+// and lane-time imbalance per run() ("lanes"). --overhead-tol=TOL arms the
+// telemetry overhead gate: at the largest n, the serial enabled pass's
+// throughput must stay within TOL of the disabled serial row (the
+// instrumented spans are ms-scale steps, so clock reads should cost well
+// under 1%).
 //
 // --baseline= compares this run's per-step throughput against a previously
 // emitted BENCH_flood.json: a matched (n, engine, threads) row whose
@@ -37,10 +43,12 @@
 // enforces where the claim is testable — on hosts with at least
 // --min-speedup-cores (default 8) hardware threads; smaller hosts report
 // without failing.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -70,8 +78,85 @@ struct perf_row {
     std::uint64_t flooding_time = 0;  // determinism witness: equal across engines
     double speedup_vs_1thread = 0.0;  // 0 until the 1-thread row is known
     util::phase_profile phases;       // zeros unless measured with telemetry on
-    double telemetry_steps_per_sec = 0.0;  // the enabled pass (serial rows only)
+    double telemetry_steps_per_sec = 0.0;  // the enabled pass
+    // Lane dispatch over the enabled pass (pool rows with more than one
+    // lane): multi-lane run() calls, and the p50/p90 of lane start skew
+    // (seconds) and lane-time imbalance (slowest / fastest lane), each the
+    // upper bound of the histogram bucket holding the quantile.
+    std::uint64_t lane_runs = 0;
+    double skew_p50_s = 0.0;
+    double skew_p90_s = 0.0;
+    double imbalance_p50 = 0.0;
+    double imbalance_p90 = 0.0;
 };
+
+/// Upper bound of the bucket of histogram \p h that holds quantile \p q
+/// (+inf in the overflow bucket, 0 for an empty histogram).
+double bucket_quantile(const engine::metric_snapshot& h, double q) {
+    std::uint64_t total = 0;
+    for (const std::uint64_t c : h.counts) {
+        total += c;
+    }
+    std::uint64_t seen = 0;
+    for (std::size_t b = 0; b < h.counts.size() && total > 0; ++b) {
+        seen += h.counts[b];
+        if (static_cast<double>(seen) >= q * static_cast<double>(total)) {
+            return b < h.bounds.size() ? h.bounds[b] : std::numeric_limits<double>::infinity();
+        }
+    }
+    return 0.0;
+}
+
+/// Fill \p row's lane figures from \p pool's registry.
+void read_lane_metrics(perf_row& row, const engine::thread_pool& pool) {
+    for (const engine::metric_snapshot& m : pool.metrics().snapshot()) {
+        if (m.name == "pool.lane_runs") {
+            row.lane_runs = static_cast<std::uint64_t>(m.value);
+        } else if (m.name == "pool.lane_start_skew_s") {
+            row.skew_p50_s = bucket_quantile(m, 0.5);
+            row.skew_p90_s = bucket_quantile(m, 0.9);
+        } else if (m.name == "pool.lane_imbalance_ratio") {
+            row.imbalance_p50 = bucket_quantile(m, 0.5);
+            row.imbalance_p90 = bucket_quantile(m, 0.9);
+        }
+    }
+}
+
+/// A bucket bound from bucket_quantile for the report, scaled.
+std::string bound_text(double value, double scale) {
+    return std::isinf(value) ? "overflow" : "<= " + util::fmt(value * scale);
+}
+
+/// The pool sizes to measure: --threads= with 0 resolved to this host's
+/// hardware concurrency and repeats dropped (first occurrence kept).
+std::vector<std::size_t> pool_sizes(const std::vector<long long>& requested) {
+    std::vector<std::size_t> sizes;
+    for (const long long value : requested) {
+        const std::size_t size =
+            value == 0 ? engine::default_thread_count() : static_cast<std::size_t>(value);
+        if (std::find(sizes.begin(), sizes.end(), size) == sizes.end()) {
+            sizes.push_back(size);
+        }
+    }
+    return sizes;
+}
+
+/// The CPU model of this host (/proc/cpuinfo "model name"), quote-free so
+/// it embeds in JSON as is.
+std::string cpu_model() {
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) == 0 && line.find(':') != std::string::npos) {
+            std::string model = line.substr(line.find(':') + 1);
+            model.erase(0, model.find_first_not_of(' '));
+            std::replace(model.begin(), model.end(), '"', ' ');
+            std::replace(model.begin(), model.end(), '\\', ' ');
+            return model;
+        }
+    }
+    return "unknown";
+}
 
 /// One timed measurement: `reps` complete replicas of the identical flood
 /// (same seed every rep — identical work), run() timed, construction
@@ -214,7 +299,7 @@ void write_json(std::ostream& out, const std::vector<perf_row>& rows, double c1,
                 std::size_t reps, std::uint64_t max_steps, std::uint64_t seed) {
     out << "{\"bench\": \"flood_step_loop\",\n";
     out << " \"host\": {\"hardware_concurrency\": " << engine::default_thread_count()
-        << "},\n";
+        << ", \"cpu_model\": \"" << cpu_model() << "\"},\n";
     out << " \"config\": {\"c1\": " << c1 << ", \"reps\": " << reps
         << ", \"max_steps\": " << max_steps << ", \"seed\": " << seed
         << ", \"model\": \"mrwp\", \"mode\": \"one_hop\"},\n";
@@ -227,8 +312,8 @@ void write_json(std::ostream& out, const std::vector<perf_row>& rows, double c1,
             << ", \"flooding_time\": " << r.flooding_time
             << ", \"speedup_vs_1thread\": " << r.speedup_vs_1thread;
         if (r.telemetry_steps_per_sec > 0.0) {
-            // The serial rows carry the telemetry pass: per-phase split of
-            // the step loop plus the enabled-instrumentation throughput.
+            // The telemetry pass: per-phase split of the step loop plus the
+            // enabled-instrumentation throughput.
             out << ", \"telemetry_steps_per_sec\": " << r.telemetry_steps_per_sec
                 << ", \"phases\": {";
             for (std::size_t p = 0; p < util::phase_count; ++p) {
@@ -237,6 +322,17 @@ void write_json(std::ostream& out, const std::vector<perf_row>& rows, double c1,
                     << "_s\": " << r.phases.seconds[p];
             }
             out << "}";
+        }
+        if (r.lane_runs > 0) {
+            // A quantile in the overflow bucket is written as null.
+            const auto number = [](double v) {
+                return std::isinf(v) ? std::string{"null"} : util::fmt(v);
+            };
+            out << ", \"lanes\": {\"runs\": " << r.lane_runs
+                << ", \"skew_s_p50\": " << number(r.skew_p50_s)
+                << ", \"skew_s_p90\": " << number(r.skew_p90_s)
+                << ", \"imbalance_p50\": " << number(r.imbalance_p50)
+                << ", \"imbalance_p90\": " << number(r.imbalance_p90) << "}";
         }
         out << "}" << (i + 1 < rows.size() ? ",\n" : "\n");
     }
@@ -254,7 +350,8 @@ int run(const util::cli_args& args) {
     const auto max_steps = static_cast<std::uint64_t>(args.get_int("max-steps", 5000));
     const auto n_list =
         bench::parse_list("n", args.get_string("n", "10000,31623,100000,1000000"));
-    const auto thread_list = bench::parse_list("threads", args.get_string("threads", "1,4,0"));
+    const auto thread_list =
+        pool_sizes(bench::parse_list("threads", args.get_string("threads", "1,4,0")));
 
     bench::banner("PERF", "intra-replica step-loop throughput (steps/sec vs n and threads)");
 
@@ -271,24 +368,30 @@ int run(const util::cli_args& args) {
     double overhead_largest_n = 0.0;  // enabled/disabled throughput at largest n
     for (const long long n_signed : n_list) {
         const auto n = static_cast<std::size_t>(n_signed);
+        // Each engine is measured telemetry-off (the baseline-comparable
+        // row), then again with the instruments live; the enabled pass's
+        // phase split, throughput and lane figures attach to the row.
         std::vector<perf_row> group;
-        group.push_back(measure(n, c1, seed, reps, max_steps, nullptr));
-        {
-            // Telemetry pass: identical work with the instruments live.
-            // Attach its phase split + throughput to the serial row — the
-            // disabled row stays the baseline-comparable measurement.
+        const auto measure_engine = [&](engine::thread_pool* pool) {
+            perf_row row = measure(n, c1, seed, reps, max_steps, pool);
             const util::telemetry::scoped_enable on;
-            const perf_row enabled = measure(n, c1, seed, reps, max_steps, nullptr);
-            identical = identical && enabled.flooding_time == group.front().flooding_time;
-            group.front().phases = enabled.phases;
-            group.front().telemetry_steps_per_sec = enabled.steps_per_sec;
-            if (n_signed == largest_n && group.front().steps_per_sec > 0.0) {
-                overhead_largest_n = enabled.steps_per_sec / group.front().steps_per_sec;
+            const perf_row enabled = measure(n, c1, seed, reps, max_steps, pool);
+            identical = identical && enabled.flooding_time == row.flooding_time;
+            row.phases = enabled.phases;
+            row.telemetry_steps_per_sec = enabled.steps_per_sec;
+            if (pool != nullptr) {
+                read_lane_metrics(row, *pool);
             }
+            group.push_back(row);
+        };
+        measure_engine(nullptr);
+        if (n_signed == largest_n && group.front().steps_per_sec > 0.0) {
+            overhead_largest_n =
+                group.front().telemetry_steps_per_sec / group.front().steps_per_sec;
         }
-        for (const long long threads : thread_list) {
-            engine::thread_pool pool(static_cast<std::size_t>(threads));
-            group.push_back(measure(n, c1, seed, reps, max_steps, &pool));
+        for (const std::size_t threads : thread_list) {
+            engine::thread_pool pool(threads);
+            measure_engine(&pool);
         }
         std::optional<double> one_thread_rate;
         for (const perf_row& r : group) {
@@ -316,8 +419,12 @@ int run(const util::cli_args& args) {
     }
     std::printf("%s", t.markdown().c_str());
 
-    // Per-phase split from the telemetry passes (the serial rows carry it).
-    util::table pt({"n", "advance %", "grid %", "scan %", "components %", "telemetry steps/s"});
+    // Per-phase split from the telemetry passes.
+    util::table pt({"n", "engine", "threads", "advance %", "grid %", "scan %", "components %",
+                    "telemetry steps/s"});
+    // Lane dispatch from the same passes (pool rows with more than one lane).
+    util::table lt({"n", "threads", "lane runs", "skew p50 (us)", "skew p90 (us)",
+                    "imbalance p50", "imbalance p90"});
     for (const perf_row& r : rows) {
         if (r.telemetry_steps_per_sec <= 0.0) {
             continue;
@@ -327,15 +434,23 @@ int run(const util::cli_args& args) {
             return total > 0.0 ? util::fmt(100.0 * s / total) : std::string{"-"};
         };
         using util::phase;
-        pt.add_row({util::fmt(r.n),
+        pt.add_row({util::fmt(r.n), r.engine, util::fmt(r.threads),
                     pct(r.phases.seconds[static_cast<std::size_t>(phase::advance)]),
                     pct(r.phases.seconds[static_cast<std::size_t>(phase::grid_rebuild)]),
                     pct(r.phases.seconds[static_cast<std::size_t>(phase::scan)]),
                     pct(r.phases.seconds[static_cast<std::size_t>(phase::components)]),
                     util::fmt(r.telemetry_steps_per_sec)});
+        if (r.lane_runs > 0) {
+            lt.add_row({util::fmt(r.n), util::fmt(r.threads), util::fmt(r.lane_runs),
+                        bound_text(r.skew_p50_s, 1e6), bound_text(r.skew_p90_s, 1e6),
+                        bound_text(r.imbalance_p50, 1.0), bound_text(r.imbalance_p90, 1.0)});
+        }
     }
-    std::printf("\nper-phase split of the step loop (telemetry pass, serial engine):\n\n%s",
+    std::printf("\nper-phase split of the step loop (telemetry pass):\n\n%s",
                 pt.markdown().c_str());
+    std::printf("\nlane dispatch per multi-lane run() (telemetry pass; histogram bucket "
+                "bounds):\n\n%s",
+                lt.markdown().c_str());
     bench::note("cores available: " + util::fmt(engine::default_thread_count()));
 
     if (args.has("json")) {

@@ -1,16 +1,52 @@
 #include "engine/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
+#include <limits>
 
 namespace manhattan::engine {
 
 namespace {
 
+using clock_type = std::chrono::steady_clock;
+
 /// Queue-wait histogram buckets (seconds): 10us .. 10s, decade steps. Fixed
 /// at registration — see engine/metrics.h.
 std::vector<double> queue_wait_bounds() {
     return {1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0};
+}
+
+/// Lane start skew buckets (seconds): 1us .. 10ms in 1-2-5 steps.
+std::vector<double> lane_skew_bounds() {
+    return {1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2};
+}
+
+/// Lane-time imbalance buckets (slowest lane / fastest lane).
+std::vector<double> lane_imbalance_bounds() {
+    return {1.05, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0};
+}
+
+/// The ticket's low half: the next unclaimed lane (the high half is the
+/// run's generation).
+constexpr std::uint64_t lane_mask = 0xffffffffULL;
+
+double seconds_between(clock_type::time_point from, clock_type::time_point to) {
+    return std::chrono::duration<double>(to - from).count();
+}
+
+/// Back off between two busy-wait polls: a pause hint for the sibling
+/// hyperthread, and every 64th poll a yield, so a poller that shares its
+/// core with the thread it waits for (more busy threads than cores) lets
+/// that thread run.
+inline void backoff(unsigned polls) noexcept {
+    if (polls % 64 == 0) {
+        std::this_thread::yield();
+        return;
+    }
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
 }
 
 }  // namespace
@@ -34,9 +70,15 @@ double pool_stats::busy_fraction() const noexcept {
 thread_pool::thread_pool(std::size_t threads)
     : tasks_run_(metrics_.get_counter("pool.tasks_run")),
       queue_wait_seconds_(metrics_.get_gauge("pool.queue_wait_seconds")),
-      queue_wait_hist_(metrics_.get_histogram("pool.queue_wait_s", queue_wait_bounds())) {
+      queue_wait_hist_(metrics_.get_histogram("pool.queue_wait_s", queue_wait_bounds())),
+      lane_runs_(metrics_.get_counter("pool.lane_runs")),
+      lane_skew_hist_(metrics_.get_histogram("pool.lane_start_skew_s", lane_skew_bounds())),
+      lane_imbalance_hist_(
+          metrics_.get_histogram("pool.lane_imbalance_ratio", lane_imbalance_bounds())) {
     const std::size_t count = threads == 0 ? default_thread_count() : threads;
     busy_ = std::vector<busy_slot>(count);
+    lane_slots_ = std::vector<lane_slot>(count);
+    ticket_.store(count);  // generation 0, every lane claimed: nothing open
     workers_.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
         workers_.emplace_back([this, i] { worker_loop(i); });
@@ -46,7 +88,7 @@ thread_pool::thread_pool(std::size_t threads)
 thread_pool::~thread_pool() {
     {
         const std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
+        stopping_.store(true);
     }
     wake_.notify_all();
     for (auto& w : workers_) {
@@ -55,13 +97,31 @@ thread_pool::~thread_pool() {
 }
 
 void thread_pool::worker_loop(std::size_t worker) {
+    // Workers 0 .. size() - 2 join run()'s caller in the lane team, so a
+    // run() has exactly lanes() claimers; the last worker serves the queue
+    // only.
+    const bool helper = worker + 1 < busy_.size();
     for (;;) {
+        if (helper) {
+            help_lanes(busy_[worker]);
+        }
         queued_task entry;
         {
             std::unique_lock<std::mutex> lock(mutex_);
-            wake_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+            if (helper) {
+                parked_helpers_.fetch_add(1);
+            }
+            wake_.wait(lock, [this, helper] {
+                return stopping_ || !queue_.empty() || (helper && lanes_open());
+            });
+            if (helper) {
+                parked_helpers_.fetch_sub(1);
+            }
             if (queue_.empty()) {
-                return;  // stopping_ with a drained queue
+                if (stopping_) {
+                    return;  // stopping_ with a drained queue
+                }
+                continue;  // a run() opened lanes
             }
             entry = std::move(queue_.front());
             queue_.pop_front();
@@ -170,41 +230,135 @@ void thread_pool::parallel_for(std::size_t count, const std::function<void(std::
     }
 }
 
-void thread_pool::pool_executor::run(
-    std::size_t count,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
+bool thread_pool::lanes_open() const noexcept {
+    return (ticket_.load(std::memory_order_acquire) & lane_mask) < lane_slots_.size();
+}
+
+void thread_pool::run_lane(std::size_t lane, busy_slot* busy) {
+    const std::size_t begin = executor_.lane_begin(lane_count_, lane);
+    const std::size_t end = executor_.lane_begin(lane_count_, lane + 1);
+    if (begin < end) {
+        lane_slot& slot = lane_slots_[lane];
+        const bool measured = lane_measured_;
+        if (measured) {
+            slot.start = clock_type::now();
+        }
+        try {
+            (*lane_body_)(lane, begin, end);
+        } catch (...) {
+            slot.error = std::current_exception();
+        }
+        if (measured) {
+            slot.end = clock_type::now();
+            if (busy != nullptr) {
+                busy->seconds.fetch_add(seconds_between(slot.start, slot.end),
+                                        std::memory_order_relaxed);
+            }
+        }
+    }
+    // The last touch of this run's state: once every lane has counted down,
+    // the caller may return and the body reference dies.
+    lanes_unfinished_.fetch_sub(1, std::memory_order_release);
+}
+
+bool thread_pool::claim_lanes(busy_slot* busy) {
+    bool ran = false;
+    std::uint64_t ticket = ticket_.load(std::memory_order_acquire);
+    while ((ticket & lane_mask) < lane_slots_.size()) {
+        if (ticket_.compare_exchange_weak(ticket, ticket + 1, std::memory_order_acq_rel,
+                                          std::memory_order_acquire)) {
+            run_lane(static_cast<std::size_t>(ticket & lane_mask), busy);
+            ran = true;
+            ticket = ticket_.load(std::memory_order_acquire);
+        }
+    }
+    return ran;
+}
+
+void thread_pool::help_lanes(busy_slot& busy) {
+    if (!claim_lanes(&busy)) {
+        return;
+    }
+    auto deadline = clock_type::now() + lane_spin;
+    for (unsigned polls = 1; !stopping_.load(std::memory_order_relaxed); ++polls) {
+        if (claim_lanes(&busy)) {
+            deadline = clock_type::now() + lane_spin;
+        } else if (clock_type::now() >= deadline) {
+            return;
+        } else {
+            backoff(polls);
+        }
+    }
+}
+
+void thread_pool::run_lanes(std::size_t count, const lane_body& body) {
     if (count == 0) {
         return;
     }
-    const std::size_t w = lanes();
-    if (w == 1) {
+    const std::size_t lanes = lane_slots_.size();
+    if (lanes == 1) {
         body(0, 0, count);
         return;
     }
 
-    std::vector<std::future<void>> futures;
-    futures.reserve(w);
-    for (std::size_t l = 0; l < w; ++l) {
-        const std::size_t begin = lane_begin(count, l);
-        const std::size_t end = lane_begin(count, l + 1);
-        if (begin == end) {
-            continue;
-        }
-        futures.push_back(pool_.submit([&body, l, begin, end] { body(l, begin, end); }));
+    const std::lock_guard<std::mutex> one_run(run_mutex_);
+    lane_body_ = &body;
+    lane_count_ = count;
+    lane_measured_ = util::telemetry::enabled();
+    if (lane_measured_) {
+        run_start_ = clock_type::now();
+    }
+    lanes_unfinished_.store(lanes, std::memory_order_relaxed);
+    // Open lanes 0 .. lanes - 1 under a new generation. The store and the
+    // parked-helper load are sequentially consistent, and a parking helper
+    // counts itself before it re-checks lanes_open() under mutex_: either
+    // it sees this ticket, or this run sees it parked and wakes it.
+    const std::uint64_t generation = (ticket_.load(std::memory_order_relaxed) >> 32) + 1;
+    ticket_.store(generation << 32);
+    if (parked_helpers_.load() > 0) {
+        { const std::lock_guard<std::mutex> lock(mutex_); }
+        wake_.notify_all();
     }
 
+    claim_lanes(nullptr);
+    // Every lane is claimed; wait for the helpers still inside theirs.
+    for (unsigned polls = 1; lanes_unfinished_.load(std::memory_order_acquire) != 0; ++polls) {
+        backoff(polls);
+    }
+
+    if (lane_measured_) {
+        record_lane_run(count);
+    }
+    // Every lane ran; rethrow the lowest-index lane's exception.
     std::exception_ptr first_error;
-    for (auto& f : futures) {
-        try {
-            f.get();
-        } catch (...) {
-            if (!first_error) {
-                first_error = std::current_exception();
-            }
+    for (lane_slot& slot : lane_slots_) {
+        if (slot.error && !first_error) {
+            first_error = slot.error;
         }
+        slot.error = nullptr;
     }
     if (first_error) {
         std::rethrow_exception(first_error);
+    }
+}
+
+void thread_pool::record_lane_run(std::size_t count) {
+    // The non-empty lanes are the first min(count, lanes) (lane_begin).
+    const std::size_t active = std::min(count, lane_slots_.size());
+    clock_type::time_point last_start = run_start_;
+    double fastest = std::numeric_limits<double>::infinity();
+    double slowest = 0.0;
+    for (std::size_t l = 0; l < active; ++l) {
+        const lane_slot& slot = lane_slots_[l];
+        last_start = std::max(last_start, slot.start);
+        const double lane_s = seconds_between(slot.start, slot.end);
+        fastest = std::min(fastest, lane_s);
+        slowest = std::max(slowest, lane_s);
+    }
+    lane_runs_.add(1);
+    lane_skew_hist_.observe(seconds_between(run_start_, last_start));
+    if (fastest > 0.0) {
+        lane_imbalance_hist_.observe(slowest / fastest);
     }
 }
 

@@ -6,16 +6,25 @@
 /// writes every result into a pre-sized slot so outputs are bit-identical
 /// for any thread count (see docs/ENGINE.md).
 ///
+/// The same workers double as a persistent lane team for executor().run()
+/// (intra-replica parallelism): the caller and up to size() - 1 workers
+/// claim lanes from a per-run ticket, with no queued task and no allocation
+/// per run (docs/PERF.md, "Lane dispatch").
+///
 /// Telemetry (util/telemetry.h, off by default): with the process-wide
 /// switch on, the pool records tasks run, queue wait (a fixed-bucket
 /// histogram plus a summed gauge) and per-worker busy seconds into its own
-/// metrics_registry. stats() snapshots the lot; the trace sink's sweep_end
-/// event renders it. Measuring never changes scheduling or task outputs.
+/// metrics_registry, and per multi-lane run() a lane-run count plus lane
+/// start skew and lane-time imbalance histograms. stats() snapshots the
+/// task side; the trace sink's sweep_end event renders it. Measuring never
+/// changes scheduling or task outputs.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -75,32 +84,44 @@ class thread_pool {
                       std::size_t chunk = 0);
 
     /// The pool as a reusable lane-partitioned executor (util/parallel.h):
-    /// one lane per worker, each lane a contiguous index range dispatched
-    /// through submit(). This is the handle flooding_sim / walker /
+    /// one lane per worker. run() hands the body to the lane team: the
+    /// calling thread and up to size() - 1 workers claim lane indices from a
+    /// per-run ticket until none is left, so a run() is never slower than
+    /// the caller running every lane itself, and which thread runs a lane
+    /// never changes a result. This is the handle flooding_sim / walker /
     /// uniform_grid borrow for intra-replica parallelism. The reference
-    /// stays valid for the pool's lifetime and may be used for any number
-    /// of run() calls. Do NOT call executor().run() from inside a task
-    /// already running on this pool: the caller blocks while holding a
-    /// worker thread, which can deadlock a fully busy pool.
+    /// stays valid for the pool's lifetime and may be used for any number of
+    /// run() calls from any thread, including from a task running on this
+    /// pool. Concurrent run() calls are serialised. A lane body must not
+    /// call run() on the same executor.
     [[nodiscard]] util::parallel_executor& executor() noexcept { return executor_; }
+
+    /// How long a worker that has just run a lane keeps polling for the
+    /// next run() before it parks: sized to the serial gaps between the
+    /// run() calls of one flooding step (docs/PERF.md, "Lane dispatch").
+    static constexpr std::chrono::microseconds lane_spin{200};
 
     /// Utilization snapshot (thread-safe; callable while tasks run). Zeros
     /// unless telemetry was enabled while the measured work happened.
     [[nodiscard]] pool_stats stats() const;
 
     /// The pool's instruments ("pool.tasks_run", "pool.queue_wait_seconds",
-    /// "pool.queue_wait_s" histogram) for snapshot-level aggregation.
+    /// "pool.queue_wait_s" histogram, "pool.lane_runs",
+    /// "pool.lane_start_skew_s" and "pool.lane_imbalance_ratio" histograms)
+    /// for snapshot-level aggregation.
     [[nodiscard]] const metrics_registry& metrics() const noexcept { return metrics_; }
 
  private:
-    /// parallel_executor over the owning pool (lane l = worker-shaped
-    /// contiguous slice, dispatched as one submit() task).
+    using lane_body = std::function<void(std::size_t, std::size_t, std::size_t)>;
+
+    /// parallel_executor over the owning pool's lane team.
     class pool_executor final : public util::parallel_executor {
      public:
         explicit pool_executor(thread_pool& pool) noexcept : pool_(pool) {}
         [[nodiscard]] std::size_t lanes() const noexcept override { return pool_.size(); }
-        void run(std::size_t count,
-                 const std::function<void(std::size_t, std::size_t, std::size_t)>& body) override;
+        void run(std::size_t count, const lane_body& body) override {
+            pool_.run_lanes(count, body);
+        }
 
      private:
         thread_pool& pool_;
@@ -119,21 +140,65 @@ class thread_pool {
         std::atomic<double> seconds{0.0};
     };
 
+    /// One lane's outcome of the current run(): its exception, and its
+    /// start and end instants while the run is measured. Cache-line padded
+    /// so lanes on different threads never share a line.
+    struct alignas(64) lane_slot {
+        std::chrono::steady_clock::time_point start{};
+        std::chrono::steady_clock::time_point end{};
+        std::exception_ptr error;
+    };
+
     void worker_loop(std::size_t worker);
+
+    void run_lanes(std::size_t count, const lane_body& body);
+    /// Claim and run lanes of the current run() until none is left; returns
+    /// whether any ran. \p busy is the claiming worker's slot (null for the
+    /// run() caller, whose time is its own).
+    bool claim_lanes(busy_slot* busy);
+    void run_lane(std::size_t lane, busy_slot* busy);
+    /// A worker's lane duty: claim lanes, and after running one keep polling
+    /// for the next run() for lane_spin before returning to park.
+    void help_lanes(busy_slot& busy);
+    [[nodiscard]] bool lanes_open() const noexcept;
+    void record_lane_run(std::size_t count);
 
     std::mutex mutex_;
     std::condition_variable wake_;
     std::deque<queued_task> queue_;
     std::vector<std::thread> workers_;
     pool_executor executor_{*this};
-    bool stopping_ = false;
+    std::atomic<bool> stopping_{false};  ///< written under mutex_; read by spinning helpers
 
     metrics_registry metrics_;
     counter& tasks_run_;
     gauge& queue_wait_seconds_;
     fixed_histogram& queue_wait_hist_;
+    counter& lane_runs_;
+    fixed_histogram& lane_skew_hist_;
+    fixed_histogram& lane_imbalance_hist_;
     std::vector<busy_slot> busy_;  ///< sized before workers spawn, never resized
     std::chrono::steady_clock::time_point born_ = std::chrono::steady_clock::now();
+
+    // Lane team. run_mutex_ admits one run() at a time. The run's body,
+    // count and measuring flag are plain fields: run() writes them before
+    // the store that opens a new ticket generation, and a claimer reads
+    // them only after its claim on that generation succeeded. The run
+    // cannot end (so they cannot change) before every claimed lane
+    // finished.
+    std::mutex run_mutex_;
+    const lane_body* lane_body_ = nullptr;
+    std::size_t lane_count_ = 0;
+    bool lane_measured_ = false;
+    std::chrono::steady_clock::time_point run_start_{};
+    std::vector<lane_slot> lane_slots_;  ///< one per lane, sized before workers spawn
+    /// generation << 32 | next unclaimed lane; lanes are open while the
+    /// lane part is below size(). Claims are compare-exchanges on the whole
+    /// word, so a worker holding a stale generation can never claim a lane
+    /// of a newer run.
+    alignas(64) std::atomic<std::uint64_t> ticket_{0};
+    alignas(64) std::atomic<std::size_t> lanes_unfinished_{0};
+    std::atomic<std::size_t> parked_helpers_{0};  ///< team workers waiting on wake_
 };
 
 }  // namespace manhattan::engine

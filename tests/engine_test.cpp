@@ -1,15 +1,23 @@
 // Unit tests for the parallel experiment engine: thread-pool semantics
-// (every task runs exactly once, exceptions propagate), deterministic
+// (every task runs exactly once, exceptions propagate), the pool's lane
+// team (exact lane coverage across spin/park handoffs, concurrent and
+// nested run() callers, lane exceptions), deterministic
 // replica sharding (bit-identical results at 1, 2 and 8 threads), sweep-grid
 // expansion, and the structured result sinks.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <utility>
 
 #include "engine/runner.h"
@@ -131,6 +139,144 @@ TEST(pool_executor_test, empty_count_and_exceptions) {
         total.fetch_add(static_cast<int>(end - begin));
     });
     EXPECT_EQ(total.load(), 7);
+}
+
+/// Runs \p count indices through \p ex and checks exact coverage: every
+/// index once, every lane its lane_begin range. \p hits is scratch of at
+/// least \p count entries, all zero on entry and on return.
+void expect_exact_cover(manhattan::util::parallel_executor& ex, std::size_t count,
+                        std::vector<std::atomic<int>>& hits) {
+    std::atomic<bool> ranges_ok{true};
+    ex.run(count, [&](std::size_t lane, std::size_t begin, std::size_t end) {
+        if (begin != ex.lane_begin(count, lane) || end != ex.lane_begin(count, lane + 1)) {
+            ranges_ok = false;
+        }
+        for (std::size_t i = begin; i < end; ++i) {
+            hits[i].fetch_add(1);
+        }
+    });
+    EXPECT_TRUE(ranges_ok.load()) << "count " << count;
+    for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(hits[i].exchange(0), 1) << "index " << i << " of " << count;
+    }
+}
+
+/// Wait for \p f, but fail and exit instead of hanging when it never
+/// completes (a deadlocked pool would also hang its own destructor).
+void await_or_exit(std::future<void>& f, const char* what) {
+    if (f.wait_for(std::chrono::seconds(20)) != std::future_status::ready) {
+        ADD_FAILURE() << what << " did not finish within 20 s (deadlock)";
+        std::fflush(stdout);
+        std::_Exit(1);
+    }
+    f.get();
+}
+
+TEST(pool_executor_test, back_to_back_tiny_runs_cross_the_spin_and_park_boundary) {
+    engine::thread_pool pool(4);
+    auto& ex = pool.executor();
+    std::vector<std::atomic<int>> hits(2 * ex.lanes() + 1);
+    for (std::size_t r = 0; r < 10'000; ++r) {
+        // Counts 1 .. 2 * lanes + 1, so many runs leave lanes empty.
+        expect_exact_cover(ex, 1 + r % hits.size(), hits);
+        if (r % 97 == 96) {
+            // Pauses just under, at and past the spin window, so workers
+            // park and are woken again by the next run().
+            std::this_thread::sleep_for(engine::thread_pool::lane_spin * (1 + r / 97 % 3) / 2);
+        }
+    }
+}
+
+TEST(pool_executor_test, runs_while_another_thread_drives_submit_and_parallel_for) {
+    engine::thread_pool pool(4);
+    auto& ex = pool.executor();
+    std::thread replicas([&pool] {
+        constexpr std::size_t kCount = 257;
+        std::vector<std::atomic<int>> hits(kCount);
+        for (int round = 0; round < 200; ++round) {
+            std::atomic<int> ran{0};
+            pool.submit([&ran] { ran.fetch_add(1); }).get();
+            pool.parallel_for(kCount, [&](std::size_t i) { hits[i].fetch_add(1); });
+            EXPECT_EQ(ran.load(), 1);
+            for (std::size_t i = 0; i < kCount; ++i) {
+                ASSERT_EQ(hits[i].exchange(0), 1) << "parallel_for index " << i;
+            }
+        }
+    });
+    std::vector<std::atomic<int>> hits(1000);
+    for (std::size_t r = 0; r < 2000; ++r) {
+        expect_exact_cover(ex, 1 + r * 7 % hits.size(), hits);
+    }
+    replicas.join();
+}
+
+TEST(pool_executor_test, several_throwing_lanes_rethrow_the_lowest_and_every_lane_runs) {
+    engine::thread_pool pool(4);
+    auto& ex = pool.executor();
+    constexpr std::size_t kCount = 100;
+    for (int round = 0; round < 50; ++round) {
+        std::vector<std::atomic<int>> hits(kCount);
+        try {
+            ex.run(kCount, [&](std::size_t lane, std::size_t begin, std::size_t end) {
+                for (std::size_t i = begin; i < end; ++i) {
+                    hits[i].fetch_add(1);
+                }
+                if (lane == 1 || lane == 3) {
+                    throw std::runtime_error("lane " + std::to_string(lane));
+                }
+            });
+            ADD_FAILURE() << "run() swallowed the lane exceptions";
+        } catch (const std::runtime_error& e) {
+            EXPECT_STREQ(e.what(), "lane 1");
+        }
+        for (std::size_t i = 0; i < kCount; ++i) {
+            ASSERT_EQ(hits[i].load(), 1) << "index " << i << ", round " << round;
+        }
+    }
+    // The pool stays usable after throwing runs.
+    std::vector<std::atomic<int>> hits(kCount);
+    expect_exact_cover(ex, kCount, hits);
+}
+
+TEST(pool_executor_test, two_external_threads_run_concurrently) {
+    engine::thread_pool pool(4);
+    auto& ex = pool.executor();
+    const auto drive = [&ex](std::size_t stride) {
+        std::vector<std::atomic<int>> hits(600);
+        for (std::size_t r = 0; r < 1000; ++r) {
+            expect_exact_cover(ex, 1 + r * stride % hits.size(), hits);
+        }
+    };
+    std::thread a(drive, 5);
+    std::thread b(drive, 11);
+    a.join();
+    b.join();
+}
+
+TEST(pool_executor_test, every_worker_in_a_task_runs_the_same_pool_executor) {
+    constexpr std::size_t kWorkers = 4;
+    engine::thread_pool pool(kWorkers);
+    auto& ex = pool.executor();
+    std::atomic<std::size_t> started{0};
+    std::vector<std::future<void>> tasks;
+    for (std::size_t w = 0; w < kWorkers; ++w) {
+        tasks.push_back(pool.submit([&ex, &started, w] {
+            // Hold every worker inside a task before any run() starts, so no
+            // idle worker is left to take lanes.
+            started.fetch_add(1);
+            const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (started.load() < kWorkers && std::chrono::steady_clock::now() < give_up) {
+                std::this_thread::yield();
+            }
+            std::vector<std::atomic<int>> hits(64 + w);
+            for (std::size_t r = 0; r < 50; ++r) {
+                expect_exact_cover(ex, 1 + (r * 13 + w) % hits.size(), hits);
+            }
+        }));
+    }
+    for (auto& task : tasks) {
+        await_or_exit(task, "a task calling executor().run() on its own pool");
+    }
 }
 
 TEST(serial_executor_test, runs_inline_as_one_lane) {

@@ -8,12 +8,14 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/scenario.h"
@@ -220,6 +222,76 @@ TEST(pool_stats_test, tracks_tasks_and_busy_time_only_while_enabled) {
     EXPECT_GT(s.alive_seconds, 0.0);
     EXPECT_GE(s.busy_fraction(), 0.0);
     EXPECT_LE(s.busy_fraction(), 1.0);
+}
+
+/// The pool registry's value for \p name: a counter's count or a
+/// histogram's total.
+std::uint64_t pool_metric(const engine::thread_pool& pool, const std::string& name) {
+    for (const engine::metric_snapshot& m : pool.metrics().snapshot()) {
+        if (m.name != name) {
+            continue;
+        }
+        std::uint64_t total = static_cast<std::uint64_t>(m.value);
+        for (const std::uint64_t c : m.counts) {
+            total += c;
+        }
+        return total;
+    }
+    ADD_FAILURE() << "no pool metric " << name;
+    return 0;
+}
+
+double total_busy(const engine::pool_stats& s) {
+    double busy = 0.0;
+    for (const double b : s.worker_busy_seconds) {
+        busy += b;
+    }
+    return busy;
+}
+
+TEST(pool_stats_test, lane_runs_measured_only_while_enabled) {
+    engine::thread_pool pool(4);
+    auto& ex = pool.executor();
+    const std::thread::id caller = std::this_thread::get_id();
+    // Each run's caller lane waits until a worker ran a lane, so every run
+    // has helper lane time to account for.
+    const auto run_with_a_helper = [&] {
+        std::atomic<bool> helper_ran{false};
+        ex.run(ex.lanes(), [&](std::size_t, std::size_t, std::size_t) {
+            if (std::this_thread::get_id() != caller) {
+                std::this_thread::sleep_for(std::chrono::microseconds(50));
+                helper_ran = true;
+                return;
+            }
+            const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (!helper_ran.load() && std::chrono::steady_clock::now() < give_up) {
+                std::this_thread::yield();
+            }
+        });
+    };
+
+    constexpr int kRuns = 20;
+    for (int r = 0; r < kRuns; ++r) {
+        run_with_a_helper();
+    }
+    EXPECT_EQ(pool_metric(pool, "pool.lane_runs"), 0u);  // disabled: nothing recorded
+    EXPECT_EQ(pool_metric(pool, "pool.lane_start_skew_s"), 0u);
+    EXPECT_EQ(pool_metric(pool, "pool.lane_imbalance_ratio"), 0u);
+    EXPECT_EQ(total_busy(pool.stats()), 0.0);
+
+    const telemetry::scoped_enable on;
+    for (int r = 0; r < kRuns; ++r) {
+        run_with_a_helper();
+    }
+    const engine::pool_stats s = pool.stats();
+    EXPECT_EQ(pool_metric(pool, "pool.lane_runs"), static_cast<std::uint64_t>(kRuns));
+    EXPECT_EQ(pool_metric(pool, "pool.lane_start_skew_s"), static_cast<std::uint64_t>(kRuns));
+    EXPECT_EQ(pool_metric(pool, "pool.lane_imbalance_ratio"),
+              static_cast<std::uint64_t>(kRuns));
+    EXPECT_GT(total_busy(s), 0.0);  // helper lane time is worker busy time
+    // Lanes are not queued tasks.
+    EXPECT_EQ(s.tasks_run, 0u);
+    EXPECT_EQ(pool_metric(pool, "pool.queue_wait_s"), 0u);
 }
 
 // ------------------------------------------------- determinism (tentpole) ---
