@@ -4,8 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
-#include <cinttypes>
 #include <condition_variable>
 #include <cstdio>
 #include <filesystem>
@@ -23,6 +21,7 @@
 #include "engine/fault.h"
 #include "engine/sink.h"
 #include "engine/thread_pool.h"
+#include "service/wire.h"
 
 namespace fs = std::filesystem;
 
@@ -30,54 +29,13 @@ namespace manhattan::engine {
 
 namespace {
 
-// ------------------------------------------------------------- text utils --
+// ------------------------------------------------------------- file utils --
 
-std::string hex64(std::uint64_t v) {
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
-    return {buf};
-}
+/// The first member of every sweep.spec: the file format and its version.
+constexpr const char* spec_format = "manhattan-fabric v2";
 
 [[noreturn]] void corrupt(const std::string& what) {
     throw error(errc::state, "fabric: " + what);
-}
-
-std::string next_token(std::istringstream& line, const std::string& what) {
-    std::string token;
-    if (!(line >> token)) {
-        corrupt("truncated line: missing " + what);
-    }
-    return token;
-}
-
-std::uint64_t parse_u64(const std::string& token, const std::string& what, int base = 10) {
-    try {
-        std::size_t used = 0;
-        const std::uint64_t value = std::stoull(token, &used, base);
-        if (used != token.size()) {
-            corrupt("malformed " + what + " '" + token + "'");
-        }
-        return value;
-    } catch (const error&) {
-        throw;
-    } catch (const std::exception&) {
-        corrupt("malformed " + what + " '" + token + "'");
-    }
-}
-
-double parse_f64_bits(const std::string& token, const std::string& what) {
-    return std::bit_cast<double>(parse_u64(token, what, 16));
-}
-
-/// Parse an integer token into an enum, bounds-checked against the number
-/// of enumerators (a spec written by a newer engine must not alias).
-template <typename E>
-E parse_enum(const std::string& token, const std::string& what, std::uint64_t count) {
-    const std::uint64_t v = parse_u64(token, what);
-    if (v >= count) {
-        corrupt("out-of-range " + what + " '" + token + "'");
-    }
-    return static_cast<E>(v);
 }
 
 /// Whole file, or nullopt when it cannot be read (vanished, permissions).
@@ -362,264 +320,64 @@ std::vector<std::vector<std::uint8_t>> recorded_elsewhere(const std::string& dir
 // ------------------------------------------------------------ spec on disk --
 
 std::string serialize_fabric_spec(const fabric_spec& spec) {
-    std::string out = "manhattan-fabric v1\nfingerprint " + hex64(spec.fingerprint) +
-                      "\nrepetitions " + std::to_string(spec.repetitions) + "\nbatch " +
-                      std::to_string(spec.batch) + "\npoints " +
-                      std::to_string(spec.points.size()) + "\n";
-    const auto f = [](double v) { return hex64(std::bit_cast<std::uint64_t>(v)); };
-    const auto e = [](auto v) { return std::to_string(static_cast<std::uint64_t>(v)); };
+    using service::json_value;
+    json_value doc = json_value::object();
+    doc.set("format", json_value::string(spec_format));
+    doc.set("fingerprint", json_value::string(fingerprint_hex(spec.fingerprint)));
+    doc.set("repetitions", json_value::integer(spec.repetitions));
+    doc.set("batch", json_value::integer(spec.batch));
+    json_value points = json_value::array();
     for (const auto& point : spec.points) {
-        const auto& sc = point.sc;
-        out += "point " + std::to_string(point.index) + ' ' +
-               std::to_string(sc.params.n) + ' ' + f(sc.params.side) + ' ' +
-               f(sc.params.radius) + ' ' + f(sc.params.speed) + ' ' + e(sc.model) + ' ' +
-               f(sc.model_opts.walk_step_radius) + ' ' +
-               f(sc.model_opts.direction_max_leg) + ' ' + e(sc.mode) + ' ' +
-               f(sc.gossip_p) + ' ' + e(sc.source) + ' ' + std::to_string(sc.seed) + ' ' +
-               (sc.stationary_start ? '1' : '0') + ' ' + f(sc.warmup_time) + ' ' +
-               std::to_string(sc.max_steps) + ' ' + (sc.record_timeline ? '1' : '0') +
-               ' ' + (sc.with_cell_partition ? '1' : '0');
-        // Optional blocks, emitted only when they carry data: pure-grid
-        // non-trace points serialize byte-for-byte as before (and older specs
-        // parse unchanged — the parser treats both blocks as optional).
-        if (!sc.topology.is_grid()) {
-            const auto edges = [&](const std::vector<geom::edge_ref>& list) {
-                std::string s = ' ' + std::to_string(list.size());
-                for (const geom::edge_ref& edge : list) {
-                    s += ' ' + std::to_string(edge.ax) + ' ' + std::to_string(edge.ay) +
-                         ' ' + std::to_string(edge.bx) + ' ' + std::to_string(edge.by);
-                }
-                return s;
-            };
-            out += " topo " + std::to_string(sc.topology.street.xs.size());
-            for (const double x : sc.topology.street.xs) {
-                out += ' ' + f(x);
-            }
-            out += ' ' + std::to_string(sc.topology.street.ys.size());
-            for (const double y : sc.topology.street.ys) {
-                out += ' ' + f(y);
-            }
-            out += edges(sc.topology.street.blocked) + edges(sc.topology.street.one_way);
-        }
-        if (sc.model == mobility::model_kind::trace_replay &&
-            sc.model_opts.trace != nullptr) {
-            out += " trace " + std::to_string(sc.model_opts.trace->size());
-            for (const geom::vec2& p : *sc.model_opts.trace) {
-                out += ' ' + f(p.x) + ' ' + f(p.y);
-            }
-        }
-        out += " stop " +
-               e(sc.spread.stop.how) + ' ' + f(sc.spread.stop.fraction) + ' ' +
-               std::to_string(sc.spread.stop.steps) + " messages " +
-               std::to_string(sc.spread.messages.size());
-        for (const auto& msg : sc.spread.messages) {
-            out += " src " + e(msg.sources.how) + ' ' + e(msg.sources.placement) + ' ' +
-                   std::to_string(msg.sources.count) + ' ' +
-                   std::to_string(msg.sources.ids.size());
-            for (const std::size_t id : msg.sources.ids) {
-                out += ' ' + std::to_string(id);
-            }
-            out += " msg " + std::to_string(msg.spawn_step) + ' ' + e(msg.mode) + ' ' +
-                   f(msg.gossip_p) + ' ' + std::to_string(msg.gossip_seed) + ' ' +
-                   std::to_string(msg.source_seed);
-        }
-        out += " label " + point.label + "\n";
+        json_value entry = json_value::object();
+        entry.set("index", json_value::integer(point.index));
+        entry.set("label", json_value::string(point.label));
+        entry.set("scenario", service::encode_scenario(point.sc));
+        points.items.push_back(std::move(entry));
     }
-    out += "end " + std::to_string(spec.points.size()) + "\n";
-    return out;
+    doc.set("points", std::move(points));
+    return service::dump(doc) + "\n";
 }
 
 fabric_spec parse_fabric_spec(const std::string& text) {
-    std::istringstream in(text);
-    std::string line;
-
-    const auto expect_line = [&](const std::string& what) {
-        if (!std::getline(in, line)) {
-            corrupt("truncated spec: missing " + what);
-        }
-        return std::istringstream{line};
-    };
-    const auto keyed_value = [&](const std::string& key) {
-        auto fields = expect_line(key + " line");
-        if (next_token(fields, "key") != key) {
-            corrupt("expected '" + key + "' line, got '" + line + "'");
-        }
-        const std::string value = next_token(fields, key);
-        std::string extra;
-        if (fields >> extra) {
-            corrupt("trailing tokens on '" + key + "' line");
-        }
-        return value;
-    };
-
-    if (keyed_value("manhattan-fabric") != "v1") {
-        corrupt("unsupported spec format '" + line + "'");
-    }
     fabric_spec spec;
-    spec.fingerprint = parse_u64(keyed_value("fingerprint"), "fingerprint", 16);
-    spec.repetitions = parse_u64(keyed_value("repetitions"), "repetitions");
-    spec.batch = parse_u64(keyed_value("batch"), "batch");
-    const std::uint64_t count = parse_u64(keyed_value("points"), "points");
+    std::string stored;
+    try {
+        const service::json_value doc = service::parse_json(text);
+        const std::string format = service::str_field(doc, "format");
+        if (format != spec_format) {
+            corrupt("unsupported spec format '" + format + "'");
+        }
+        stored = service::str_field(doc, "fingerprint");
+        spec.repetitions = service::u64_field(doc, "repetitions");
+        spec.batch = service::u64_field(doc, "batch");
+        for (const service::json_value& entry : service::require(doc, "points").items) {
+            sweep_point point;
+            point.index = service::u64_field(entry, "index");
+            if (point.index != spec.points.size()) {
+                corrupt("points out of order: expected index " +
+                        std::to_string(spec.points.size()) + ", got " +
+                        std::to_string(point.index));
+            }
+            point.label = service::str_field(entry, "label");
+            point.sc = service::decode_scenario(service::require(entry, "scenario"));
+            spec.points.push_back(std::move(point));
+        }
+    } catch (const service::wire_error& e) {
+        // Truncated, mangled or written in another format (a v1 text spec
+        // is not JSON): durable state this binary cannot read.
+        corrupt(std::string{"unreadable spec: not a "} + spec_format + " document (" +
+                e.what() + ")");
+    }
     if (spec.repetitions == 0 || spec.batch == 0) {
         corrupt("repetitions and batch must be positive");
-    }
-
-    bool ended = false;
-    while (std::getline(in, line)) {
-        std::istringstream fields(line);
-        const std::string kind = next_token(fields, "line tag");
-        if (kind == "end") {
-            const std::uint64_t n = parse_u64(next_token(fields, "point count"),
-                                              "point count");
-            if (n != spec.points.size()) {
-                corrupt("point count mismatch: end says " + std::to_string(n) +
-                        ", spec holds " + std::to_string(spec.points.size()));
-            }
-            ended = true;
-            std::string extra;
-            if (fields >> extra || std::getline(in, line)) {
-                corrupt("trailing content after 'end'");
-            }
-            break;
-        }
-        if (kind != "point") {
-            corrupt("unknown line '" + line + "'");
-        }
-        sweep_point point;
-        point.index = parse_u64(next_token(fields, "index"), "index");
-        if (point.index != spec.points.size()) {
-            corrupt("points out of order: expected index " +
-                    std::to_string(spec.points.size()) + ", got " +
-                    std::to_string(point.index));
-        }
-        auto& sc = point.sc;
-        sc.params.n = parse_u64(next_token(fields, "n"), "n");
-        sc.params.side = parse_f64_bits(next_token(fields, "side"), "side");
-        sc.params.radius = parse_f64_bits(next_token(fields, "radius"), "radius");
-        sc.params.speed = parse_f64_bits(next_token(fields, "speed"), "speed");
-        sc.model = parse_enum<mobility::model_kind>(next_token(fields, "model"),
-                                                    "model", 6);
-        sc.model_opts.walk_step_radius =
-            parse_f64_bits(next_token(fields, "walk_step_radius"), "walk_step_radius");
-        sc.model_opts.direction_max_leg = parse_f64_bits(
-            next_token(fields, "direction_max_leg"), "direction_max_leg");
-        sc.mode = parse_enum<core::propagation>(next_token(fields, "mode"), "mode", 3);
-        sc.gossip_p = parse_f64_bits(next_token(fields, "gossip_p"), "gossip_p");
-        sc.source = parse_enum<core::source_placement>(next_token(fields, "source"),
-                                                       "source", 6);
-        sc.seed = parse_u64(next_token(fields, "seed"), "seed");
-        sc.stationary_start =
-            parse_u64(next_token(fields, "stationary_start"), "stationary_start") != 0;
-        sc.warmup_time = parse_f64_bits(next_token(fields, "warmup_time"), "warmup_time");
-        sc.max_steps = parse_u64(next_token(fields, "max_steps"), "max_steps");
-        sc.record_timeline =
-            parse_u64(next_token(fields, "record_timeline"), "record_timeline") != 0;
-        sc.with_cell_partition = parse_u64(next_token(fields, "with_cell_partition"),
-                                           "with_cell_partition") != 0;
-        std::string tag = next_token(fields, "stop tag");
-        if (tag == "topo") {
-            // Optional street-topology block (absent for pure-grid points).
-            sc.topology.kind = geom::topology_kind::street_graph;
-            const auto axis = [&](const char* what) {
-                std::vector<double> values(parse_u64(next_token(fields, what), what));
-                for (double& v : values) {
-                    v = parse_f64_bits(next_token(fields, what), what);
-                }
-                return values;
-            };
-            const auto edges = [&](const char* what) {
-                std::vector<geom::edge_ref> list(parse_u64(next_token(fields, what), what));
-                for (geom::edge_ref& edge : list) {
-                    edge.ax = static_cast<std::int32_t>(parse_u64(next_token(fields, what), what));
-                    edge.ay = static_cast<std::int32_t>(parse_u64(next_token(fields, what), what));
-                    edge.bx = static_cast<std::int32_t>(parse_u64(next_token(fields, what), what));
-                    edge.by = static_cast<std::int32_t>(parse_u64(next_token(fields, what), what));
-                }
-                return list;
-            };
-            sc.topology.street.xs = axis("topo xs");
-            sc.topology.street.ys = axis("topo ys");
-            sc.topology.street.blocked = edges("topo blocked");
-            sc.topology.street.one_way = edges("topo one_way");
-            tag = next_token(fields, "stop tag");
-        }
-        if (tag == "trace") {
-            // Optional replay tour (trace_replay points only).
-            std::vector<geom::vec2> tour(
-                parse_u64(next_token(fields, "trace count"), "trace count"));
-            for (geom::vec2& p : tour) {
-                p.x = parse_f64_bits(next_token(fields, "trace x"), "trace x");
-                p.y = parse_f64_bits(next_token(fields, "trace y"), "trace y");
-            }
-            sc.model_opts.trace =
-                std::make_shared<const std::vector<geom::vec2>>(std::move(tour));
-            tag = next_token(fields, "stop tag");
-        }
-        if (tag != "stop") {
-            corrupt("expected 'stop' on point line '" + line + "'");
-        }
-        sc.spread.stop.how = parse_enum<core::stop_rule::kind>(
-            next_token(fields, "stop kind"), "stop kind", 4);
-        sc.spread.stop.fraction =
-            parse_f64_bits(next_token(fields, "stop fraction"), "stop fraction");
-        sc.spread.stop.steps = parse_u64(next_token(fields, "stop steps"), "stop steps");
-        if (next_token(fields, "messages tag") != "messages") {
-            corrupt("expected 'messages' on point line '" + line + "'");
-        }
-        const std::uint64_t messages = parse_u64(next_token(fields, "message count"),
-                                                 "message count");
-        for (std::uint64_t m = 0; m < messages; ++m) {
-            if (next_token(fields, "src tag") != "src") {
-                corrupt("expected 'src' on point line '" + line + "'");
-            }
-            core::message_spec msg;
-            msg.sources.how = parse_enum<core::source_spec::kind>(
-                next_token(fields, "source kind"), "source kind", 3);
-            msg.sources.placement = parse_enum<core::source_placement>(
-                next_token(fields, "source placement"), "source placement", 6);
-            msg.sources.count = parse_u64(next_token(fields, "source count"),
-                                          "source count");
-            const std::uint64_t ids = parse_u64(next_token(fields, "source id count"),
-                                                "source id count");
-            for (std::uint64_t i = 0; i < ids; ++i) {
-                msg.sources.ids.push_back(
-                    parse_u64(next_token(fields, "source id"), "source id"));
-            }
-            if (next_token(fields, "msg tag") != "msg") {
-                corrupt("expected 'msg' on point line '" + line + "'");
-            }
-            msg.spawn_step = parse_u64(next_token(fields, "spawn_step"), "spawn_step");
-            msg.mode = parse_enum<core::propagation>(next_token(fields, "message mode"),
-                                                     "message mode", 3);
-            msg.gossip_p =
-                parse_f64_bits(next_token(fields, "message gossip_p"), "message gossip_p");
-            msg.gossip_seed = parse_u64(next_token(fields, "gossip_seed"), "gossip_seed");
-            msg.source_seed = parse_u64(next_token(fields, "source_seed"), "source_seed");
-            sc.spread.messages.push_back(std::move(msg));
-        }
-        if (next_token(fields, "label tag") != "label") {
-            corrupt("expected 'label' on point line '" + line + "'");
-        }
-        std::getline(fields, point.label);
-        if (!point.label.empty() && point.label.front() == ' ') {
-            point.label.erase(0, 1);
-        }
-        spec.points.push_back(std::move(point));
-    }
-    if (!ended) {
-        corrupt("truncated spec: missing 'end' line");
-    }
-    if (spec.points.size() != count) {
-        corrupt("point count mismatch: header says " + std::to_string(count) +
-                ", spec holds " + std::to_string(spec.points.size()));
     }
     // The decisive integrity check: the parsed points must re-fingerprint to
     // the stored value, or the spec was edited / truncated / written by an
     // engine with different output semantics.
-    const std::uint64_t recomputed = sweep_fingerprint(spec.points, spec.repetitions);
-    if (recomputed != spec.fingerprint) {
-        corrupt("fingerprint mismatch: spec says " + hex64(spec.fingerprint) +
-                ", parsed points re-fingerprint to " + hex64(recomputed) +
+    spec.fingerprint = sweep_fingerprint(spec.points, spec.repetitions);
+    if (fingerprint_hex(spec.fingerprint) != stored) {
+        corrupt("fingerprint mismatch: spec says " + stored +
+                ", parsed points re-fingerprint to " + fingerprint_hex(spec.fingerprint) +
                 " (corrupt spec or incompatible engine version)");
     }
     return spec;
@@ -655,10 +413,11 @@ fabric_spec init_fabric(const std::string& dir, const sweep_spec& spec, std::siz
             }
             throw error(errc::state,
                         "fabric: '" + dir + "' already holds a different sweep (spec " +
-                            hex64(existing.fingerprint) + " batch " +
+                            fingerprint_hex(existing.fingerprint) + " batch " +
                             std::to_string(existing.batch) + ", this sweep " +
-                            hex64(out.fingerprint) + " batch " + std::to_string(out.batch) +
-                            ") — use a fresh directory per sweep" + detail);
+                            fingerprint_hex(out.fingerprint) + " batch " +
+                            std::to_string(out.batch) + ") — use a fresh directory per sweep" +
+                            detail);
         }
         return existing;
     }

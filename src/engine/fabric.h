@@ -7,9 +7,11 @@
 /// spec, many owner ledgers" — docs/FABRIC.md pins the protocol.
 ///
 /// Directory layout (`DIR` below):
-///   sweep.spec               the fully-expanded sweep, serialized exactly
-///                            (IEEE-754 bit patterns) + its fingerprint;
-///                            written once by init_fabric, read-only after
+///   sweep.spec               the fully-expanded sweep as one
+///                            "manhattan-fabric v2" JSON document (the wire
+///                            scenario codec: IEEE-754 bit patterns) + its
+///                            fingerprint; written once by init_fabric,
+///                            read-only after
 ///   leases/batch-<b>.lease   held claim on replica batch b (owner +
 ///                            attempts inside; mtime = heartbeat)
 ///   leases/batch-<b>.done    batch b fully drained (terminal marker)
@@ -88,11 +90,14 @@ struct fabric_spec {
     }
 };
 
-/// Serialize / parse the sweep.spec text format (docs/FABRIC.md). Doubles
-/// are IEEE-754 bit patterns, so the round trip is exact and the parsed
-/// spec re-fingerprints to the stored value — parse_fabric_spec verifies
-/// that and throws engine::error (class state) on any disagreement (a spec
-/// edited by hand, truncated, or written by an incompatible engine).
+/// Serialize / parse the sweep.spec document (docs/FABRIC.md): the format
+/// tag, fingerprint, repetitions, batch and one {index, label, scenario}
+/// entry per point, each scenario in the service wire codec. Doubles are
+/// IEEE-754 bit patterns, so the round trip is exact and the parsed spec
+/// re-fingerprints to the stored value — parse_fabric_spec verifies that
+/// and throws engine::error (class state) on any disagreement (a spec
+/// edited by hand, truncated, in the old v1 text format, or written by an
+/// incompatible engine).
 [[nodiscard]] std::string serialize_fabric_spec(const fabric_spec& spec);
 [[nodiscard]] fabric_spec parse_fabric_spec(const std::string& text);
 

@@ -1,14 +1,17 @@
 #include "engine/manifest.h"
 
+#include <algorithm>
 #include <bit>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <sstream>
 #include <string_view>
+#include <type_traits>
 
-#include "core/scenario.h"
+#include "core/scenario_fields.h"
 #include "engine/fault.h"
 
 namespace manhattan::engine {
@@ -25,112 +28,75 @@ std::uint64_t mix(std::uint64_t z) {
     return z ^ (z >> 31);
 }
 
+/// Turns the schema walk (core::for_each_field) into the 64-bit words the
+/// fingerprint hashes: integers, enums and bools as their value, doubles as
+/// their IEEE bits, a vector or sequence as its size and then its elements.
+/// The sink also hears where each word sits — the group it is in and each
+/// optional member's presence — which only the diff listens to. Hash and
+/// diff consume the same words, so the diff names exactly what the hash saw.
+template <typename Sink>
+struct word_walk {
+    Sink& sink;
+
+    template <typename T>
+        requires std::is_arithmetic_v<T> || std::is_enum_v<T>
+    void field(const char* name, T value) {
+        if constexpr (std::is_floating_point_v<T>) {
+            sink.word(name, std::bit_cast<std::uint64_t>(value), true);
+        } else {
+            sink.word(name, static_cast<std::uint64_t>(value), false);
+        }
+    }
+    void field(const char* name, const geom::edge_ref& e) {
+        field(name, e.ax);
+        field(name, e.ay);
+        field(name, e.bx);
+        field(name, e.by);
+    }
+    template <typename T>
+    void field(const char* name, const std::vector<T>& items) {
+        sequence(name, items, [&](const T& item) { field(nullptr, item); });
+    }
+    void field(const char* name, const std::shared_ptr<const std::vector<geom::vec2>>& tour) {
+        sequence(name, *tour, [&](const geom::vec2& p) {
+            field("x", p.x);
+            field("y", p.y);
+        });
+    }
+    template <typename Fn>
+    void record(const char* name, Fn&& fn) {
+        sink.enter(name);
+        fn();
+        sink.leave();
+    }
+    template <typename T, typename Fn>
+    void sequence(const char* name, const std::vector<T>& items, Fn&& fn) {
+        record(name, [&] {
+            field("size", items.size());
+            for (const T& item : items) {
+                fn(item);
+            }
+        });
+    }
+    bool present(const char* name, bool flag) {
+        sink.presence(name, flag);
+        return flag;
+    }
+};
+
 class fingerprint_hasher {
  public:
-    void u64(std::uint64_t v) { state_ = mix(state_ ^ v); }
-    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-    void boolean(bool v) { u64(v ? 1 : 0); }
+    void word(const char* /*name*/, std::uint64_t v, bool /*real*/ = false) {
+        state_ = mix(state_ ^ v);
+    }
+    void enter(const char* /*name*/) {}
+    void leave() {}
+    void presence(const char* /*name*/, bool /*present*/) {}
     [[nodiscard]] std::uint64_t value() const noexcept { return state_; }
 
  private:
     std::uint64_t state_ = 0x6d616e6966657374ULL;  // "manifest"
 };
-
-/// Topology contribution to the fingerprint. A pure manhattan_grid spec
-/// feeds *nothing* — its fingerprint is bit-for-bit what it was before
-/// topologies existed, so pre-existing manifests, result caches and
-/// BENCH_flood.json baselines stay valid (docs/TOPOLOGY.md pins the rule;
-/// topology_spec::validate keeps it sound by rejecting street data attached
-/// to a grid spec).
-void hash_topology(fingerprint_hasher& h, const geom::topology_spec& topology) {
-    if (topology.is_grid()) {
-        return;
-    }
-    h.u64(static_cast<std::uint64_t>(topology.kind));
-    const geom::street_graph_spec& st = topology.street;
-    h.u64(st.xs.size());
-    for (const double x : st.xs) {
-        h.f64(x);
-    }
-    h.u64(st.ys.size());
-    for (const double y : st.ys) {
-        h.f64(y);
-    }
-    h.u64(st.blocked.size());
-    for (const geom::edge_ref& e : st.blocked) {
-        h.u64(static_cast<std::uint64_t>(e.ax));
-        h.u64(static_cast<std::uint64_t>(e.ay));
-        h.u64(static_cast<std::uint64_t>(e.bx));
-        h.u64(static_cast<std::uint64_t>(e.by));
-    }
-    h.u64(st.one_way.size());
-    for (const geom::edge_ref& e : st.one_way) {
-        h.u64(static_cast<std::uint64_t>(e.ax));
-        h.u64(static_cast<std::uint64_t>(e.ay));
-        h.u64(static_cast<std::uint64_t>(e.bx));
-        h.u64(static_cast<std::uint64_t>(e.by));
-    }
-}
-
-void hash_source_spec(fingerprint_hasher& h, const core::source_spec& spec) {
-    h.u64(static_cast<std::uint64_t>(spec.how));
-    h.u64(static_cast<std::uint64_t>(spec.placement));
-    h.u64(spec.count);
-    h.u64(spec.ids.size());
-    for (const std::size_t id : spec.ids) {
-        h.u64(id);
-    }
-}
-
-/// Every output-affecting scenario field. intra_threads is excluded by
-/// contract (wall-clock-only knob; resuming at another thread count is
-/// legal) — keep this in sync with the header comment and docs/ENGINE.md.
-void hash_scenario(fingerprint_hasher& h, const core::scenario& sc) {
-    h.u64(sc.params.n);
-    h.f64(sc.params.side);
-    h.f64(sc.params.radius);
-    h.f64(sc.params.speed);
-    hash_topology(h, sc.topology);
-    h.u64(static_cast<std::uint64_t>(sc.model));
-    h.f64(sc.model_opts.walk_step_radius);
-    h.f64(sc.model_opts.direction_max_leg);
-    // The replay tour affects output only under the (new) trace_replay kind,
-    // so gating it keeps every pre-existing fingerprint byte-stable.
-    if (sc.model == mobility::model_kind::trace_replay && sc.model_opts.trace != nullptr) {
-        h.u64(sc.model_opts.trace->size());
-        for (const geom::vec2& p : *sc.model_opts.trace) {
-            h.f64(p.x);
-            h.f64(p.y);
-        }
-    }
-    h.u64(static_cast<std::uint64_t>(sc.mode));
-    h.f64(sc.gossip_p);
-    h.u64(static_cast<std::uint64_t>(sc.source));
-    h.u64(sc.seed);
-    h.boolean(sc.stationary_start);
-    h.f64(sc.warmup_time);
-    h.u64(sc.max_steps);
-    h.boolean(sc.record_timeline);
-    h.boolean(sc.with_cell_partition);
-    h.u64(static_cast<std::uint64_t>(sc.spread.stop.how));
-    h.f64(sc.spread.stop.fraction);
-    h.u64(sc.spread.stop.steps);
-    h.u64(sc.spread.messages.size());
-    for (const auto& msg : sc.spread.messages) {
-        hash_source_spec(h, msg.sources);
-        h.u64(msg.spawn_step);
-        h.u64(static_cast<std::uint64_t>(msg.mode));
-        h.f64(msg.gossip_p);
-        h.u64(msg.gossip_seed);
-        h.u64(msg.source_seed);
-    }
-}
-
-std::string hex64(std::uint64_t v) {
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
-    return {buf};
-}
 
 /// The format constant the fingerprint hashes: the manifest text format's
 /// version when fingerprints were first pinned. The text format has moved
@@ -196,12 +162,13 @@ bool run_manifest::complete() const {
 std::uint64_t sweep_fingerprint(std::span<const sweep_point> points,
                                 std::size_t repetitions) {
     fingerprint_hasher h;
-    h.u64(fingerprint_format);
-    h.u64(engine_output_version);
-    h.u64(repetitions);
-    h.u64(points.size());
+    h.word("format", fingerprint_format);
+    h.word("engine_output_version", engine_output_version);
+    h.word("repetitions", repetitions);
+    h.word("points", points.size());
+    word_walk<fingerprint_hasher> walk{h};
     for (const auto& point : points) {
-        hash_scenario(h, point.sc);
+        core::for_each_field(point.sc, walk);
     }
     return h.value();
 }
@@ -210,179 +177,67 @@ std::uint64_t sweep_fingerprint(const sweep_spec& spec) {
     return sweep_fingerprint(spec.expand(), spec.repetitions);
 }
 
-std::string fingerprint_hex(std::uint64_t fingerprint) { return hex64(fingerprint); }
+std::string fingerprint_hex(std::uint64_t fingerprint) {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016" PRIx64, fingerprint);
+    return {buf};
+}
 
 namespace {
 
-/// Field-by-field comparison helpers for first_spec_difference. Doubles are
-/// compared (and rendered) as bit patterns: the fingerprint hashes bits, so
-/// two values that print alike but differ in the last ulp are a real
-/// difference and must be reported as one.
-struct diff_finder {
-    std::string found;  ///< first difference, empty while none
+/// One fingerprint word, named by its dotted schema path ("topology.xs",
+/// "messages.sources.ids.size"), or an optional member's presence.
+struct named_word {
+    std::string path;
+    std::uint64_t bits = 0;
+    bool real = false;
+    bool presence = false;
 
-    bool u64(const char* name, std::uint64_t a, std::uint64_t b) {
-        if (!found.empty() || a == b) {
-            return !found.empty();
+    /// How a diagnostic shows the value. Doubles show their bit pattern:
+    /// the fingerprint hashes bits, so two values that print alike but
+    /// differ in the last ulp are a real difference.
+    [[nodiscard]] std::string shown() const {
+        if (presence) {
+            return bits != 0 ? "present" : "absent";
         }
-        found = std::string{name} + " (" + std::to_string(a) + " vs " +
-                std::to_string(b) + ")";
-        return true;
-    }
-
-    bool f64(const char* name, double a, double b) {
-        const std::uint64_t bits_a = std::bit_cast<std::uint64_t>(a);
-        const std::uint64_t bits_b = std::bit_cast<std::uint64_t>(b);
-        if (!found.empty() || bits_a == bits_b) {
-            return !found.empty();
-        }
-        found = std::string{name} + " (" + hex64(bits_a) + " vs " + hex64(bits_b) + ")";
-        return true;
-    }
-
-    bool boolean(const char* name, bool a, bool b) {
-        return u64(name, a ? 1 : 0, b ? 1 : 0);
+        return real ? fingerprint_hex(bits) : std::to_string(bits);
     }
 };
 
-bool diff_source_spec(diff_finder& d, const core::source_spec& a,
-                      const core::source_spec& b) {
-    if (d.u64("sources.how", static_cast<std::uint64_t>(a.how),
-              static_cast<std::uint64_t>(b.how)) ||
-        d.u64("sources.placement", static_cast<std::uint64_t>(a.placement),
-              static_cast<std::uint64_t>(b.placement)) ||
-        d.u64("sources.count", a.count, b.count) ||
-        d.u64("sources.ids.size", a.ids.size(), b.ids.size())) {
-        return true;
-    }
-    for (std::size_t i = 0; i < a.ids.size(); ++i) {
-        if (d.u64("sources.ids", a.ids[i], b.ids[i])) {
-            return true;
-        }
-    }
-    return false;
-}
+/// word_walk sink recording every word with its path.
+class word_recorder {
+ public:
+    std::vector<named_word> words;
 
-bool diff_edges(diff_finder& d, const char* name, const std::vector<geom::edge_ref>& a,
-                const std::vector<geom::edge_ref>& b) {
-    if (d.u64((std::string{name} + ".size").c_str(), a.size(), b.size())) {
-        return true;
+    void word(const char* name, std::uint64_t bits, bool real) {
+        words.push_back({path(name), bits, real, false});
     }
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (d.u64(name, static_cast<std::uint64_t>(a[i].ax),
-                  static_cast<std::uint64_t>(b[i].ax)) ||
-            d.u64(name, static_cast<std::uint64_t>(a[i].ay),
-                  static_cast<std::uint64_t>(b[i].ay)) ||
-            d.u64(name, static_cast<std::uint64_t>(a[i].bx),
-                  static_cast<std::uint64_t>(b[i].bx)) ||
-            d.u64(name, static_cast<std::uint64_t>(a[i].by),
-                  static_cast<std::uint64_t>(b[i].by))) {
-            return true;
-        }
+    void presence(const char* name, bool present) {
+        words.push_back({path(name), present ? 1U : 0U, false, true});
     }
-    return false;
-}
+    void enter(const char* name) { groups_.push_back(path(name)); }
+    void leave() { groups_.pop_back(); }
 
-/// Mirrors hash_topology: grid-vs-grid contributes nothing, everything else
-/// compares the full street plan.
-bool diff_topology(diff_finder& d, const geom::topology_spec& a,
-                   const geom::topology_spec& b) {
-    if (d.u64("topology.kind", static_cast<std::uint64_t>(a.kind),
-              static_cast<std::uint64_t>(b.kind))) {
-        return true;
-    }
-    if (a.is_grid()) {
-        return false;
-    }
-    if (d.u64("topology.xs.size", a.street.xs.size(), b.street.xs.size()) ||
-        d.u64("topology.ys.size", a.street.ys.size(), b.street.ys.size())) {
-        return true;
-    }
-    for (std::size_t i = 0; i < a.street.xs.size(); ++i) {
-        if (d.f64("topology.xs", a.street.xs[i], b.street.xs[i])) {
-            return true;
+ private:
+    /// The current group's path, extended by \p leaf (a vector's elements
+    /// have no leaf name: they carry the vector's path).
+    [[nodiscard]] std::string path(const char* leaf) const {
+        std::string out = groups_.empty() ? std::string{} : groups_.back();
+        if (leaf != nullptr) {
+            out += out.empty() ? "" : ".";
+            out += leaf;
         }
+        return out;
     }
-    for (std::size_t i = 0; i < a.street.ys.size(); ++i) {
-        if (d.f64("topology.ys", a.street.ys[i], b.street.ys[i])) {
-            return true;
-        }
-    }
-    return diff_edges(d, "topology.blocked", a.street.blocked, b.street.blocked) ||
-           diff_edges(d, "topology.one_way", a.street.one_way, b.street.one_way);
-}
 
-bool diff_trace(diff_finder& d, const core::scenario& a, const core::scenario& b) {
-    if (a.model != mobility::model_kind::trace_replay) {
-        return false;
-    }
-    const auto* ta = a.model_opts.trace.get();
-    const auto* tb = b.model_opts.trace.get();
-    if (d.u64("trace.size", ta != nullptr ? ta->size() : 0, tb != nullptr ? tb->size() : 0)) {
-        return true;
-    }
-    if (ta == nullptr || tb == nullptr) {
-        return false;
-    }
-    for (std::size_t i = 0; i < ta->size(); ++i) {
-        if (d.f64("trace.x", (*ta)[i].x, (*tb)[i].x) ||
-            d.f64("trace.y", (*ta)[i].y, (*tb)[i].y)) {
-            return true;
-        }
-    }
-    return false;
-}
+    std::vector<std::string> groups_;
+};
 
-/// Mirrors hash_scenario field for field — keep the two walks in sync.
-bool diff_scenario(diff_finder& d, const core::scenario& a, const core::scenario& b) {
-    if (diff_topology(d, a.topology, b.topology)) {
-        return true;
-    }
-    if (d.u64("n", a.params.n, b.params.n) ||
-        d.f64("side", a.params.side, b.params.side) ||
-        d.f64("radius", a.params.radius, b.params.radius) ||
-        d.f64("speed", a.params.speed, b.params.speed) ||
-        d.u64("model", static_cast<std::uint64_t>(a.model),
-              static_cast<std::uint64_t>(b.model)) ||
-        d.f64("walk_step_radius", a.model_opts.walk_step_radius,
-              b.model_opts.walk_step_radius) ||
-        d.f64("direction_max_leg", a.model_opts.direction_max_leg,
-              b.model_opts.direction_max_leg) ||
-        d.u64("mode", static_cast<std::uint64_t>(a.mode),
-              static_cast<std::uint64_t>(b.mode)) ||
-        d.f64("gossip_p", a.gossip_p, b.gossip_p) ||
-        d.u64("source", static_cast<std::uint64_t>(a.source),
-              static_cast<std::uint64_t>(b.source)) ||
-        d.u64("seed", a.seed, b.seed) ||
-        d.boolean("stationary_start", a.stationary_start, b.stationary_start) ||
-        d.f64("warmup_time", a.warmup_time, b.warmup_time) ||
-        d.u64("max_steps", a.max_steps, b.max_steps) ||
-        d.boolean("record_timeline", a.record_timeline, b.record_timeline) ||
-        d.boolean("with_cell_partition", a.with_cell_partition, b.with_cell_partition) ||
-        d.u64("stop.how", static_cast<std::uint64_t>(a.spread.stop.how),
-              static_cast<std::uint64_t>(b.spread.stop.how)) ||
-        d.f64("stop.fraction", a.spread.stop.fraction, b.spread.stop.fraction) ||
-        d.u64("stop.steps", a.spread.stop.steps, b.spread.stop.steps) ||
-        d.u64("messages.size", a.spread.messages.size(), b.spread.messages.size())) {
-        return true;
-    }
-    if (diff_trace(d, a, b)) {
-        return true;
-    }
-    for (std::size_t i = 0; i < a.spread.messages.size(); ++i) {
-        const auto& ma = a.spread.messages[i];
-        const auto& mb = b.spread.messages[i];
-        if (diff_source_spec(d, ma.sources, mb.sources) ||
-            d.u64("spawn_step", ma.spawn_step, mb.spawn_step) ||
-            d.u64("message.mode", static_cast<std::uint64_t>(ma.mode),
-                  static_cast<std::uint64_t>(mb.mode)) ||
-            d.f64("message.gossip_p", ma.gossip_p, mb.gossip_p) ||
-            d.u64("gossip_seed", ma.gossip_seed, mb.gossip_seed) ||
-            d.u64("source_seed", ma.source_seed, mb.source_seed)) {
-            return true;
-        }
-    }
-    return false;
+std::vector<named_word> named_words(const core::scenario& sc) {
+    word_recorder recorder;
+    word_walk<word_recorder> walk{recorder};
+    core::for_each_field(sc, walk);
+    return std::move(recorder.words);
 }
 
 }  // namespace
@@ -391,14 +246,25 @@ std::string first_spec_difference(std::span<const sweep_point> a,
                                   std::size_t repetitions_a,
                                   std::span<const sweep_point> b,
                                   std::size_t repetitions_b) {
-    diff_finder d;
-    if (d.u64("repetitions", repetitions_a, repetitions_b) ||
-        d.u64("points", a.size(), b.size())) {
-        return d.found;
+    const auto differ = [](const char* name, std::size_t x, std::size_t y) {
+        return std::string{name} + " (" + std::to_string(x) + " vs " + std::to_string(y) + ")";
+    };
+    if (repetitions_a != repetitions_b) {
+        return differ("repetitions", repetitions_a, repetitions_b);
+    }
+    if (a.size() != b.size()) {
+        return differ("points", a.size(), b.size());
     }
     for (std::size_t i = 0; i < a.size(); ++i) {
-        if (diff_scenario(d, a[i].sc, b[i].sc)) {
-            return "point " + std::to_string(i) + ": " + d.found;
+        // The word streams only fork after a differing size or presence
+        // word, so the first difference always compares like with like.
+        const std::vector<named_word> wa = named_words(a[i].sc);
+        const std::vector<named_word> wb = named_words(b[i].sc);
+        for (std::size_t w = 0; w < std::min(wa.size(), wb.size()); ++w) {
+            if (wa[w].path != wb[w].path || wa[w].bits != wb[w].bits) {
+                return "point " + std::to_string(i) + ": " + wa[w].path + " (" +
+                       wa[w].shown() + " vs " + wb[w].shown() + ")";
+            }
         }
     }
     return {};
@@ -418,7 +284,7 @@ std::uint64_t line_digest(std::string_view bytes) {
 
 std::string header_text(const run_manifest& manifest) {
     return "manhattan-manifest v" + std::to_string(run_manifest::format_version) +
-           "\nfingerprint " + hex64(manifest.fingerprint) + "\npoints " +
+           "\nfingerprint " + fingerprint_hex(manifest.fingerprint) + "\npoints " +
            std::to_string(manifest.points) + "\nrepetitions " +
            std::to_string(manifest.repetitions) + "\n";
 }
@@ -426,21 +292,23 @@ std::string header_text(const run_manifest& manifest) {
 /// One self-checked ledger line: the record's fields, then the FNV-1a
 /// digest of everything before it.
 std::string record_line(const replica_record& rec) {
+    const auto bits = [](double v) {
+        return fingerprint_hex(std::bit_cast<std::uint64_t>(v));
+    };
     std::string line = "record " + std::to_string(rec.point) + ' ' +
-                       std::to_string(rec.replica) + ' ' +
-                       hex64(std::bit_cast<std::uint64_t>(rec.stat.time)) + ' ' +
+                       std::to_string(rec.replica) + ' ' + bits(rec.stat.time) + ' ' +
                        (rec.stat.completed ? '1' : '0') + ' ' +
                        (rec.stat.cz_step ? std::to_string(*rec.stat.cz_step) : std::string{"-"}) +
-                       ' ' + hex64(std::bit_cast<std::uint64_t>(rec.stat.suburb_diameter)) +
-                       ' ' + hex64(std::bit_cast<std::uint64_t>(rec.stat.wall_seconds)) + ' ' +
+                       ' ' + bits(rec.stat.suburb_diameter) + ' ' +
+                       bits(rec.stat.wall_seconds) + ' ' +
                        std::to_string(rec.stat.message_times.size());
     for (const double t : rec.stat.message_times) {
-        line += ' ' + hex64(std::bit_cast<std::uint64_t>(t));
+        line += ' ' + bits(t);
     }
     for (const std::uint8_t c : rec.stat.message_completed) {
         line += c != 0 ? " 1" : " 0";
     }
-    line += ' ' + hex64(line_digest(line)) + '\n';
+    line += ' ' + fingerprint_hex(line_digest(line)) + '\n';
     return line;
 }
 
@@ -452,7 +320,7 @@ bool digest_holds(std::string_view line, std::string_view& body) {
         return false;
     }
     body = line.substr(0, space);
-    return line.substr(space + 1) == hex64(line_digest(body));
+    return line.substr(space + 1) == fingerprint_hex(line_digest(body));
 }
 
 replica_record parse_record(const std::string& body) {

@@ -99,8 +99,8 @@ struct run_manifest {
 };
 
 /// Fingerprint of a fully-expanded sweep: a hash over every output-affecting
-/// field of every grid point (parameters, model + options, propagation mode,
-/// seeds, spread workload, stop rule, ...) plus the replica count and
+/// field of every grid point — the fields core::for_each_field visits
+/// (core/scenario_fields.h) — plus the replica count and
 /// engine_output_version. intra_threads is deliberately excluded — the
 /// determinism contract makes it (like --threads) a wall-clock-only knob, so
 /// resuming at a different thread count is legal.
@@ -116,10 +116,12 @@ struct run_manifest {
 [[nodiscard]] std::string fingerprint_hex(std::uint64_t fingerprint);
 
 /// Diagnose a fingerprint mismatch: the first output-affecting field that
-/// differs between two expanded sweeps, as "repetitions (3 vs 5)" or
-/// "point 2: radius (<hex64> vs <hex64>)" — empty when the expansions are
+/// differs between two expanded sweeps, as "repetitions (3 vs 5)",
+/// "point 2: radius (<16 hex digits> vs <16 hex digits>)" or
+/// "point 0: topology (absent vs present)" — empty when the expansions are
 /// identical (then only engine_output_version can explain a digest
-/// difference). Walks exactly the fields sweep_fingerprint hashes.
+/// difference). Compares exactly the words sweep_fingerprint hashes, named
+/// by their dotted field path ("topology.blocked.size", "trace.x").
 [[nodiscard]] std::string first_spec_difference(std::span<const sweep_point> a,
                                                 std::size_t repetitions_a,
                                                 std::span<const sweep_point> b,

@@ -6,26 +6,14 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/scenario_fields.h"
 #include "engine/append_log.h"
 #include "engine/error.h"
 #include "engine/fault.h"
-#include "mobility/factory.h"
 
 namespace manhattan::engine {
 
 namespace {
-
-const char* mode_name(core::propagation mode) {
-    switch (mode) {
-        case core::propagation::one_hop:
-            return "one_hop";
-        case core::propagation::per_component:
-            return "per_component";
-        case core::propagation::gossip:
-            return "gossip";
-    }
-    return "?";
-}
 
 /// Shortest round-trip double formatting (JSON/CSV want full precision).
 std::string num(double v) {
@@ -104,7 +92,7 @@ void csv_sink::on_row(const sweep_row& row) {
     const auto& sc = row.point.sc;
     out_ << row.point.index << ',' << csv_quote(row.point.label) << ',' << sc.params.n << ','
          << num(sc.params.side) << ',' << num(sc.params.radius) << ',' << num(sc.params.speed)
-         << ',' << mobility::model_kind_name(sc.model) << ',' << mode_name(sc.mode) << ','
+         << ',' << core::enum_name(sc.model) << ',' << core::enum_name(sc.mode) << ','
          << num(sc.gossip_p) << ',' << row.times.size() << ',' << num(row.summary.mean) << ','
          << num(row.summary.stddev) << ',' << num(row.summary.min) << ','
          << num(row.summary.median) << ',' << num(row.summary.max) << ','
@@ -126,8 +114,8 @@ void json_sink::on_row(const sweep_row& row) {
     out_ << "  {\"index\": " << row.point.index << ", \"label\": " << json_quote(row.point.label)
          << ",\n   \"params\": {\"n\": " << sc.params.n << ", \"side\": " << num(sc.params.side)
          << ", \"radius\": " << num(sc.params.radius) << ", \"speed\": " << num(sc.params.speed)
-         << ", \"model\": " << json_quote(mobility::model_kind_name(sc.model))
-         << ", \"mode\": " << json_quote(mode_name(sc.mode))
+         << ", \"model\": " << json_quote(core::enum_name(sc.model))
+         << ", \"mode\": " << json_quote(core::enum_name(sc.mode))
          << ", \"gossip_p\": " << num(sc.gossip_p) << ", \"seed\": " << sc.seed
          << ", \"messages\": " << row.message_mean_times.size() << "},\n"
          << "   \"summary\": {\"reps\": " << row.times.size()

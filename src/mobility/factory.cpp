@@ -59,41 +59,19 @@ std::shared_ptr<const mobility_model> make_model(model_kind kind,
 }
 
 model_kind parse_model_kind(const std::string& name) {
-    if (name == "mrwp") {
-        return model_kind::mrwp;
-    }
-    if (name == "rwp") {
-        return model_kind::rwp;
-    }
-    if (name == "random_walk") {
-        return model_kind::random_walk;
-    }
-    if (name == "random_direction") {
-        return model_kind::random_direction;
-    }
-    if (name == "static") {
-        return model_kind::static_agents;
-    }
-    if (name == "trace") {
-        return model_kind::trace_replay;
+    for (const auto& [kind, kind_name] : model_kind_names) {
+        if (name == kind_name) {
+            return kind;
+        }
     }
     throw std::invalid_argument("parse_model_kind: unknown model '" + name + "'");
 }
 
 std::string model_kind_name(model_kind kind) {
-    switch (kind) {
-        case model_kind::mrwp:
-            return "mrwp";
-        case model_kind::rwp:
-            return "rwp";
-        case model_kind::random_walk:
-            return "random_walk";
-        case model_kind::random_direction:
-            return "random_direction";
-        case model_kind::static_agents:
-            return "static";
-        case model_kind::trace_replay:
-            return "trace";
+    for (const auto& [k, name] : model_kind_names) {
+        if (k == kind) {
+            return name;
+        }
     }
     throw std::invalid_argument("model_kind_name: unknown model kind");
 }

@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "geom/street_graph.h"
@@ -17,6 +18,17 @@ namespace manhattan::mobility {
 
 /// The models the harness can instantiate.
 enum class model_kind { mrwp, rwp, random_walk, random_direction, static_agents, trace_replay };
+
+/// The name of each model kind: the CLI `--model=` vocabulary, sweep labels,
+/// result sinks and the wire format all spell kinds from this one table.
+inline constexpr std::pair<model_kind, const char*> model_kind_names[] = {
+    {model_kind::mrwp, "mrwp"},
+    {model_kind::rwp, "rwp"},
+    {model_kind::random_walk, "random_walk"},
+    {model_kind::random_direction, "random_direction"},
+    {model_kind::static_agents, "static"},
+    {model_kind::trace_replay, "trace"},
+};
 
 /// Tunables for the parameterised baselines; defaults scale with the side.
 struct model_options {
@@ -49,11 +61,11 @@ struct model_options {
 void check_model_topology(model_kind kind, const geom::topology_spec& topology,
                           const model_options& opts);
 
-/// Parse "mrwp" | "rwp" | "random_walk" | "random_direction" | "static" |
-/// "trace". Throws std::invalid_argument on unknown names.
+/// Parse a name from model_kind_names. Throws std::invalid_argument on
+/// unknown names.
 [[nodiscard]] model_kind parse_model_kind(const std::string& name);
 
-/// Inverse of parse_model_kind (sweep labels, result sinks).
+/// Inverse of parse_model_kind (sweep labels, bench tables).
 [[nodiscard]] std::string model_kind_name(model_kind kind);
 
 }  // namespace manhattan::mobility

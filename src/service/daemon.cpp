@@ -499,10 +499,13 @@ engine::run_manifest daemon::run_on_fabric(const engine::sweep_spec& spec,
     engine::fabric_merge merged;
     try {
         merged = drain(fspec);
-    } catch (const engine::manifest_error& e) {
-        // A job directory holding a ledger this binary cannot read (an older
-        // manifest format, a damaged file) is stale state: start the job
-        // over in a fresh directory instead of failing it forever.
+    } catch (const engine::error& e) {
+        // A job directory holding state this binary cannot use (a sweep.spec
+        // or ledger in an older format, a damaged file) is stale: start the
+        // job over in a fresh directory instead of failing it forever.
+        if (e.cls() != engine::errc::state) {
+            throw;
+        }
         std::fprintf(stderr, "daemon: discarding stale fabric job '%s': %s\n", dir.c_str(),
                      e.what());
         std::error_code ec;

@@ -1,12 +1,16 @@
 #include "service/wire.h"
 
 #include <bit>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <memory>
+#include <optional>
+#include <type_traits>
+#include <utility>
 
-#include "core/scenario.h"
-#include "mobility/factory.h"
+#include "core/scenario_fields.h"
+#include "engine/manifest.h"
 
 namespace manhattan::service {
 
@@ -15,12 +19,6 @@ namespace {
 [[noreturn]] void bad(const std::string& what) { throw wire_error(what); }
 
 constexpr std::size_t max_depth = 64;  ///< nesting bound (hostile input guard)
-
-std::string hex64(std::uint64_t v) {
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
-    return {buf};
-}
 
 // ------------------------------------------------------------------ parser --
 
@@ -390,158 +388,6 @@ void dump_into(std::string& out, const json_value& v) {
     }
 }
 
-// -------------------------------------------------------------- enum names --
-// Every enum crosses the wire as a name, never a raw integer: the wire stays
-// readable and an enum renumbered by a future engine cannot silently alias.
-
-template <typename E>
-struct enum_name {
-    E value;
-    const char* name;
-};
-
-constexpr enum_name<core::propagation> propagation_names[] = {
-    {core::propagation::one_hop, "one_hop"},
-    {core::propagation::per_component, "per_component"},
-    {core::propagation::gossip, "gossip"},
-};
-
-constexpr enum_name<core::source_placement> placement_names[] = {
-    {core::source_placement::random_agent, "random_agent"},
-    {core::source_placement::center_most, "center_most"},
-    {core::source_placement::corner_most, "corner_most"},
-    {core::source_placement::corner_ne, "corner_ne"},
-    {core::source_placement::corner_nw, "corner_nw"},
-    {core::source_placement::corner_se, "corner_se"},
-};
-
-constexpr enum_name<core::source_spec::kind> source_kind_names[] = {
-    {core::source_spec::kind::placement, "placement"},
-    {core::source_spec::kind::explicit_ids, "explicit_ids"},
-    {core::source_spec::kind::random_k, "random_k"},
-};
-
-constexpr enum_name<core::stop_rule::kind> stop_kind_names[] = {
-    {core::stop_rule::kind::all_informed, "all_informed"},
-    {core::stop_rule::kind::informed_fraction, "informed_fraction"},
-    {core::stop_rule::kind::central_zone, "central_zone"},
-    {core::stop_rule::kind::step_budget, "step_budget"},
-};
-
-template <typename E, std::size_t N>
-const char* to_name(const enum_name<E> (&table)[N], E value, const char* what) {
-    for (const auto& entry : table) {
-        if (entry.value == value) {
-            return entry.name;
-        }
-    }
-    bad(std::string{"unencodable "} + what);
-}
-
-template <typename E, std::size_t N>
-E from_name(const enum_name<E> (&table)[N], const std::string& name, const char* what) {
-    for (const auto& entry : table) {
-        if (name == entry.name) {
-            return entry.value;
-        }
-    }
-    bad(std::string{"unknown "} + what + " '" + name + "'");
-}
-
-// --------------------------------------------------------- codec utilities --
-
-json_value encode_f64_array(const std::vector<double>& values) {
-    json_value arr = json_value::array();
-    arr.items.reserve(values.size());
-    for (const double v : values) {
-        arr.items.push_back(encode_f64(v));
-    }
-    return arr;
-}
-
-std::vector<double> decode_f64_array(const json_value& obj, const std::string& key) {
-    const json_value& arr = require(obj, key);
-    if (arr.what != json_value::kind::array) {
-        bad("field '" + key + "' is not an array");
-    }
-    std::vector<double> out;
-    out.reserve(arr.items.size());
-    for (const json_value& item : arr.items) {
-        out.push_back(decode_f64(item, key));
-    }
-    return out;
-}
-
-json_value encode_u64_array(const std::vector<std::size_t>& values) {
-    json_value arr = json_value::array();
-    arr.items.reserve(values.size());
-    for (const std::size_t v : values) {
-        arr.items.push_back(json_value::integer(v));
-    }
-    return arr;
-}
-
-std::vector<std::size_t> decode_u64_array(const json_value& obj, const std::string& key) {
-    const json_value& arr = require(obj, key);
-    if (arr.what != json_value::kind::array) {
-        bad("field '" + key + "' is not an array");
-    }
-    std::vector<std::size_t> out;
-    out.reserve(arr.items.size());
-    for (const json_value& item : arr.items) {
-        if (item.what != json_value::kind::integer) {
-            bad("field '" + key + "' holds a non-integer element");
-        }
-        out.push_back(item.whole);
-    }
-    return out;
-}
-
-json_value encode_source_spec(const core::source_spec& src) {
-    json_value v = json_value::object();
-    v.set("how", json_value::string(to_name(source_kind_names, src.how, "source kind")));
-    v.set("placement",
-          json_value::string(to_name(placement_names, src.placement, "placement")));
-    v.set("count", json_value::integer(src.count));
-    v.set("ids", encode_u64_array(src.ids));
-    return v;
-}
-
-core::source_spec decode_source_spec(const json_value& v) {
-    core::source_spec src;
-    src.how = from_name(source_kind_names, str_field(v, "how"), "source kind");
-    src.placement = from_name(placement_names, str_field(v, "placement"), "placement");
-    src.count = u64_field(v, "count");
-    src.ids = decode_u64_array(v, "ids");
-    return src;
-}
-
-json_value encode_summary(const stats::summary& s) {
-    json_value v = json_value::object();
-    v.set("count", json_value::integer(s.count));
-    v.set("mean", encode_f64(s.mean));
-    v.set("stddev", encode_f64(s.stddev));
-    v.set("min", encode_f64(s.min));
-    v.set("max", encode_f64(s.max));
-    v.set("median", encode_f64(s.median));
-    v.set("p25", encode_f64(s.p25));
-    v.set("p75", encode_f64(s.p75));
-    return v;
-}
-
-stats::summary decode_summary(const json_value& v) {
-    stats::summary s;
-    s.count = u64_field(v, "count");
-    s.mean = f64_field(v, "mean");
-    s.stddev = f64_field(v, "stddev");
-    s.min = f64_field(v, "min");
-    s.max = f64_field(v, "max");
-    s.median = f64_field(v, "median");
-    s.p25 = f64_field(v, "p25");
-    s.p75 = f64_field(v, "p75");
-    return s;
-}
-
 }  // namespace
 
 // ------------------------------------------------------------- value model --
@@ -614,32 +460,8 @@ const json_value& require(const json_value& obj, const std::string& key) {
     return *v;
 }
 
-std::uint64_t u64_field(const json_value& obj, const std::string& key) {
-    const json_value& v = require(obj, key);
-    if (v.what != json_value::kind::integer) {
-        bad("field '" + key + "' is not an integer");
-    }
-    return v.whole;
-}
-
-bool bool_field(const json_value& obj, const std::string& key) {
-    const json_value& v = require(obj, key);
-    if (v.what != json_value::kind::boolean) {
-        bad("field '" + key + "' is not a boolean");
-    }
-    return v.flag;
-}
-
-std::string str_field(const json_value& obj, const std::string& key) {
-    const json_value& v = require(obj, key);
-    if (v.what != json_value::kind::string) {
-        bad("field '" + key + "' is not a string");
-    }
-    return v.text;
-}
-
 json_value encode_f64(double v) {
-    return json_value::string(hex64(std::bit_cast<std::uint64_t>(v)));
+    return json_value::string(engine::fingerprint_hex(std::bit_cast<std::uint64_t>(v)));
 }
 
 double decode_f64(const json_value& v, const std::string& what) {
@@ -660,364 +482,347 @@ double decode_f64(const json_value& v, const std::string& what) {
     return std::bit_cast<double>(bits);
 }
 
-double f64_field(const json_value& obj, const std::string& key) {
-    return decode_f64(require(obj, key), key);
-}
-
 // ------------------------------------------------------------------ codecs --
 
 namespace {
 
-json_value encode_edge_list(const std::vector<geom::edge_ref>& list) {
+using tour_ptr = std::shared_ptr<const std::vector<geom::vec2>>;
+
+// Leaf encodings, shared by every walk below: integers as exact JSON
+// integers, doubles as 16-hex-char bit strings, enums by their
+// core/scenario_fields.h names, an edge as an [ax,ay,bx,by] quad, and the
+// trace tour as one flat [x0,y0,x1,y1,...] array.
+
+template <typename T>
+    requires std::is_integral_v<T>
+json_value to_json(T v) {
+    return json_value::integer(static_cast<std::uint64_t>(v));
+}
+json_value to_json(bool v) { return json_value::boolean(v); }
+json_value to_json(double v) { return encode_f64(v); }
+json_value to_json(const std::string& v) { return json_value::string(v); }
+json_value to_json(const std::optional<double>& v) {
+    return v ? encode_f64(*v) : json_value::null();
+}
+template <typename E>
+    requires std::is_enum_v<E>
+json_value to_json(E v) {
+    return json_value::string(core::enum_name(v));
+}
+json_value to_json(const geom::edge_ref& e) {
+    json_value quad = json_value::array();
+    for (const std::int32_t i : {e.ax, e.ay, e.bx, e.by}) {
+        quad.items.push_back(to_json(i));
+    }
+    return quad;
+}
+template <typename T>
+json_value to_json(const std::vector<T>& values) {
     json_value arr = json_value::array();
-    arr.items.reserve(list.size());
-    for (const geom::edge_ref& e : list) {
-        json_value quad = json_value::array();
-        quad.items.push_back(json_value::integer(static_cast<std::uint64_t>(e.ax)));
-        quad.items.push_back(json_value::integer(static_cast<std::uint64_t>(e.ay)));
-        quad.items.push_back(json_value::integer(static_cast<std::uint64_t>(e.bx)));
-        quad.items.push_back(json_value::integer(static_cast<std::uint64_t>(e.by)));
-        arr.items.push_back(std::move(quad));
+    arr.items.reserve(values.size());
+    for (const T& v : values) {
+        arr.items.push_back(to_json(v));
+    }
+    return arr;
+}
+json_value to_json(const tour_ptr& tour) {
+    json_value arr = json_value::array();
+    arr.items.reserve(tour->size() * 2);
+    for (const geom::vec2& p : *tour) {
+        arr.items.push_back(encode_f64(p.x));
+        arr.items.push_back(encode_f64(p.y));
     }
     return arr;
 }
 
-std::vector<geom::edge_ref> decode_edge_list(const json_value& obj, const std::string& key) {
-    const json_value& arr = require(obj, key);
-    if (arr.what != json_value::kind::array) {
-        bad("field '" + key + "' is not an array");
+/// The inverse of to_json. An integer must fit its field: a narrower field
+/// never wraps an out-of-range value into an honest-looking one.
+template <typename T>
+    requires std::is_integral_v<T>
+void read(const json_value& j, T& out, const std::string& what) {
+    if (j.what != json_value::kind::integer) {
+        bad("field '" + what + "' is not an integer");
     }
-    std::vector<geom::edge_ref> list;
-    list.reserve(arr.items.size());
-    for (const json_value& quad : arr.items) {
-        if (quad.what != json_value::kind::array || quad.items.size() != 4) {
-            bad("field '" + key + "' holds a malformed edge (need [ax,ay,bx,by])");
-        }
-        geom::edge_ref e;
-        std::int32_t* const slots[4] = {&e.ax, &e.ay, &e.bx, &e.by};
-        for (std::size_t i = 0; i < 4; ++i) {
-            if (quad.items[i].what != json_value::kind::integer) {
-                bad("field '" + key + "' holds a non-integer edge index");
-            }
-            *slots[i] = static_cast<std::int32_t>(quad.items[i].whole);
-        }
-        list.push_back(e);
+    if (j.whole > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+        bad("field '" + what + "' is out of range (" + std::to_string(j.whole) + ")");
     }
-    return list;
+    out = static_cast<T>(j.whole);
+}
+void read(const json_value& j, bool& out, const std::string& what) {
+    if (j.what != json_value::kind::boolean) {
+        bad("field '" + what + "' is not a boolean");
+    }
+    out = j.flag;
+}
+void read(const json_value& j, double& out, const std::string& what) {
+    out = decode_f64(j, what);
+}
+void read(const json_value& j, std::string& out, const std::string& what) {
+    if (j.what != json_value::kind::string) {
+        bad("field '" + what + "' is not a string");
+    }
+    out = j.text;
+}
+void read(const json_value& j, std::optional<double>& out, const std::string& what) {
+    out.reset();
+    if (j.what != json_value::kind::null) {
+        out = decode_f64(j, what);
+    }
+}
+template <typename E>
+    requires std::is_enum_v<E>
+void read(const json_value& j, E& out, const std::string& what) {
+    if (j.what != json_value::kind::string) {
+        bad("field '" + what + "' is not a string");
+    }
+    const std::optional<E> value = core::enum_value<E>(j.text);
+    if (!value) {
+        bad("unknown " + what + " '" + j.text + "'");
+    }
+    out = *value;
+}
+void read(const json_value& j, geom::edge_ref& e, const std::string& what) {
+    if (j.what != json_value::kind::array || j.items.size() != 4) {
+        bad("field '" + what + "' holds a malformed edge (need [ax,ay,bx,by])");
+    }
+    read(j.items[0], e.ax, what);
+    read(j.items[1], e.ay, what);
+    read(j.items[2], e.bx, what);
+    read(j.items[3], e.by, what);
+}
+template <typename T>
+void read(const json_value& j, std::vector<T>& out, const std::string& what) {
+    if (j.what != json_value::kind::array) {
+        bad("field '" + what + "' is not an array");
+    }
+    out.resize(j.items.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        read(j.items[i], out[i], what);
+    }
+}
+void read(const json_value& j, tour_ptr& tour, const std::string& what) {
+    if (j.what != json_value::kind::array || j.items.size() % 2 != 0 || j.items.size() < 4) {
+        bad("field '" + what + "' is not a flat [x,y,...] array of >= 2 points");
+    }
+    std::vector<geom::vec2> points(j.items.size() / 2);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        points[i].x = decode_f64(j.items[2 * i], what);
+        points[i].y = decode_f64(j.items[2 * i + 1], what);
+    }
+    tour = std::make_shared<const std::vector<geom::vec2>>(std::move(points));
 }
 
-json_value encode_topology(const geom::topology_spec& topology) {
-    json_value v = json_value::object();
-    v.set("kind", json_value::string("street_graph"));
-    v.set("xs", encode_f64_array(topology.street.xs));
-    v.set("ys", encode_f64_array(topology.street.ys));
-    v.set("blocked", encode_edge_list(topology.street.blocked));
-    v.set("one_way", encode_edge_list(topology.street.one_way));
-    return v;
+/// A typed member lookup through the leaf decoders above.
+template <typename T>
+T typed_field(const json_value& obj, const std::string& key) {
+    T out{};
+    read(require(obj, key), out, key);
+    return out;
 }
 
-geom::topology_spec decode_topology(const json_value& v) {
-    const std::string kind = str_field(v, "kind");
-    if (kind == "manhattan_grid") {
-        return geom::topology_spec::manhattan();
+}  // namespace
+
+std::uint64_t u64_field(const json_value& obj, const std::string& key) {
+    return typed_field<std::uint64_t>(obj, key);
+}
+
+bool bool_field(const json_value& obj, const std::string& key) {
+    return typed_field<bool>(obj, key);
+}
+
+std::string str_field(const json_value& obj, const std::string& key) {
+    return typed_field<std::string>(obj, key);
+}
+
+double f64_field(const json_value& obj, const std::string& key) {
+    return typed_field<double>(obj, key);
+}
+
+namespace {
+
+/// Writes a field walk (core::for_each_field) as members of *out: a record
+/// becomes a nested object, a sequence an array of objects, and an absent
+/// optional member is omitted.
+struct json_writer {
+    json_value* out;
+
+    template <typename T>
+    void field(const char* name, const T& value) {
+        out->set(name, to_json(value));
     }
-    if (kind != "street_graph") {
-        bad("unknown topology kind '" + kind + "'");
+    template <typename Fn>
+    void record(const char* name, Fn&& fn) {
+        out->set(name, nested(fn));
     }
-    geom::street_graph_spec street;
-    street.xs = decode_f64_array(v, "xs");
-    street.ys = decode_f64_array(v, "ys");
-    street.blocked = decode_edge_list(v, "blocked");
-    street.one_way = decode_edge_list(v, "one_way");
-    return geom::topology_spec::streets(std::move(street));
+    template <typename T, typename Fn>
+    void sequence(const char* name, const std::vector<T>& items, Fn&& fn) {
+        json_value arr = json_value::array();
+        arr.items.reserve(items.size());
+        for (const T& item : items) {
+            arr.items.push_back(nested([&] { fn(item); }));
+        }
+        out->set(name, std::move(arr));
+    }
+    bool present(const char* /*name*/, bool flag) const { return flag; }
+
+ private:
+    template <typename Fn>
+    json_value nested(Fn&& fn) {
+        json_value obj = json_value::object();
+        json_value* const outer = std::exchange(out, &obj);
+        fn();
+        out = outer;
+        return obj;
+    }
+};
+
+/// Reads a field walk from the members of *in, by name: a missing or
+/// mistyped member, an integer that does not fit its field and an unknown
+/// enum name all throw wire_error; members the walk does not name are
+/// ignored.
+struct json_reader {
+    const json_value* in;
+
+    template <typename T>
+    void field(const char* name, T& value) {
+        const std::string key{name};
+        read(require(*in, key), value, key);
+    }
+    template <typename Fn>
+    void record(const char* name, Fn&& fn) {
+        within(require(*in, name), name, fn);
+    }
+    template <typename T, typename Fn>
+    void sequence(const char* name, std::vector<T>& items, Fn&& fn) {
+        const json_value& arr = require(*in, name);
+        if (arr.what != json_value::kind::array) {
+            bad("field '" + std::string{name} + "' is not an array");
+        }
+        items.resize(arr.items.size());
+        for (std::size_t i = 0; i < items.size(); ++i) {
+            within(arr.items[i], name, [&] { fn(items[i]); });
+        }
+    }
+    bool present(const char* name, bool /*flag*/) const { return in->find(name) != nullptr; }
+
+ private:
+    template <typename Fn>
+    void within(const json_value& obj, const char* name, Fn&& fn) {
+        if (obj.what != json_value::kind::object) {
+            bad("field '" + std::string{name} + "' does not hold an object");
+        }
+        const json_value* const outer = std::exchange(in, &obj);
+        fn();
+        in = outer;
+    }
+};
+
+/// The sweep_spec wire layout, walked like core::for_each_field. Empty axes
+/// are omitted (absent = not swept), so a one-point spec stays one short
+/// line; street_blocks only matters to the topology axes, so it is only
+/// emitted beside them and every pre-topology spec stays byte-identical.
+template <typename Spec, typename Visitor>
+void for_each_spec_field(Spec& spec, Visitor& v) {
+    v.record("base", [&] { core::for_each_field(spec.base, v); });
+    v.field("repetitions", spec.repetitions);
+    v.field("standard_case", spec.standard_case);
+    const auto axis = [&](const char* name, auto& values) {
+        if (v.present(name, !values.empty())) {
+            v.field(name, values);
+        }
+    };
+    v.record("axes", [&] {
+        axis("n", spec.n);
+        axis("c1", spec.c1);
+        axis("radius", spec.radius);
+        axis("speed", spec.speed);
+        axis("speed_factor", spec.speed_factor);
+        axis("model", spec.model);
+        axis("mode", spec.mode);
+        axis("gossip_p", spec.gossip_p);
+        axis("num_sources", spec.num_sources);
+        axis("num_messages", spec.num_messages);
+        axis("block_ratio", spec.block_ratio);
+        axis("blocked_fraction", spec.blocked_fraction);
+    });
+    const bool street_axes = !spec.block_ratio.empty() || !spec.blocked_fraction.empty();
+    if (v.present("street_blocks", street_axes)) {
+        v.field("street_blocks", spec.street_blocks);
+    }
+}
+
+/// The sweep_row wire layout, walked like core::for_each_field.
+template <typename Row, typename Visitor>
+void for_each_row_field(Row& row, Visitor& v) {
+    v.field("index", row.point.index);
+    v.field("label", row.point.label);
+    v.record("scenario", [&] { core::for_each_field(row.point.sc, v); });
+    v.field("times", row.times);
+    v.record("summary", [&] {
+        v.field("count", row.summary.count);
+        v.field("mean", row.summary.mean);
+        v.field("stddev", row.summary.stddev);
+        v.field("min", row.summary.min);
+        v.field("max", row.summary.max);
+        v.field("median", row.summary.median);
+        v.field("p25", row.summary.p25);
+        v.field("p75", row.summary.p75);
+    });
+    v.record("mean_ci", [&] {
+        v.field("lo", row.mean_ci.lo);
+        v.field("hi", row.mean_ci.hi);
+    });
+    v.field("completed_fraction", row.completed_fraction);
+    v.field("message_mean_times", row.message_mean_times);
+    v.field("message_completed_fraction", row.message_completed_fraction);
+    v.field("mean_cz_step", row.mean_cz_step);
+    v.field("max_cz_step", row.max_cz_step);
+    v.field("cz_fraction", row.cz_fraction);
+    v.field("suburb_diameter", row.suburb_diameter);
+    v.field("wall_seconds", row.wall_seconds);
 }
 
 }  // namespace
 
 json_value encode_scenario(const core::scenario& sc) {
     json_value v = json_value::object();
-    v.set("n", json_value::integer(sc.params.n));
-    v.set("side", encode_f64(sc.params.side));
-    v.set("radius", encode_f64(sc.params.radius));
-    v.set("speed", encode_f64(sc.params.speed));
-    v.set("model", json_value::string(mobility::model_kind_name(sc.model)));
-    v.set("walk_step_radius", encode_f64(sc.model_opts.walk_step_radius));
-    v.set("direction_max_leg", encode_f64(sc.model_opts.direction_max_leg));
-    v.set("mode", json_value::string(to_name(propagation_names, sc.mode, "mode")));
-    v.set("gossip_p", encode_f64(sc.gossip_p));
-    v.set("source", json_value::string(to_name(placement_names, sc.source, "source")));
-    v.set("seed", json_value::integer(sc.seed));
-    v.set("stationary_start", json_value::boolean(sc.stationary_start));
-    v.set("warmup_time", encode_f64(sc.warmup_time));
-    v.set("max_steps", json_value::integer(sc.max_steps));
-    v.set("record_timeline", json_value::boolean(sc.record_timeline));
-    v.set("with_cell_partition", json_value::boolean(sc.with_cell_partition));
-    // Optional members, omitted when they carry no data: a pure-grid
-    // non-trace scenario encodes byte-for-byte as it did before topologies
-    // existed, and older decoders (which ignore unknown members anyway)
-    // never see them.
-    if (!sc.topology.is_grid()) {
-        v.set("topology", encode_topology(sc.topology));
-    }
-    if (sc.model == mobility::model_kind::trace_replay && sc.model_opts.trace != nullptr) {
-        json_value tour = json_value::array();
-        tour.items.reserve(sc.model_opts.trace->size() * 2);
-        for (const geom::vec2& p : *sc.model_opts.trace) {
-            tour.items.push_back(encode_f64(p.x));
-            tour.items.push_back(encode_f64(p.y));
-        }
-        v.set("trace", std::move(tour));
-    }
-    json_value stop = json_value::object();
-    stop.set("how",
-             json_value::string(to_name(stop_kind_names, sc.spread.stop.how, "stop kind")));
-    stop.set("fraction", encode_f64(sc.spread.stop.fraction));
-    stop.set("steps", json_value::integer(sc.spread.stop.steps));
-    v.set("stop", std::move(stop));
-    json_value messages = json_value::array();
-    messages.items.reserve(sc.spread.messages.size());
-    for (const auto& msg : sc.spread.messages) {
-        json_value m = json_value::object();
-        m.set("sources", encode_source_spec(msg.sources));
-        m.set("spawn_step", json_value::integer(msg.spawn_step));
-        m.set("mode", json_value::string(to_name(propagation_names, msg.mode, "mode")));
-        m.set("gossip_p", encode_f64(msg.gossip_p));
-        m.set("gossip_seed", json_value::integer(msg.gossip_seed));
-        m.set("source_seed", json_value::integer(msg.source_seed));
-        messages.items.push_back(std::move(m));
-    }
-    v.set("messages", std::move(messages));
-    // intra_threads is deliberately absent: like --threads it is a
-    // wall-clock-only knob outside the fingerprint, and the server picks its
-    // own execution shape.
+    json_writer writer{&v};
+    core::for_each_field(sc, writer);
     return v;
 }
 
 core::scenario decode_scenario(const json_value& v) {
     core::scenario sc;
-    sc.params.n = u64_field(v, "n");
-    sc.params.side = f64_field(v, "side");
-    sc.params.radius = f64_field(v, "radius");
-    sc.params.speed = f64_field(v, "speed");
-    sc.model = mobility::parse_model_kind(str_field(v, "model"));
-    sc.model_opts.walk_step_radius = f64_field(v, "walk_step_radius");
-    sc.model_opts.direction_max_leg = f64_field(v, "direction_max_leg");
-    sc.mode = from_name(propagation_names, str_field(v, "mode"), "mode");
-    sc.gossip_p = f64_field(v, "gossip_p");
-    sc.source = from_name(placement_names, str_field(v, "source"), "source");
-    sc.seed = u64_field(v, "seed");
-    sc.stationary_start = bool_field(v, "stationary_start");
-    sc.warmup_time = f64_field(v, "warmup_time");
-    sc.max_steps = u64_field(v, "max_steps");
-    sc.record_timeline = bool_field(v, "record_timeline");
-    sc.with_cell_partition = bool_field(v, "with_cell_partition");
-    if (v.find("topology") != nullptr) {
-        sc.topology = decode_topology(require(v, "topology"));
-    }
-    if (const json_value* tour = v.find("trace")) {
-        if (tour->what != json_value::kind::array || tour->items.size() % 2 != 0 ||
-            tour->items.size() < 4) {
-            bad("field 'trace' is not a flat [x,y,...] array of >= 2 points");
-        }
-        std::vector<geom::vec2> points(tour->items.size() / 2);
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            points[i].x = decode_f64(tour->items[2 * i], "trace");
-            points[i].y = decode_f64(tour->items[2 * i + 1], "trace");
-        }
-        sc.model_opts.trace =
-            std::make_shared<const std::vector<geom::vec2>>(std::move(points));
-    }
-    const json_value& stop = require(v, "stop");
-    sc.spread.stop.how = from_name(stop_kind_names, str_field(stop, "how"), "stop kind");
-    sc.spread.stop.fraction = f64_field(stop, "fraction");
-    sc.spread.stop.steps = u64_field(stop, "steps");
-    const json_value& messages = require(v, "messages");
-    if (messages.what != json_value::kind::array) {
-        bad("field 'messages' is not an array");
-    }
-    for (const json_value& m : messages.items) {
-        core::message_spec msg;
-        msg.sources = decode_source_spec(require(m, "sources"));
-        msg.spawn_step = u64_field(m, "spawn_step");
-        msg.mode = from_name(propagation_names, str_field(m, "mode"), "mode");
-        msg.gossip_p = f64_field(m, "gossip_p");
-        msg.gossip_seed = u64_field(m, "gossip_seed");
-        msg.source_seed = u64_field(m, "source_seed");
-        sc.spread.messages.push_back(std::move(msg));
-    }
+    json_reader reader{&v};
+    core::for_each_field(sc, reader);
     return sc;
 }
 
 json_value encode_sweep_spec(const engine::sweep_spec& spec) {
     json_value v = json_value::object();
-    v.set("base", encode_scenario(spec.base));
-    v.set("repetitions", json_value::integer(spec.repetitions));
-    v.set("standard_case", json_value::boolean(spec.standard_case));
-    json_value axes = json_value::object();
-    // Empty axes are omitted (absent = not swept), so a one-point spec stays
-    // one short line.
-    if (!spec.n.empty()) {
-        axes.set("n", encode_u64_array(spec.n));
-    }
-    if (!spec.c1.empty()) {
-        axes.set("c1", encode_f64_array(spec.c1));
-    }
-    if (!spec.radius.empty()) {
-        axes.set("radius", encode_f64_array(spec.radius));
-    }
-    if (!spec.speed.empty()) {
-        axes.set("speed", encode_f64_array(spec.speed));
-    }
-    if (!spec.speed_factor.empty()) {
-        axes.set("speed_factor", encode_f64_array(spec.speed_factor));
-    }
-    if (!spec.model.empty()) {
-        json_value arr = json_value::array();
-        for (const mobility::model_kind kind : spec.model) {
-            arr.items.push_back(json_value::string(mobility::model_kind_name(kind)));
-        }
-        axes.set("model", std::move(arr));
-    }
-    if (!spec.mode.empty()) {
-        json_value arr = json_value::array();
-        for (const core::propagation mode : spec.mode) {
-            arr.items.push_back(json_value::string(to_name(propagation_names, mode, "mode")));
-        }
-        axes.set("mode", std::move(arr));
-    }
-    if (!spec.gossip_p.empty()) {
-        axes.set("gossip_p", encode_f64_array(spec.gossip_p));
-    }
-    if (!spec.num_sources.empty()) {
-        axes.set("num_sources", encode_u64_array(spec.num_sources));
-    }
-    if (!spec.num_messages.empty()) {
-        axes.set("num_messages", encode_u64_array(spec.num_messages));
-    }
-    if (!spec.block_ratio.empty()) {
-        axes.set("block_ratio", encode_f64_array(spec.block_ratio));
-    }
-    if (!spec.blocked_fraction.empty()) {
-        axes.set("blocked_fraction", encode_f64_array(spec.blocked_fraction));
-    }
-    v.set("axes", std::move(axes));
-    // street_blocks only matters to the topology axes; emitting it only
-    // beside them keeps every pre-existing spec byte-identical.
-    if (!spec.block_ratio.empty() || !spec.blocked_fraction.empty()) {
-        v.set("street_blocks",
-              json_value::integer(static_cast<std::uint64_t>(spec.street_blocks)));
-    }
+    json_writer writer{&v};
+    for_each_spec_field(spec, writer);
     return v;
 }
 
 engine::sweep_spec decode_sweep_spec(const json_value& v) {
     engine::sweep_spec spec;
-    spec.base = decode_scenario(require(v, "base"));
-    spec.repetitions = u64_field(v, "repetitions");
-    spec.standard_case = bool_field(v, "standard_case");
-    const json_value& axes = require(v, "axes");
-    if (axes.what != json_value::kind::object) {
-        bad("field 'axes' is not an object");
-    }
-    if (axes.find("n") != nullptr) {
-        spec.n = decode_u64_array(axes, "n");
-    }
-    if (axes.find("c1") != nullptr) {
-        spec.c1 = decode_f64_array(axes, "c1");
-    }
-    if (axes.find("radius") != nullptr) {
-        spec.radius = decode_f64_array(axes, "radius");
-    }
-    if (axes.find("speed") != nullptr) {
-        spec.speed = decode_f64_array(axes, "speed");
-    }
-    if (axes.find("speed_factor") != nullptr) {
-        spec.speed_factor = decode_f64_array(axes, "speed_factor");
-    }
-    if (const json_value* arr = axes.find("model")) {
-        for (const json_value& item : arr->items) {
-            if (item.what != json_value::kind::string) {
-                bad("axis 'model' holds a non-string element");
-            }
-            spec.model.push_back(mobility::parse_model_kind(item.text));
-        }
-    }
-    if (const json_value* arr = axes.find("mode")) {
-        for (const json_value& item : arr->items) {
-            if (item.what != json_value::kind::string) {
-                bad("axis 'mode' holds a non-string element");
-            }
-            spec.mode.push_back(from_name(propagation_names, item.text, "mode"));
-        }
-    }
-    if (axes.find("gossip_p") != nullptr) {
-        spec.gossip_p = decode_f64_array(axes, "gossip_p");
-    }
-    if (axes.find("num_sources") != nullptr) {
-        spec.num_sources = decode_u64_array(axes, "num_sources");
-    }
-    if (axes.find("num_messages") != nullptr) {
-        spec.num_messages = decode_u64_array(axes, "num_messages");
-    }
-    if (axes.find("block_ratio") != nullptr) {
-        spec.block_ratio = decode_f64_array(axes, "block_ratio");
-    }
-    if (axes.find("blocked_fraction") != nullptr) {
-        spec.blocked_fraction = decode_f64_array(axes, "blocked_fraction");
-    }
-    if (v.find("street_blocks") != nullptr) {
-        spec.street_blocks = static_cast<std::int32_t>(u64_field(v, "street_blocks"));
-    }
+    json_reader reader{&v};
+    for_each_spec_field(spec, reader);
     return spec;
 }
 
 json_value encode_sweep_row(const engine::sweep_row& row) {
     json_value v = json_value::object();
-    v.set("index", json_value::integer(row.point.index));
-    v.set("label", json_value::string(row.point.label));
-    v.set("scenario", encode_scenario(row.point.sc));
-    v.set("times", encode_f64_array(row.times));
-    v.set("summary", encode_summary(row.summary));
-    json_value ci = json_value::object();
-    ci.set("lo", encode_f64(row.mean_ci.lo));
-    ci.set("hi", encode_f64(row.mean_ci.hi));
-    v.set("mean_ci", std::move(ci));
-    v.set("completed_fraction", encode_f64(row.completed_fraction));
-    v.set("message_mean_times", encode_f64_array(row.message_mean_times));
-    v.set("message_completed_fraction", encode_f64_array(row.message_completed_fraction));
-    v.set("mean_cz_step",
-          row.mean_cz_step ? encode_f64(*row.mean_cz_step) : json_value::null());
-    v.set("max_cz_step", row.max_cz_step ? encode_f64(*row.max_cz_step) : json_value::null());
-    v.set("cz_fraction", encode_f64(row.cz_fraction));
-    v.set("suburb_diameter", encode_f64(row.suburb_diameter));
-    v.set("wall_seconds", encode_f64(row.wall_seconds));
+    json_writer writer{&v};
+    for_each_row_field(row, writer);
     return v;
 }
 
 engine::sweep_row decode_sweep_row(const json_value& v) {
     engine::sweep_row row;
-    row.point.index = u64_field(v, "index");
-    row.point.label = str_field(v, "label");
-    row.point.sc = decode_scenario(require(v, "scenario"));
-    row.times = decode_f64_array(v, "times");
-    row.summary = decode_summary(require(v, "summary"));
-    const json_value& ci = require(v, "mean_ci");
-    row.mean_ci.lo = f64_field(ci, "lo");
-    row.mean_ci.hi = f64_field(ci, "hi");
-    row.completed_fraction = f64_field(v, "completed_fraction");
-    row.message_mean_times = decode_f64_array(v, "message_mean_times");
-    row.message_completed_fraction = decode_f64_array(v, "message_completed_fraction");
-    const json_value& mean_cz = require(v, "mean_cz_step");
-    if (mean_cz.what != json_value::kind::null) {
-        row.mean_cz_step = decode_f64(mean_cz, "mean_cz_step");
-    }
-    const json_value& max_cz = require(v, "max_cz_step");
-    if (max_cz.what != json_value::kind::null) {
-        row.max_cz_step = decode_f64(max_cz, "max_cz_step");
-    }
-    row.cz_fraction = f64_field(v, "cz_fraction");
-    row.suburb_diameter = f64_field(v, "suburb_diameter");
-    row.wall_seconds = f64_field(v, "wall_seconds");
+    json_reader reader{&v};
+    for_each_row_field(row, reader);
     return row;
 }
 

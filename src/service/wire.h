@@ -5,17 +5,23 @@
 /// document per line (docs/SERVICE.md).
 ///
 /// Exactness contract: every double crosses the wire as its 16-hex-char
-/// IEEE-754 bit pattern (the same encoding the manifest and fabric spec use
-/// on disk), and every integer field is carried as a plain JSON integer kept
-/// as an exact uint64 — so decode(encode(x)) reproduces x bit-for-bit,
-/// including NaNs, infinities, denormals and negative zero. That is what
-/// lets a daemon-served row byte-match a locally computed one after the
-/// client re-renders it through the ordinary sinks.
+/// IEEE-754 bit pattern (the same encoding the manifest uses on disk; the
+/// fabric's sweep.spec is this codec's output), and every integer field is
+/// carried as a plain JSON integer kept as an exact uint64 — so
+/// decode(encode(x)) reproduces x bit-for-bit, including NaNs, infinities,
+/// denormals and negative zero. That is what lets a daemon-served row
+/// byte-match a locally computed one after the client re-renders it through
+/// the ordinary sinks.
+///
+/// The scenario codec is a walk over core::for_each_field (one field list
+/// shared with the fingerprint), so scenario members appear in fingerprint
+/// order.
 ///
 /// Compatibility contract: decoders look fields up by name and ignore
 /// members they do not know (a newer peer may add fields), but a missing
-/// required field, a type mismatch, or a truncated document always throws
-/// wire_error — never a silently defaulted value.
+/// required field, a type mismatch, an integer that does not fit its field,
+/// or a truncated document always throws wire_error — never a silently
+/// defaulted or wrapped value.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +36,8 @@
 namespace manhattan::service {
 
 /// Malformed or incomplete wire data (bad JSON, missing field, wrong type,
-/// out-of-range enum). A spec error in the engine taxonomy: the message was
-/// wrong, retrying the same bytes cannot help.
+/// unknown enum name, out-of-range integer). A spec error in the engine
+/// taxonomy: the message was wrong, retrying the same bytes cannot help.
 class wire_error : public engine::error {
  public:
     explicit wire_error(const std::string& what)

@@ -175,24 +175,40 @@ TEST(fabric_test, spec_parse_rejects_truncation_and_tampering) {
     spec.batch = 1;
     spec.fingerprint = engine::sweep_fingerprint(spec.points, spec.repetitions);
     const std::string text = engine::serialize_fabric_spec(spec);
+    ASSERT_EQ(text.rfind("{\"format\":\"manhattan-fabric v2\",", 0), 0u) << text;
 
-    // Truncation: drop the trailing 'end N' line (and then some).
-    const auto truncated = text.substr(0, text.rfind("end"));
-    EXPECT_EQ(error_class([&] { (void)engine::parse_fabric_spec(truncated); }),
-              engine::errc::state);
+    // Truncation: a document cut anywhere never parses.
+    const std::string cut = text.substr(0, text.size() / 2);
+    EXPECT_EQ(error_class([&] { (void)engine::parse_fabric_spec(cut); }), engine::errc::state);
     EXPECT_EQ(error_class([&] { (void)engine::parse_fabric_spec(text.substr(0, 40)); }),
               engine::errc::state);
     EXPECT_EQ(error_class([&] { (void)engine::parse_fabric_spec("garbage\n"); }),
               engine::errc::state);
 
-    // Tampering: a flipped seed survives line parsing but fails the
+    // Tampering: a flipped seed survives JSON parsing but fails the
     // re-fingerprint check.
     std::string tampered = text;
-    const std::size_t seed_pos = tampered.find(" 42 ");
+    const std::size_t seed_pos = tampered.find("\"seed\":42,");
     ASSERT_NE(seed_pos, std::string::npos);
-    tampered.replace(seed_pos, 4, " 43 ");
+    tampered.replace(seed_pos, 10, "\"seed\":43,");
     EXPECT_EQ(error_class([&] { (void)engine::parse_fabric_spec(tampered); }),
               engine::errc::state);
+}
+
+TEST(fabric_test, spec_parse_refuses_the_v1_text_format) {
+    // What the positional v1 writer produced for small_spec() at batch 8:
+    // v1 fabric directories are refused, never half-read.
+    const std::string v1 =
+        "manhattan-fabric v1\nfingerprint f90e522e207e7716\nrepetitions 2\nbatch 8\n"
+        "points 2\n"
+        "point 0 1200 4041520cd1372feb 401aa0900f8c7d3e 3ff0000000000000 0 "
+        "0000000000000000 0000000000000000 0 3ff0000000000000 0 42 1 0000000000000000 50000 "
+        "0 1 stop 0 3ff0000000000000 0 messages 0 label n=1200 R=6.657 v=1\n"
+        "point 1 1200 4041520cd1372feb 401ff3e012a8964b 3ff0000000000000 0 "
+        "0000000000000000 0000000000000000 0 3ff0000000000000 0 42 1 0000000000000000 50000 "
+        "0 1 stop 0 3ff0000000000000 0 messages 0 label n=1200 R=7.988 v=1\n"
+        "end 2\n";
+    EXPECT_EQ(error_class([&] { (void)engine::parse_fabric_spec(v1); }), engine::errc::state);
 }
 
 TEST(fabric_test, init_fabric_is_idempotent_and_rejects_mismatch) {

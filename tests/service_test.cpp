@@ -526,7 +526,7 @@ TEST(service_test, daemon_recomputes_over_a_v1_fabric_job_directory) {
     config.fabric_root = dir.path() + "/fabric";
 
     // A fabric job an earlier release drained to completion (spec, done
-    // markers, the daemon's ledger), its ledger and cache entry in v1.
+    // markers, the daemon's ledger), its spec, ledger and cache entry in v1.
     const engine::sweep_spec spec = small_spec();
     const std::string job_dir = config.fabric_root + "/job-" + job_hex(spec);
     (void)engine::init_fabric(job_dir, spec, 8);
@@ -539,6 +539,19 @@ TEST(service_test, daemon_recomputes_over_a_v1_fabric_job_directory) {
     write_file(ledger, old);
     fs::create_directories(config.cache_dir);
     write_file(config.cache_dir + "/" + job_hex(spec) + ".manifest", old);
+    // The positional v1 sweep.spec the earlier release wrote for this job.
+    write_file(job_dir + "/sweep.spec",
+               "manhattan-fabric v1\nfingerprint f90e522e207e7716\nrepetitions 2\nbatch 8\n"
+               "points 2\n"
+               "point 0 1200 4041520cd1372feb 401aa0900f8c7d3e 3ff0000000000000 0 "
+               "0000000000000000 0000000000000000 0 3ff0000000000000 0 42 1 "
+               "0000000000000000 50000 0 1 stop 0 3ff0000000000000 0 messages 0 "
+               "label n=1200 R=6.657 v=1\n"
+               "point 1 1200 4041520cd1372feb 401ff3e012a8964b 3ff0000000000000 0 "
+               "0000000000000000 0000000000000000 0 3ff0000000000000 0 42 1 "
+               "0000000000000000 50000 0 1 stop 0 3ff0000000000000 0 messages 0 "
+               "label n=1200 R=7.988 v=1\n"
+               "end 2\n");
 
     service::daemon d(config);
     d.start();

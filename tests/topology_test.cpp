@@ -433,10 +433,20 @@ TEST(topology_fingerprint, street_topology_and_trace_extend_the_hash) {
     oneway.base.topology.street.one_way.push_back({0, 0, 1, 0});
     EXPECT_NE(engine::sweep_fingerprint(oneway), street_fp);
 
+    // Pinned before the field schema drove the hash: street fingerprints
+    // are cache keys and fabric directory names too.
+    EXPECT_EQ(engine::fingerprint_hex(street_fp), "c9719fb04430a0a1");
+    EXPECT_EQ(engine::fingerprint_hex(engine::sweep_fingerprint(blocked)), "7934d3d40395431d");
+    EXPECT_EQ(engine::fingerprint_hex(engine::sweep_fingerprint(oneway)), "5602f9d8d0a70b25");
+
     // The diff walk mirrors the hash walk and names the field.
     const std::string diff = engine::first_spec_difference(
         streets.expand(), streets.repetitions, blocked.expand(), blocked.repetitions);
     EXPECT_NE(diff.find("topology.blocked"), std::string::npos) << diff;
+    EXPECT_EQ(diff, "point 0: topology.blocked.size (0 vs 1)");
+    const std::string grid_vs_street = engine::first_spec_difference(
+        base.expand(), base.repetitions, streets.expand(), streets.repetitions);
+    EXPECT_NE(grid_vs_street.find("topology"), std::string::npos) << grid_vs_street;
 
     // A trace tour is hashed only under the trace_replay kind.
     engine::sweep_spec traced = base;
@@ -445,11 +455,15 @@ TEST(topology_fingerprint, street_topology_and_trace_extend_the_hash) {
         std::make_shared<const std::vector<manhattan::geom::vec2>>(
             std::vector<manhattan::geom::vec2>{{0.0, 0.0}, {5.0, 0.0}, {5.0, 5.0}});
     const std::uint64_t traced_fp = engine::sweep_fingerprint(traced);
+    EXPECT_EQ(engine::fingerprint_hex(traced_fp), "a11defb075f93789");
     engine::sweep_spec retoured = traced;
     retoured.base.model_opts.trace =
         std::make_shared<const std::vector<manhattan::geom::vec2>>(
             std::vector<manhattan::geom::vec2>{{0.0, 0.0}, {6.0, 0.0}, {6.0, 5.0}});
     EXPECT_NE(engine::sweep_fingerprint(retoured), traced_fp);
+    EXPECT_EQ(engine::first_spec_difference(traced.expand(), traced.repetitions,
+                                            retoured.expand(), retoured.repetitions),
+              "point 0: trace.x (4014000000000000 vs 4018000000000000)");
 }
 
 // ------------------------------------------------------------- sweep axes --

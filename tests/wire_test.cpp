@@ -8,6 +8,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -379,6 +380,107 @@ TEST(Wire, TopologyRejectsUnknownKindAndMalformedEdges) {
     EXPECT_THROW((void)service::decode_scenario(w), service::wire_error);
 }
 
+TEST(Wire, DecodersRejectIntegersThatDoNotFitTheirField) {
+    // An edge index past int32 must not wrap to an honest-looking index:
+    // [4294967297,1,2,1] would otherwise decode (and fingerprint, and hit the
+    // daemon's cache) as [1,1,2,1].
+    const std::string street = service::dump(service::encode_scenario(street_scenario()));
+    std::string wrapped = street;
+    const std::size_t edge = wrapped.find("[[1,1,2,1]]");
+    ASSERT_NE(edge, std::string::npos) << street;
+    wrapped.replace(edge, 11, "[[4294967297,1,2,1]]");
+    EXPECT_THROW((void)service::decode_scenario(service::parse_json(wrapped)),
+                 service::wire_error);
+
+    // street_blocks is an int32 too: 2^32 + 8 is not 8.
+    engine::sweep_spec spec;
+    spec.base = rich_scenario();
+    spec.block_ratio = {1.0};
+    spec.street_blocks = 8;
+    std::string text = service::dump(service::encode_sweep_spec(spec));
+    const std::size_t blocks = text.find("\"street_blocks\":8");
+    ASSERT_NE(blocks, std::string::npos) << text;
+    text.replace(blocks, 17, "\"street_blocks\":4294967304");
+    EXPECT_THROW((void)service::decode_sweep_spec(service::parse_json(text)),
+                 service::wire_error);
+}
+
+TEST(Wire, TraceTourRejectsMalformedArrays) {
+    core::scenario sc = rich_scenario();
+    sc.model = mobility::model_kind::trace_replay;
+    sc.model_opts.trace = std::make_shared<const std::vector<manhattan::geom::vec2>>(
+        std::vector<manhattan::geom::vec2>{{1.0, 2.0}, {5.5, 2.0}, {5.5, 9.25}});
+    const auto with_tour = [&](const std::function<void(json_value&)>& edit) {
+        json_value v = service::encode_scenario(sc);
+        for (auto& [key, member] : v.members) {
+            if (key == "trace") {
+                edit(member);
+            }
+        }
+        return v;
+    };
+    // Odd length: a dangling x.
+    EXPECT_THROW((void)service::decode_scenario(
+                     with_tour([](json_value& tour) { tour.items.pop_back(); })),
+                 service::wire_error);
+    // Fewer than 2 points.
+    EXPECT_THROW((void)service::decode_scenario(with_tour([](json_value& tour) {
+                     tour.items.resize(2);
+                 })),
+                 service::wire_error);
+    // A non-hex element.
+    EXPECT_THROW((void)service::decode_scenario(with_tour([](json_value& tour) {
+                     tour.items[3] = json_value::string("zz00000000000000");
+                 })),
+                 service::wire_error);
+}
+
+// ------------------------------------------------------- pinned contracts --
+// Bytes and fingerprints captured before the scenario codec was driven by the
+// field schema (core/scenario_fields.h): the schema must reproduce them.
+
+TEST(Wire, PureGridScenarioAndSpecBytesArePinned) {
+    EXPECT_EQ(
+        service::dump(service::encode_scenario(rich_scenario())),
+        R"({"n":1200,"side":"4041520cd1372feb","radius":"4023000000000000","speed":"3fe8000000000000","model":"random_walk","walk_step_radius":"3ff4000000000000","direction_max_leg":"4012000000000000","mode":"gossip","gossip_p":"3fe4000000000000","source":"corner_ne","seed":16045690984503111693,"stationary_start":false,"warmup_time":"4004000000000000","max_steps":12345,"record_timeline":true,"with_cell_partition":false,"stop":{"how":"informed_fraction","fraction":"3feccccccccccccd","steps":0},"messages":[{"sources":{"how":"placement","placement":"center_most","count":3,"ids":[]},"spawn_step":7,"mode":"per_component","gossip_p":"3ff0000000000000","gossip_seed":1,"source_seed":1},{"sources":{"how":"explicit_ids","placement":"random_agent","count":1,"ids":[5,9,11]},"spawn_step":0,"mode":"gossip","gossip_p":"3fe0000000000000","gossip_seed":77,"source_seed":78}]})");
+    EXPECT_EQ(
+        service::dump(service::encode_sweep_spec(rich_spec())),
+        R"({"base":{"n":1200,"side":"4041520cd1372feb","radius":"4023000000000000","speed":"3fe8000000000000","model":"random_walk","walk_step_radius":"3ff4000000000000","direction_max_leg":"4012000000000000","mode":"gossip","gossip_p":"3fe4000000000000","source":"corner_ne","seed":16045690984503111693,"stationary_start":false,"warmup_time":"4004000000000000","max_steps":12345,"record_timeline":true,"with_cell_partition":false,"stop":{"how":"informed_fraction","fraction":"3feccccccccccccd","steps":0},"messages":[{"sources":{"how":"placement","placement":"center_most","count":3,"ids":[]},"spawn_step":7,"mode":"per_component","gossip_p":"3ff0000000000000","gossip_seed":1,"source_seed":1},{"sources":{"how":"explicit_ids","placement":"random_agent","count":1,"ids":[5,9,11]},"spawn_step":0,"mode":"gossip","gossip_p":"3fe0000000000000","gossip_seed":77,"source_seed":78}]},"repetitions":5,"standard_case":false,"axes":{"n":[400,900],"c1":["4004000000000000","4008000000000000"],"speed_factor":["3fe0000000000000","3ff0000000000000"],"model":["mrwp","static"],"mode":["one_hop","gossip"],"gossip_p":["3fd0000000000000","3fe8000000000000"],"num_sources":[1,4],"num_messages":[2]}})");
+}
+
+/// Fingerprint of \p sc as a one-point, one-replica sweep.
+std::string one_point_fingerprint(const core::scenario& sc) {
+    engine::sweep_spec spec;
+    spec.base = sc;
+    spec.standard_case = false;
+    spec.repetitions = 1;
+    return engine::fingerprint_hex(engine::sweep_fingerprint(spec));
+}
+
+TEST(Wire, ParentOrderStreetAndTraceJsonDecodeToThePinnedFingerprints) {
+    // Street and trace scenarios as encoded before the field schema: the
+    // "topology" and "trace" members sat after "with_cell_partition". The
+    // schema order moved them, and decoders look members up by name.
+    const std::string street =
+        R"({"n":800,"side":"403e000000000000","radius":"401c000000000000","speed":"3ff0000000000000","model":"mrwp","walk_step_radius":"0000000000000000","direction_max_leg":"0000000000000000","mode":"one_hop","gossip_p":"3ff0000000000000","source":"random_agent","seed":99,"stationary_start":true,"warmup_time":"0000000000000000","max_steps":1000000,"record_timeline":false,"with_cell_partition":true,"topology":{"kind":"street_graph","xs":["0000000000000000","400232f514a026d4","4016bfb259c83087","40259c83087e2e1b","40327bc0e8f2a76f","403e000000000000"],"ys":["0000000000000000","400232f514a026d4","4016bfb259c83087","40259c83087e2e1b","40327bc0e8f2a76f","403e000000000000"],"blocked":[[1,1,2,1]],"one_way":[[0,0,0,1]]},"stop":{"how":"all_informed","fraction":"3ff0000000000000","steps":0},"messages":[]})";
+    const std::string trace =
+        R"({"n":1200,"side":"4041520cd1372feb","radius":"4023000000000000","speed":"3fe8000000000000","model":"trace","walk_step_radius":"3ff4000000000000","direction_max_leg":"4012000000000000","mode":"gossip","gossip_p":"3fe4000000000000","source":"corner_ne","seed":16045690984503111693,"stationary_start":false,"warmup_time":"4004000000000000","max_steps":12345,"record_timeline":true,"with_cell_partition":false,"trace":["3ff0000000000000","4000000000000000","4016000000000000","4000000000000000","4016000000000000","4022800000000000"],"stop":{"how":"informed_fraction","fraction":"3feccccccccccccd","steps":0},"messages":[{"sources":{"how":"placement","placement":"center_most","count":3,"ids":[]},"spawn_step":7,"mode":"per_component","gossip_p":"3ff0000000000000","gossip_seed":1,"source_seed":1},{"sources":{"how":"explicit_ids","placement":"random_agent","count":1,"ids":[5,9,11]},"spawn_step":0,"mode":"gossip","gossip_p":"3fe0000000000000","gossip_seed":77,"source_seed":78}]})";
+    EXPECT_EQ(one_point_fingerprint(service::decode_scenario(service::parse_json(street))),
+              "a635f31b9df384be");
+    EXPECT_EQ(one_point_fingerprint(service::decode_scenario(service::parse_json(trace))),
+              "7f9e5776a992831a");
+
+    // Today's encoding of the same scenarios fingerprints identically.
+    EXPECT_EQ(one_point_fingerprint(street_scenario()), "a635f31b9df384be");
+    core::scenario traced = rich_scenario();
+    traced.model = mobility::model_kind::trace_replay;
+    traced.model_opts.trace = std::make_shared<const std::vector<manhattan::geom::vec2>>(
+        std::vector<manhattan::geom::vec2>{{1.0, 2.0}, {5.5, 2.0}, {5.5, 9.25}});
+    EXPECT_EQ(one_point_fingerprint(service::decode_scenario(
+                  service::parse_json(service::dump(service::encode_scenario(traced))))),
+              "7f9e5776a992831a");
+}
+
 TEST(Wire, SweepSpecTopologyAxesRoundTrip) {
     engine::sweep_spec spec;
     spec.base = rich_scenario();
@@ -469,6 +571,13 @@ TEST(Wire, SweepRowRoundTrips) {
     EXPECT_EQ(bits(back.cz_fraction), bits(row.cz_fraction));
     EXPECT_EQ(bits(back.suburb_diameter), bits(row.suburb_diameter));
     EXPECT_EQ(bits(back.wall_seconds), bits(row.wall_seconds));
+}
+
+TEST(Wire, SweepRowBytesArePinned) {
+    // Captured before the row codec became a field walk.
+    EXPECT_EQ(
+        service::dump(service::encode_sweep_row(rich_row())),
+        R"({"index":3,"label":"n=1200 R=9.50","scenario":{"n":1200,"side":"4041520cd1372feb","radius":"4023000000000000","speed":"3fe8000000000000","model":"random_walk","walk_step_radius":"3ff4000000000000","direction_max_leg":"4012000000000000","mode":"gossip","gossip_p":"3fe4000000000000","source":"corner_ne","seed":16045690984503111693,"stationary_start":false,"warmup_time":"4004000000000000","max_steps":12345,"record_timeline":true,"with_cell_partition":false,"stop":{"how":"informed_fraction","fraction":"3feccccccccccccd","steps":0},"messages":[{"sources":{"how":"placement","placement":"center_most","count":3,"ids":[]},"spawn_step":7,"mode":"per_component","gossip_p":"3ff0000000000000","gossip_seed":1,"source_seed":1},{"sources":{"how":"explicit_ids","placement":"random_agent","count":1,"ids":[5,9,11]},"spawn_step":0,"mode":"gossip","gossip_p":"3fe0000000000000","gossip_seed":77,"source_seed":78}]},"times":["4024000000000000","4028000000000000","7ff0000000000000"],"summary":{"count":3,"mean":"4026000000000000","stddev":"3ff0000000000000","min":"4024000000000000","max":"4028000000000000","median":"4026000000000000","p25":"4025000000000000","p75":"4027000000000000"},"mean_ci":{"lo":"4023000000000000","hi":"4029000000000000"},"completed_fraction":"3fe5555555555555","message_mean_times":["4026000000000000","402b000000000000"],"message_completed_fraction":["3ff0000000000000","3fe0000000000000"],"mean_cz_step":"4020800000000000","max_cz_step":"4022000000000000","cz_fraction":"3ff0000000000000","suburb_diameter":"402d666666666666","wall_seconds":"3fc0000000000000"})");
 }
 
 TEST(Wire, SweepRowNullOptionalsRoundTrip) {
