@@ -24,7 +24,9 @@
 // grid_rebuild / scan / components split in the report and in
 // BENCH_flood.json ("phases"), plus telemetry_steps_per_sec, and on pool
 // rows the lane dispatch figures from the pool's registry: lane start skew
-// and lane-time imbalance per run() ("lanes"). --overhead-tol=TOL arms the
+// and lane-time imbalance per run() ("lanes"). The report also gives each
+// pool row's per-phase speedup over the serial row of the same n (serial
+// phase seconds / pool phase seconds). --overhead-tol=TOL arms the
 // telemetry overhead gate: at the largest n, the serial enabled pass's
 // throughput must stay within TOL of the disabled serial row (the
 // instrumented spans are ms-scale steps, so clock reads should cost well
@@ -419,9 +421,12 @@ int run(const util::cli_args& args) {
     }
     std::printf("%s", t.markdown().c_str());
 
-    // Per-phase split from the telemetry passes.
+    // Per-phase split from the telemetry passes: each phase's share of the
+    // step and, on pool rows, its speedup over the serial row of the same n
+    // (serial phase seconds / pool phase seconds; both rows flood the same
+    // seed for the same steps), so the phase that does not scale reads lowest.
     util::table pt({"n", "engine", "threads", "advance %", "grid %", "scan %", "components %",
-                    "telemetry steps/s"});
+                    "advance x", "grid x", "scan x", "components x", "telemetry steps/s"});
     // Lane dispatch from the same passes (pool rows with more than one lane).
     util::table lt({"n", "threads", "lane runs", "skew p50 (us)", "skew p90 (us)",
                     "imbalance p50", "imbalance p90"});
@@ -430,16 +435,22 @@ int run(const util::cli_args& args) {
             continue;
         }
         const double total = r.phases.total_seconds();
-        const auto pct = [total](double s) {
-            return total > 0.0 ? util::fmt(100.0 * s / total) : std::string{"-"};
-        };
-        using util::phase;
-        pt.add_row({util::fmt(r.n), r.engine, util::fmt(r.threads),
-                    pct(r.phases.seconds[static_cast<std::size_t>(phase::advance)]),
-                    pct(r.phases.seconds[static_cast<std::size_t>(phase::grid_rebuild)]),
-                    pct(r.phases.seconds[static_cast<std::size_t>(phase::scan)]),
-                    pct(r.phases.seconds[static_cast<std::size_t>(phase::components)]),
-                    util::fmt(r.telemetry_steps_per_sec)});
+        const perf_row& serial = *std::find_if(
+            rows.begin(), rows.end(),
+            [&](const perf_row& s) { return s.n == r.n && s.engine == "serial"; });
+        std::vector<std::string> cells = {util::fmt(r.n), r.engine, util::fmt(r.threads)};
+        for (const double s : r.phases.seconds) {
+            cells.push_back(total > 0.0 ? util::fmt(100.0 * s / total) : "-");
+        }
+        for (std::size_t p = 0; p < util::phase_count; ++p) {
+            const double pool_s = r.phases.seconds[p];
+            const double serial_s = serial.phases.seconds[p];
+            cells.push_back(r.engine == "pool" && pool_s > 0.0 && serial_s > 0.0
+                                ? util::fmt(serial_s / pool_s)
+                                : "-");
+        }
+        cells.push_back(util::fmt(r.telemetry_steps_per_sec));
+        pt.add_row(std::move(cells));
         if (r.lane_runs > 0) {
             lt.add_row({util::fmt(r.n), util::fmt(r.threads), util::fmt(r.lane_runs),
                         bound_text(r.skew_p50_s, 1e6), bound_text(r.skew_p90_s, 1e6),

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 namespace manhattan::geom {
@@ -16,8 +17,11 @@ uniform_grid::uniform_grid(double side, double min_bucket_side) : side_(side) {
 }
 
 std::int32_t uniform_grid::bucket_index(double v) const noexcept {
-    const auto idx = static_cast<std::int32_t>(std::floor(v / bucket_side_));
-    return std::clamp(idx, std::int32_t{0}, m_ - 1);
+    // Clamp in double before the cast, which is undefined outside the int32
+    // range; a NaN lands in bucket 0. On the clamped, non-negative quotient
+    // the cast's truncation equals floor, so every in-range bucket is kept.
+    const double q = v / bucket_side_;
+    return static_cast<std::int32_t>(q > 0.0 ? std::min(q, static_cast<double>(m_ - 1)) : 0.0);
 }
 
 void uniform_grid::rebuild(std::span<const vec2> positions) {
@@ -58,11 +62,14 @@ void uniform_grid::rebuild(std::span<const vec2> positions, util::parallel_execu
     items_.resize(n);
     sorted_points_.resize(n);
     bucket_of_.resize(n);
-    lane_hist_.assign(lanes * bucket_count, 0);
+    cursor_.resize(bucket_count);
+    lane_hist_.resize(lanes * bucket_count);
 
-    // Per-lane histograms over contiguous index slices.
+    // Per-lane histograms over contiguous index slices. n >= 2 * lanes, so
+    // every lane runs and zeroes its own histogram.
     ex.run(n, [&](std::size_t lane, std::size_t begin, std::size_t end) {
         std::size_t* hist = lane_hist_.data() + lane * bucket_count;
+        std::fill_n(hist, bucket_count, std::size_t{0});
         for (std::size_t i = begin; i < end; ++i) {
             const std::size_t b = bucket_of(positions[i]);
             bucket_of_[i] = static_cast<std::uint32_t>(b);
@@ -70,30 +77,41 @@ void uniform_grid::rebuild(std::span<const vec2> positions, util::parallel_execu
         }
     });
 
-    // Serial merge: CSR offsets plus a starting write cursor per
-    // (bucket, lane). Within a bucket, lane slots are laid out in lane
-    // order, so the scatter below reproduces the serial item order exactly.
-    offsets_.resize(bucket_count + 1);
-    offsets_[0] = 0;
-    for (std::size_t b = 0; b < bucket_count; ++b) {
-        std::size_t next = offsets_[b];
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-            std::size_t& slot = lane_hist_[lane * bucket_count + b];
-            const std::size_t count = slot;
-            slot = next;
-            next += count;
+    // Column sum of the lane histograms, prefix-summed into the CSR offsets.
+    std::copy_n(lane_hist_.begin(), bucket_count, offsets_.begin() + 1);
+    for (std::size_t lane = 1; lane < lanes; ++lane) {
+        const std::size_t* hist = lane_hist_.data() + lane * bucket_count;
+        for (std::size_t b = 0; b < bucket_count; ++b) {
+            offsets_[b + 1] += hist[b];
         }
-        offsets_[b + 1] = next;
     }
+    offsets_[0] = 0;
+    std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
 
-    // Parallel scatter into disjoint slot ranges (same lane partition as the
-    // histogram pass — lane_begin is a pure function of (n, lanes)).
-    ex.run(n, [&](std::size_t lane, std::size_t begin, std::size_t end) {
-        std::size_t* cursor = lane_hist_.data() + lane * bucket_count;
-        for (std::size_t i = begin; i < end; ++i) {
-            const std::size_t slot = cursor[bucket_of_[i]]++;
-            items_[slot] = static_cast<std::uint32_t>(i);
-            sorted_points_[slot] = positions[i];
+    // Owner-computes scatter. Lane l owns the buckets whose slots start in
+    // [lane_begin(n, l), lane_begin(n, l + 1)): one contiguous slot range of
+    // about n / lanes. Each lane reads every bucket id in ascending index
+    // order and writes only its own buckets, so every bucket has a single
+    // writer filling it in ascending index order (the serial sort's arrays),
+    // and lanes share output cache lines only where their spans meet.
+    const auto first_owned = [&](std::size_t lane) {
+        const std::size_t slot = ex.lane_begin(n, lane);
+        return static_cast<std::size_t>(
+            std::lower_bound(offsets_.begin(), offsets_.end(), slot) - offsets_.begin());
+    };
+    ex.run(lanes, [&](std::size_t lane, std::size_t, std::size_t) {
+        const std::size_t first = first_owned(lane);
+        const std::size_t owned = first_owned(lane + 1) - first;
+        std::copy_n(offsets_.begin() + first, owned, cursor_.begin() + first);
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::size_t b = bucket_of_[i];
+            // One unsigned compare (b < first wraps around): a single,
+            // cheaper branch than testing both ends of the span.
+            if (b - first < owned) {
+                const std::size_t slot = cursor_[b]++;
+                items_[slot] = static_cast<std::uint32_t>(i);
+                sorted_points_[slot] = positions[i];
+            }
         }
     });
 }

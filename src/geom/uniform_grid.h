@@ -31,10 +31,13 @@ class uniform_grid {
     /// the caller may mutate theirs.
     void rebuild(std::span<const vec2> positions);
 
-    /// Parallel rebuild: per-lane histograms merged into the CSR offsets,
-    /// then a per-lane scatter into disjoint slot ranges. Produces arrays
-    /// bit-identical to the serial rebuild at any lane count (within every
-    /// bucket, items stay in ascending index order).
+    /// Parallel rebuild, an owner-computes counting sort: per-lane histograms
+    /// summed into the CSR offsets, then each lane owns the buckets of one
+    /// contiguous span of about n / lanes slots and scatters only into them,
+    /// visiting input indices in ascending order. Every bucket has exactly
+    /// one writer, so the arrays are bit-identical to the serial rebuild at
+    /// any lane count (within every bucket, items stay in ascending index
+    /// order).
     void rebuild(std::span<const vec2> positions, util::parallel_executor& ex);
 
     [[nodiscard]] double side() const noexcept { return side_; }
@@ -168,8 +171,8 @@ class uniform_grid {
     // Rebuild scratch, reused across steps (the per-step hot path must not
     // allocate):
     std::vector<std::uint32_t> bucket_of_;  // bucket of every input point
-    std::vector<std::size_t> cursor_;       // serial: write cursor per bucket
-    std::vector<std::size_t> lane_hist_;    // parallel: lane-major histograms / cursors
+    std::vector<std::size_t> cursor_;       // write cursor per bucket
+    std::vector<std::size_t> lane_hist_;    // parallel: lane-major histograms
 };
 
 }  // namespace manhattan::geom

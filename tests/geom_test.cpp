@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/thread_pool.h"
@@ -179,27 +183,86 @@ TEST(grid_spec_test, surrounding_counts) {
     EXPECT_EQ(g.surrounding({2, 2}).size(), 8u);
 }
 
-TEST(uniform_grid_test, parallel_rebuild_matches_serial_bit_for_bit) {
-    // The per-lane histogram + scatter rebuild must reproduce the serial
-    // counting sort exactly: same item order within every bucket, hence the
-    // same visitation order in every radius query, at any lane count.
-    manhattan::rng::rng gen(404);
-    std::vector<vec2> pts(5000);
-    for (auto& p : pts) {
-        p = {gen.uniform(0.0, 50.0), gen.uniform(0.0, 50.0)};
-    }
-    uniform_grid serial(50.0, 4.0);
-    serial.rebuild(pts);
+/// Bit pattern of a position, so equal-comparing but distinct doubles
+/// (-0.0 and 0.0) cannot hide a difference.
+std::pair<std::uint64_t, std::uint64_t> bits(vec2 p) {
+    return {std::bit_cast<std::uint64_t>(p.x), std::bit_cast<std::uint64_t>(p.y)};
+}
 
-    for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
+/// Whole-array equality of two rebuilt grids: every bucket range, every
+/// item and the bits of every sorted position.
+void expect_same_arrays(const uniform_grid& got, const uniform_grid& want) {
+    ASSERT_EQ(got.bucket_count(), want.bucket_count());
+    for (std::size_t b = 0; b < want.bucket_count(); ++b) {
+        ASSERT_EQ(got.bucket_begin(b), want.bucket_begin(b)) << "bucket " << b;
+        ASSERT_EQ(got.bucket_end(b), want.bucket_end(b)) << "bucket " << b;
+    }
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t k = 0; k < want.size(); ++k) {
+        ASSERT_EQ(got.items()[k], want.items()[k]) << "slot " << k;
+        ASSERT_EQ(bits(got.sorted_points()[k]), bits(want.sorted_points()[k])) << "slot " << k;
+    }
+}
+
+/// One parallel-rebuild input on a 50 x 50 square.
+struct rebuild_input {
+    std::string name;
+    double bucket;
+    std::vector<vec2> pts;
+};
+
+/// The input shapes the owner split must handle at \p lanes lanes.
+std::vector<rebuild_input> rebuild_inputs(std::size_t lanes) {
+    manhattan::rng::rng gen(404 + lanes);
+    const auto uniform = [&](std::size_t n, double lo, double hi) {
+        std::vector<vec2> pts(n);
+        for (auto& p : pts) {
+            p = {gen.uniform(lo, hi), gen.uniform(lo, hi)};
+        }
+        return pts;
+    };
+    std::vector<rebuild_input> inputs;
+    inputs.push_back({"uniform", 4.0, uniform(5000, 0.0, 50.0)});
+    // Bucket (6, 6) of a 12 x 12 grid: every lane but one owns nothing.
+    inputs.push_back({"one bucket", 4.0, uniform(1000, 25.5, 29.0)});
+    std::vector<vec2> corner = uniform(1000, 0.0, 4.0);
+    const std::vector<vec2> rest = uniform(1000, 0.0, 50.0);
+    corner.insert(corner.end(), rest.begin(), rest.end());
+    inputs.push_back({"half in a corner bucket", 4.0, corner});
+    std::vector<vec2> edges = {{0.0, 0.0}, {50.0, 0.0}, {0.0, 50.0}, {50.0, 50.0}};
+    for (int k = 0; k < 1000; ++k) {
+        const double t = gen.uniform(0.0, 50.0);
+        const vec2 on_edge[] = {{0.0, t}, {50.0, t}, {t, 0.0}, {t, 50.0}};
+        edges.push_back(on_edge[k % 4]);
+    }
+    inputs.push_back({"on the edges", 4.0, edges});
+    inputs.push_back({"n = 2 * lanes", 4.0, uniform(2 * lanes, 0.0, 50.0)});
+    std::vector<vec2> centre = uniform(3000, 24.0, 26.0);
+    const std::vector<vec2> suburb = uniform(1000, 0.0, 50.0);
+    centre.insert(centre.end(), suburb.begin(), suburb.end());
+    inputs.push_back({"dense centre, fine grid", 0.5, centre});
+    return inputs;
+}
+
+TEST(uniform_grid_test, parallel_rebuild_matches_serial_bit_for_bit) {
+    // The owner-computes rebuild must reproduce the serial counting sort
+    // array for array (same bucket ranges, same item order within every
+    // bucket, same position bits) at any lane count, including inputs that
+    // leave lanes owning no bucket at all.
+    for (const std::size_t threads : {2u, 3u, 4u, 8u}) {
         manhattan::engine::thread_pool pool(threads);
-        uniform_grid parallel(50.0, 4.0);
-        parallel.rebuild(pts, pool.executor());
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        ASSERT_EQ(parallel.size(), serial.size());
-        for (int probe = 0; probe < 50; ++probe) {
-            const vec2 p{gen.uniform(0.0, 50.0), gen.uniform(0.0, 50.0)};
-            EXPECT_EQ(parallel.query(p, 4.0), serial.query(p, 4.0));
+        ASSERT_EQ(pool.executor().lanes(), threads);
+        for (const rebuild_input& in : rebuild_inputs(threads)) {
+            SCOPED_TRACE("threads=" + std::to_string(threads) + ", " + in.name);
+            uniform_grid serial(50.0, in.bucket);
+            serial.rebuild(in.pts);
+            // Rebuild the reversed input first, so buffers left over from
+            // a previous rebuild would show.
+            uniform_grid parallel(50.0, in.bucket);
+            const std::vector<vec2> reversed(in.pts.rbegin(), in.pts.rend());
+            parallel.rebuild(reversed, pool.executor());
+            parallel.rebuild(in.pts, pool.executor());
+            expect_same_arrays(parallel, serial);
         }
     }
 }
@@ -320,6 +383,8 @@ INSTANTIATE_TEST_SUITE_P(
                       grid_case{300, 50.0, 2.0, 11.0, 4},
                       // radius larger than the whole square
                       grid_case{100, 10.0, 3.0, 25.0, 5},
-                      grid_case{1, 10.0, 1.0, 2.0, 6}, grid_case{1000, 31.6, 3.0, 3.0, 7}));
+                      grid_case{1, 10.0, 1.0, 2.0, 6}, grid_case{1000, 31.6, 3.0, 3.0, 7},
+                      // bucket bounds past the int32 range
+                      grid_case{100, 10.0, 1.0, 3e9, 8}));
 
 }  // namespace
