@@ -113,8 +113,9 @@ int run(const util::cli_args& args) {
         for (std::size_t r = 0; r < std::min(runs, b_seeds.size()); ++r) {
             mobility::walker w(model, n, v, rng::rng{b_seeds[r]});
             const auto check = check_event_b(w.positions(), d);
-            core::flood_config cfg;
-            cfg.source = check.f_agent == 0 ? 1 : 0;
+            core::spread_config cfg;
+            cfg.spread.messages.push_back(
+                {.sources = core::source_spec::agents({check.f_agent == 0 ? 1u : 0u})});
             cfg.max_steps = 200'000;
             cfg.record_timeline = false;
             core::flooding_sim sim(std::move(w), radius, cfg, nullptr, &pool.executor());

@@ -80,9 +80,9 @@ void bm_flood_run(benchmark::State& state) {
         core::flood_config cfg;
         cfg.record_timeline = false;
         core::flooding_sim sim(std::move(w), radius, cfg);
-        const auto result = sim.run();
-        steps += result.flooding_time;
-        benchmark::DoNotOptimize(result.informed_count);
+        const auto result = sim.run_spread();
+        steps += result.messages[0].flooding_time;
+        benchmark::DoNotOptimize(result.messages[0].informed_count);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(steps) * static_cast<std::int64_t>(n));
     state.counters["flood_steps"] =

@@ -4,11 +4,11 @@
 // several worker counts. Emits the machine-readable BENCH_flood.json rows
 // the perf trajectory tracks (see docs/PERF.md for how to read it).
 //
-// Each measurement times complete replicas (construction excluded, run()
-// timed): every per-step phase stays live for the whole window, and the
-// flooding time doubles as the determinism witness — every engine variant
-// runs the identical simulation (same seed), so the per-row flooding_time
-// must agree across engines, and the emitted JSON shows it.
+// Each measurement times complete replicas (construction excluded,
+// run_spread() timed): every per-step phase stays live for the whole
+// window, and the flooding time doubles as the determinism witness — every
+// engine variant runs the identical simulation (same seed), so the per-row
+// flooding_time must agree across engines, and the emitted JSON shows it.
 //
 // Knobs: --n=10000,31623,100000,1000000 --threads=1,4,0 --reps=3 --c1=1.0 --seed=1
 //        --max-steps=5000 --json=BENCH_flood.json
@@ -75,7 +75,7 @@ struct perf_row {
     std::string engine;       // "serial" or "pool"
     std::size_t threads = 0;  // pool workers (0 for the serial row)
     std::size_t steps = 0;    // summed flooding steps over the reps
-    double seconds = 0.0;     // summed run() wall time
+    double seconds = 0.0;     // summed run_spread() wall time
     double steps_per_sec = 0.0;
     std::uint64_t flooding_time = 0;  // determinism witness: equal across engines
     double speedup_vs_1thread = 0.0;  // 0 until the 1-thread row is known
@@ -161,7 +161,7 @@ std::string cpu_model() {
 }
 
 /// One timed measurement: `reps` complete replicas of the identical flood
-/// (same seed every rep — identical work), run() timed, construction
+/// (same seed every rep — identical work), run_spread() timed, construction
 /// excluded. A null pool means the serial path.
 perf_row measure(std::size_t n, double c1, std::uint64_t seed, std::size_t reps,
                  std::uint64_t max_steps, engine::thread_pool* pool) {
@@ -183,10 +183,10 @@ perf_row measure(std::size_t n, double c1, std::uint64_t seed, std::size_t reps,
         core::flooding_sim sim(std::move(agents), radius, cfg, nullptr,
                                pool != nullptr ? &pool->executor() : nullptr);
         const util::timer clock;
-        const auto result = sim.run();
+        const auto flooding_time = sim.run_spread().messages[0].flooding_time;
         row.seconds += clock.seconds();
-        row.steps += result.flooding_time;
-        row.flooding_time = result.flooding_time;
+        row.steps += flooding_time;
+        row.flooding_time = flooding_time;
         row.phases += sim.profile();  // all zeros while telemetry is off
     }
     row.steps_per_sec =

@@ -35,9 +35,10 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(seed));
 
     const auto out = core::run_scenario(sc);
+    const auto& flood = out.spread.messages[0];
 
     util::table t({"step", "informed", "fraction"});
-    const auto& tl = out.flood.timeline;
+    const auto& tl = flood.timeline;
     for (std::size_t i = 0; i < tl.size(); ++i) {
         // Print a logarithmic selection of steps plus the last one.
         if (i == 0 || i == tl.size() - 1 || (i & (i - 1)) == 0) {
@@ -48,11 +49,11 @@ int main(int argc, char** argv) {
     std::printf("%s\n", t.markdown().c_str());
 
     std::printf("flooding time:            %llu steps (%s)\n",
-                static_cast<unsigned long long>(out.flood.flooding_time),
-                out.flood.completed ? "completed" : "NOT completed");
-    if (out.flood.central_zone_informed_step) {
+                static_cast<unsigned long long>(flood.flooding_time),
+                flood.completed ? "completed" : "NOT completed");
+    if (flood.central_zone_informed_step) {
         std::printf("central zone informed at: %llu steps (Theorem 10 bound: %.1f)\n",
-                    static_cast<unsigned long long>(*out.flood.central_zone_informed_step),
+                    static_cast<unsigned long long>(*flood.central_zone_informed_step),
                     core::paper::central_zone_flood_bound(sc.params.side, sc.params.radius));
     }
     std::printf("suburb diameter S:        %.2f (Theorem 3 bound shape: L/R + S/v)\n",

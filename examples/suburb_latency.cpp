@@ -37,28 +37,19 @@ int main(int argc, char** argv) {
     auto model = std::make_shared<mobility::manhattan_random_waypoint>(side);
     mobility::walker w(model, n, speed, rng::rng{seed});
 
-    // Start the flood at the agent nearest the center.
-    std::size_t source = 0;
-    double best = 1e18;
-    for (std::size_t i = 0; i < n; ++i) {
-        const double d = geom::dist2(w.positions()[i], {side / 2, side / 2});
-        if (d < best) {
-            best = d;
-            source = i;
-        }
-    }
-
     // Remember each agent's zone at t=0 (center vs suburb residents).
     std::vector<core::zone> zone_at_start(n);
     for (std::size_t i = 0; i < n; ++i) {
         zone_at_start[i] = cells.zone_of_point(w.positions()[i]);
     }
 
-    core::flood_config cfg;
-    cfg.source = source;
+    // Start the flood at the agent nearest the center.
+    core::spread_config cfg;
+    cfg.spread.messages.push_back(
+        {.sources = core::source_spec::at(core::source_placement::center_most)});
     cfg.max_steps = 500'000;
     core::flooding_sim sim(std::move(w), radius, cfg, &cells);
-    const auto result = sim.run();
+    const auto result = sim.run_spread().messages[0];
 
     std::printf("Suburb latency — n = %zu, L = %.0f, R = %.2f, v = %.3f\n", n, side, radius,
                 speed);

@@ -7,18 +7,18 @@
 
 namespace manhattan::core {
 
-spread_config flood_config::to_spread_config() const {
-    spread_config cfg;
-    cfg.max_steps = max_steps;
-    cfg.record_timeline = record_timeline;
-    message_spec msg;
-    msg.sources = source_spec::agents({source});
-    msg.mode = mode;
-    msg.gossip_p = gossip_p;
-    msg.gossip_seed = gossip_seed;
-    cfg.spread.messages.push_back(std::move(msg));
-    return cfg;
+namespace {
+
+/// The paper's flood as a spread workload: one one_hop message from agent 0.
+spread_config paper_flood(const flood_config& cfg) {
+    spread_config out;
+    out.spread.messages.push_back({.sources = source_spec::agents({0})});
+    out.max_steps = cfg.max_steps;
+    out.record_timeline = cfg.record_timeline;
+    return out;
 }
+
+}  // namespace
 
 flooding_sim::flooding_sim(mobility::walker agents, double radius, spread_config cfg,
                            const cell_partition* cells, util::parallel_executor* exec)
@@ -63,7 +63,7 @@ flooding_sim::flooding_sim(mobility::walker agents, double radius, spread_config
 
 flooding_sim::flooding_sim(mobility::walker agents, double radius, flood_config cfg,
                            const cell_partition* cells, util::parallel_executor* exec)
-    : flooding_sim(std::move(agents), radius, cfg.to_spread_config(), cells, exec) {}
+    : flooding_sim(std::move(agents), radius, paper_flood(cfg), cells, exec) {}
 
 /// Mark a message's resolved sources informed at the current step. Sources
 /// are resolved against the *current* positions (a message spawned at step s
@@ -632,7 +632,5 @@ spread_result flooding_sim::run_spread() {
     }
     return result;
 }
-
-flood_result flooding_sim::run() { return to_flood_result(run_spread(), 0); }
 
 }  // namespace manhattan::core

@@ -9,7 +9,8 @@
 /// any number of messages, each with its own source set, spawn step,
 /// propagation mode and gossip probability. All messages share one mobility
 /// advance and one spatial-index rebuild per step — a k-message run costs
-/// one kinematics pass, not k.
+/// one kinematics pass, not k. Every run returns one spread_result; the
+/// paper's flooding time is message 0's flooding_time.
 #pragma once
 
 #include <cstdint>
@@ -29,18 +30,12 @@
 
 namespace manhattan::core {
 
-/// Single-message flooding run configuration (the pre-spread API, kept as a
-/// thin view: it converts into a one-message spread_config).
+/// The paper's flood: one one_hop message from agent 0 that stops when
+/// every agent is informed. Workloads with another source, mode or message
+/// set use a spread_config.
 struct flood_config {
-    propagation mode = propagation::one_hop;
-    std::size_t source = 0;              ///< initially informed agent
-    std::uint64_t max_steps = 1'000'000; ///< give-up horizon for run()
+    std::uint64_t max_steps = 1'000'000; ///< give-up horizon for run_spread()
     bool record_timeline = true;         ///< keep per-step informed counts
-    double gossip_p = 1.0;               ///< forward probability (gossip mode)
-    std::uint64_t gossip_seed = 1;       ///< seed of the gossip coin stream
-
-    /// The equivalent one-message spread workload.
-    [[nodiscard]] spread_config to_spread_config() const;
 };
 
 /// Discrete-time spread simulation over a walker population.
@@ -66,7 +61,7 @@ class flooding_sim {
                  const cell_partition* cells = nullptr,
                  util::parallel_executor* exec = nullptr);
 
-    /// Single-message compatibility constructor (wraps to_spread_config()).
+    /// The paper's flood (flood_config): one one_hop message from agent 0.
     flooding_sim(mobility::walker agents, double radius, flood_config cfg = {},
                  const cell_partition* cells = nullptr,
                  util::parallel_executor* exec = nullptr);
@@ -82,10 +77,6 @@ class flooding_sim {
     /// Run until every message satisfies the stop rule or cfg.max_steps is
     /// hit; return per-message results.
     [[nodiscard]] spread_result run_spread();
-
-    /// Run and return the single-message view of message 0 (the pre-spread
-    /// API; equivalent to to_flood_result(run_spread())).
-    [[nodiscard]] flood_result run();
 
     /// Every message spawned and fully informed.
     [[nodiscard]] bool all_informed() const noexcept;

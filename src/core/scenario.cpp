@@ -4,7 +4,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "engine/runner.h"
 #include "engine/thread_pool.h"
 #include "rng/splitmix64.h"
 #include "util/timer.h"
@@ -98,18 +97,10 @@ scenario_outcome run_scenario(const scenario& sc) {
 
     flooding_sim sim(std::move(agents), sc.params.radius, std::move(cfg), cells.get(), exec);
     out.spread = sim.run_spread();
-    out.flood = to_flood_result(out.spread, 0);
     out.phases = sim.profile();
-    if (!out.spread.messages.front().sources.empty()) {
-        out.source_agent = out.spread.messages.front().sources.front();
-    }
 
     out.wall_seconds = clock.seconds();
     return out;
-}
-
-std::vector<double> flooding_times(scenario sc, std::size_t repetitions) {
-    return engine::flooding_times(sc, repetitions);
 }
 
 }  // namespace manhattan::core

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/flooding.h"
 #include "core/params.h"
@@ -62,9 +61,8 @@ struct scenario {
 
 /// Output of one scenario run.
 struct scenario_outcome {
-    flood_result flood;              ///< single-message view of message 0
-    spread_result spread;            ///< the full per-message results
-    std::size_t source_agent = 0;    ///< first resolved source of message 0
+    spread_result spread;            ///< per-message results; the paper's
+                                     ///< flood is spread.messages[0]
     double wall_seconds = 0.0;
     /// Per-phase step-loop timings — the replica-level telemetry snapshot
     /// (all zeros while util::telemetry is disabled). Observation only:
@@ -83,11 +81,5 @@ struct scenario_outcome {
 /// agents (see mobility/model.h) — concurrent calls from different threads
 /// never share mutable state. engine::run_replicas relies on this.
 [[nodiscard]] scenario_outcome run_scenario(const scenario& sc);
-
-/// Run \p repetitions independent replicas and return their flooding times
-/// (steps). Incomplete runs contribute max_steps. Delegates to the parallel
-/// experiment engine (engine/runner.h): replica seeds are splitmix64-derived
-/// from sc.seed and results are bit-identical for any thread count.
-[[nodiscard]] std::vector<double> flooding_times(scenario sc, std::size_t repetitions);
 
 }  // namespace manhattan::core

@@ -147,17 +147,4 @@ std::vector<std::uint32_t> resolve_sources(const source_spec& spec,
     return out;
 }
 
-flood_result to_flood_result(const spread_result& result, std::size_t m) {
-    const message_result& msg = result.messages.at(m);
-    flood_result r;
-    r.completed = msg.completed;
-    r.flooding_time = msg.completed ? msg.flooding_time : result.steps;
-    r.informed_count = msg.informed_count;
-    r.informed_at = msg.informed_at;
-    r.timeline = msg.timeline;
-    r.central_zone_informed_step = msg.central_zone_informed_step;
-    r.last_suburb_informed_step = msg.last_suburb_informed_step;
-    return r;
-}
-
 }  // namespace manhattan::core

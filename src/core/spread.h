@@ -147,8 +147,7 @@ struct spread_spec {
     stop_rule stop;
 };
 
-/// Spread run configuration (the multi-message generalisation of
-/// flood_config).
+/// Spread run configuration: the workload plus the run's horizon.
 struct spread_config {
     spread_spec spread;
     std::uint64_t max_steps = 1'000'000;  ///< give-up horizon for run_spread()
@@ -186,7 +185,8 @@ struct message_result {
 };
 
 /// Everything a spread run produces: per-message results plus the shared
-/// step count (one mobility trace serves every message).
+/// step count (one mobility trace serves every message). The paper's
+/// flooding time is messages[0].flooding_time.
 struct spread_result {
     bool completed = false;    ///< every message satisfied the stop rule
     std::uint64_t steps = 0;   ///< steps the shared mobility trace advanced
@@ -194,24 +194,5 @@ struct spread_result {
 
     friend bool operator==(const spread_result&, const spread_result&) = default;
 };
-
-/// Everything a flooding run produces (the single-message view; see
-/// to_flood_result / flooding_sim::run()).
-struct flood_result {
-    bool completed = false;           ///< all agents informed within max_steps
-    std::uint64_t flooding_time = 0;  ///< steps until the last agent was informed
-    std::size_t informed_count = 0;
-    std::vector<std::uint32_t> informed_at;  ///< per-agent informing step (source: 0)
-    std::vector<std::size_t> timeline;       ///< informed count after each step
-    std::optional<std::uint64_t> central_zone_informed_step;
-    std::uint64_t last_suburb_informed_step = 0;
-
-    friend bool operator==(const flood_result&, const flood_result&) = default;
-};
-
-/// The single-message view of a spread run: message \p m of \p result as the
-/// flood_result the pre-spread API returned. An incomplete message reports
-/// the run's total steps as its flooding time (the old max_steps semantics).
-[[nodiscard]] flood_result to_flood_result(const spread_result& result, std::size_t m = 0);
 
 }  // namespace manhattan::core

@@ -49,7 +49,8 @@ std::vector<double> flooding_times(const core::scenario& base, std::size_t repet
         [&](std::size_t r) {
             core::scenario sc = base;
             sc.seed = seeds[r];
-            times[r] = static_cast<double>(core::run_scenario(sc).flood.flooding_time);
+            times[r] =
+                static_cast<double>(core::run_scenario(sc).spread.messages[0].flooding_time);
         },
         opts.chunk);
     return times;

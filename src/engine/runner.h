@@ -66,8 +66,9 @@ struct run_options {
     thread_pool& pool, const core::scenario& base, std::size_t repetitions,
     std::size_t chunk = 1);
 
-/// Flooding times (steps) of \p repetitions replicas — the parallel engine
-/// behind core::flooding_times. Incomplete runs contribute max_steps.
+/// Flooding times (steps of message 0) of \p repetitions replicas.
+/// Incomplete runs contribute the steps they took (max_steps for the
+/// paper's flood).
 [[nodiscard]] std::vector<double> flooding_times(const core::scenario& base,
                                                  std::size_t repetitions,
                                                  const run_options& opts = {});

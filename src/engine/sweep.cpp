@@ -196,17 +196,15 @@ std::vector<sweep_point> sweep_spec::expand() const {
 /// O(points x reps) scalars (declared in manifest.h; fabric workers share
 /// this definition).
 replica_stat reduce_outcome(const core::scenario_outcome& out) {
-    replica_stat stat{static_cast<double>(out.flood.flooding_time), out.flood.completed,
-                      out.flood.central_zone_informed_step, out.suburb_diameter,
+    const core::message_result& flood = out.spread.messages[0];
+    replica_stat stat{static_cast<double>(flood.flooding_time), flood.completed,
+                      flood.central_zone_informed_step, out.suburb_diameter,
                       out.wall_seconds,
                       {}, {}};
     stat.message_times.reserve(out.spread.messages.size());
     stat.message_completed.reserve(out.spread.messages.size());
     for (const auto& msg : out.spread.messages) {
-        // Same convention as the headline time: an incomplete message
-        // contributes the steps the run took.
-        stat.message_times.push_back(
-            static_cast<double>(msg.completed ? msg.flooding_time : out.spread.steps));
+        stat.message_times.push_back(static_cast<double>(msg.flooding_time));
         stat.message_completed.push_back(msg.completed ? 1 : 0);
     }
     return stat;

@@ -7,7 +7,7 @@
 ///
 /// Reproducibility contract: each grid point uses the spec's base seed, so
 /// every row is bit-identical to a standalone engine::run_replicas (and
-/// core::flooding_times) call with the same scenario — at any thread count.
+/// engine::flooding_times) call with the same scenario — at any thread count.
 #pragma once
 
 #include <cstddef>

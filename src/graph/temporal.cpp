@@ -6,8 +6,8 @@
 
 namespace manhattan::graph {
 
-temporal_flood_result temporal_flood(const mobility::trajectory_recorder& trace,
-                                     double radius, double side, std::size_t source) {
+temporal_reach temporal_flood(const mobility::trajectory_recorder& trace, double radius,
+                              double side, std::size_t source) {
     if (trace.frame_count() == 0) {
         throw std::invalid_argument("temporal_flood: empty trace");
     }
@@ -19,7 +19,7 @@ temporal_flood_result temporal_flood(const mobility::trajectory_recorder& trace,
     }
 
     const std::size_t n = trace.agent_count();
-    temporal_flood_result result;
+    temporal_reach result;
     result.reached_at.assign(n, temporal_unreached);
     result.reached_at[source] = 0;
     result.reached_count = 1;
@@ -48,7 +48,7 @@ temporal_flood_result temporal_flood(const mobility::trajectory_recorder& trace,
     return result;
 }
 
-std::uint32_t temporal_eccentricity(const temporal_flood_result& result) {
+std::uint32_t temporal_eccentricity(const temporal_reach& result) {
     std::uint32_t ecc = 0;
     for (const std::uint32_t at : result.reached_at) {
         if (at != temporal_unreached && at > ecc) {

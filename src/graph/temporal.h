@@ -21,7 +21,7 @@ namespace manhattan::graph {
 inline constexpr std::uint32_t temporal_unreached = std::numeric_limits<std::uint32_t>::max();
 
 /// Result of a temporal flood (F.21 struct return).
-struct temporal_flood_result {
+struct temporal_reach {
     std::vector<std::uint32_t> reached_at;  ///< frame index per agent; source: 0
     std::size_t reached_count = 0;
     bool all_reached = false;
@@ -31,12 +31,11 @@ struct temporal_flood_result {
 /// \p source over the recorded snapshots. Frame 0 is the initial state (only
 /// the source informed); transmissions happen in frames 1..frame_count-1.
 /// Throws if the recorder is empty or source is out of range.
-[[nodiscard]] temporal_flood_result temporal_flood(const mobility::trajectory_recorder& trace,
-                                                   double radius, double side,
-                                                   std::size_t source);
+[[nodiscard]] temporal_reach temporal_flood(const mobility::trajectory_recorder& trace,
+                                            double radius, double side, std::size_t source);
 
 /// Temporal eccentricity of \p source: the frame at which the last reachable
 /// agent is informed (ignores unreached agents; 0 when none besides source).
-[[nodiscard]] std::uint32_t temporal_eccentricity(const temporal_flood_result& result);
+[[nodiscard]] std::uint32_t temporal_eccentricity(const temporal_reach& result);
 
 }  // namespace manhattan::graph

@@ -327,16 +327,8 @@ TEST(runner_test, outcomes_match_serial_run_scenario) {
         core::scenario replica = sc;
         replica.seed = seeds[r];
         const auto reference = core::run_scenario(replica);
-        EXPECT_EQ(outcomes[r].flood.flooding_time, reference.flood.flooding_time);
-        EXPECT_EQ(outcomes[r].source_agent, reference.source_agent);
+        EXPECT_EQ(outcomes[r].spread, reference.spread);
     }
-}
-
-TEST(runner_test, core_flooding_times_delegates_to_engine) {
-    const auto sc = small_scenario();
-    const auto via_core = core::flooding_times(sc, 3);
-    const auto via_engine = engine::flooding_times(sc, 3, {.threads = 1});
-    EXPECT_EQ(via_core, via_engine);
 }
 
 TEST(runner_test, replica_errors_propagate) {

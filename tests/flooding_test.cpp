@@ -1,6 +1,6 @@
 // Unit tests for the flooding engine: exact hop semantics on frozen
 // geometries, both propagation modes, metric bookkeeping, and determinism —
-// including the intra-replica threading contract: a flood_result is
+// including the intra-replica threading contract: a spread_result is
 // bit-identical for a null executor and for pools of 1, 2 and 8 workers.
 #include <gtest/gtest.h>
 
@@ -39,11 +39,19 @@ mobility::walker frozen_walker(const std::vector<vec2>& positions) {
     return w;
 }
 
+// One message from agent \p source in propagation \p mode.
+core::spread_config one_message(std::size_t source,
+                                core::propagation mode = core::propagation::one_hop) {
+    core::spread_config cfg;
+    cfg.spread.messages.push_back(
+        {.sources = core::source_spec::agents({source}), .mode = mode});
+    return cfg;
+}
+
 TEST(flooding_test, validates_arguments) {
     auto w = frozen_walker({{1, 1}, {2, 2}});
-    core::flood_config cfg;
-    cfg.source = 5;
-    EXPECT_THROW((void)core::flooding_sim(std::move(w), 1.0, cfg), std::invalid_argument);
+    EXPECT_THROW((void)core::flooding_sim(std::move(w), 1.0, one_message(5)),
+                 std::invalid_argument);
     auto w2 = frozen_walker({{1, 1}});
     EXPECT_THROW((void)core::flooding_sim(std::move(w2), 0.0), std::invalid_argument);
 }
@@ -63,7 +71,7 @@ TEST(flooding_test, chain_floods_one_hop_per_step) {
         chain.push_back({10.0 + i, 10.0});
     }
     core::flooding_sim sim(frozen_walker(chain), 1.0);
-    const auto result = sim.run();
+    const auto result = sim.run_spread().messages[0];
     EXPECT_TRUE(result.completed);
     EXPECT_EQ(result.flooding_time, 4u);
     for (int i = 0; i < 5; ++i) {
@@ -76,10 +84,9 @@ TEST(flooding_test, per_component_floods_chain_in_one_step) {
     for (int i = 0; i < 5; ++i) {
         chain.push_back({10.0 + i, 10.0});
     }
-    core::flood_config cfg;
-    cfg.mode = core::propagation::per_component;
-    core::flooding_sim sim(frozen_walker(chain), 1.0, cfg);
-    const auto result = sim.run();
+    core::flooding_sim sim(frozen_walker(chain), 1.0,
+                           one_message(0, core::propagation::per_component));
+    const auto result = sim.run_spread().messages[0];
     EXPECT_TRUE(result.completed);
     EXPECT_EQ(result.flooding_time, 1u);
 }
@@ -87,7 +94,7 @@ TEST(flooding_test, per_component_floods_chain_in_one_step) {
 TEST(flooding_test, clique_floods_in_one_step) {
     core::flooding_sim sim(frozen_walker({{10, 10}, {10.5, 10}, {10, 10.5}, {10.5, 10.5}}),
                            2.0);
-    const auto result = sim.run();
+    const auto result = sim.run_spread().messages[0];
     EXPECT_EQ(result.flooding_time, 1u);
 }
 
@@ -95,7 +102,7 @@ TEST(flooding_test, isolated_static_agent_never_informed) {
     core::flood_config cfg;
     cfg.max_steps = 50;
     core::flooding_sim sim(frozen_walker({{10, 10}, {90, 90}}), 1.0, cfg);
-    const auto result = sim.run();
+    const auto result = sim.run_spread().messages[0];
     EXPECT_FALSE(result.completed);
     EXPECT_EQ(result.flooding_time, 50u);
     EXPECT_EQ(result.informed_count, 1u);
@@ -110,7 +117,7 @@ TEST(flooding_test, timeline_is_monotone_and_ends_at_n) {
     core::flood_config cfg;
     cfg.record_timeline = true;
     core::flooding_sim sim(frozen_walker(chain), 1.0, cfg);
-    const auto result = sim.run();
+    const auto result = sim.run_spread().messages[0];
     ASSERT_FALSE(result.timeline.empty());
     for (std::size_t t = 1; t < result.timeline.size(); ++t) {
         EXPECT_GE(result.timeline[t], result.timeline[t - 1]);
@@ -126,7 +133,7 @@ TEST(flooding_test, informed_at_is_consistent_with_timeline) {
     core::flood_config cfg;
     cfg.record_timeline = true;
     core::flooding_sim sim(frozen_walker(chain), 1.0, cfg);
-    const auto result = sim.run();
+    const auto result = sim.run_spread().messages[0];
     for (std::size_t t = 0; t < result.timeline.size(); ++t) {
         std::size_t count = 0;
         for (const auto at : result.informed_at) {
@@ -141,10 +148,8 @@ TEST(flooding_test, nonzero_source_works) {
     for (int i = 0; i < 5; ++i) {
         chain.push_back({10.0 + i, 10.0});
     }
-    core::flood_config cfg;
-    cfg.source = 4;  // flood from the far end
-    core::flooding_sim sim(frozen_walker(chain), 1.0, cfg);
-    const auto result = sim.run();
+    core::flooding_sim sim(frozen_walker(chain), 1.0, one_message(4));  // from the far end
+    const auto result = sim.run_spread().messages[0];
     EXPECT_EQ(result.flooding_time, 4u);
     EXPECT_EQ(result.informed_at[0], 4u);
     EXPECT_EQ(result.informed_at[4], 0u);
@@ -152,7 +157,7 @@ TEST(flooding_test, nonzero_source_works) {
 
 TEST(flooding_test, single_agent_is_trivially_complete) {
     core::flooding_sim sim(frozen_walker({{10, 10}}), 1.0);
-    const auto result = sim.run();
+    const auto result = sim.run_spread().messages[0];
     EXPECT_TRUE(result.completed);
     EXPECT_EQ(result.flooding_time, 0u);
 }
@@ -177,23 +182,22 @@ TEST(flooding_test, mobile_runs_are_deterministic_per_seed) {
         cfg.max_steps = 5000;
         return core::flooding_sim(std::move(w), 8.0, cfg);
     };
-    auto a = make().run();
-    auto b = make().run();
-    EXPECT_EQ(a.flooding_time, b.flooding_time);
-    EXPECT_EQ(a.informed_at, b.informed_at);
+    EXPECT_EQ(make().run_spread(), make().run_spread());
 }
 
 TEST(flooding_test, both_modes_agree_on_completion_and_component_is_faster) {
     auto model = std::make_shared<mobility::manhattan_random_waypoint>(kL);
     core::flood_config one_hop_cfg;
     one_hop_cfg.max_steps = 20'000;
-    core::flood_config comp_cfg = one_hop_cfg;
-    comp_cfg.mode = core::propagation::per_component;
+    auto comp_cfg = one_message(0, core::propagation::per_component);
+    comp_cfg.max_steps = one_hop_cfg.max_steps;
 
     mobility::walker w1(model, 400, 1.0, rng{5});
-    const auto one_hop = core::flooding_sim(std::move(w1), 8.0, one_hop_cfg).run();
+    const auto one_hop =
+        core::flooding_sim(std::move(w1), 8.0, one_hop_cfg).run_spread().messages[0];
     mobility::walker w2(model, 400, 1.0, rng{5});
-    const auto comp = core::flooding_sim(std::move(w2), 8.0, comp_cfg).run();
+    const auto comp =
+        core::flooding_sim(std::move(w2), 8.0, comp_cfg).run_spread().messages[0];
 
     ASSERT_TRUE(one_hop.completed);
     ASSERT_TRUE(comp.completed);
@@ -211,7 +215,7 @@ TEST(flooding_test, central_zone_metrics_tracked_with_partition) {
     core::flood_config cfg;
     cfg.max_steps = 50'000;
     core::flooding_sim sim(std::move(w), radius, cfg, &cells);
-    const auto result = sim.run();
+    const auto result = sim.run_spread().messages[0];
     ASSERT_TRUE(result.completed);
     ASSERT_TRUE(result.central_zone_informed_step.has_value());
     EXPECT_LE(*result.central_zone_informed_step, result.flooding_time);
@@ -219,7 +223,7 @@ TEST(flooding_test, central_zone_metrics_tracked_with_partition) {
 
 TEST(flooding_test, without_partition_no_cz_metric) {
     core::flooding_sim sim(frozen_walker({{10, 10}, {10.5, 10}}), 1.0);
-    const auto result = sim.run();
+    const auto result = sim.run_spread().messages[0];
     EXPECT_FALSE(result.central_zone_informed_step.has_value());
 }
 
@@ -236,9 +240,10 @@ TEST(gossip_test, probability_one_matches_one_hop_exactly) {
     sc.mode = core::propagation::gossip;
     sc.gossip_p = 1.0;
     const auto gossip = core::run_scenario(sc);
-    ASSERT_TRUE(one_hop.flood.completed);
-    EXPECT_EQ(gossip.flood.flooding_time, one_hop.flood.flooding_time);
-    EXPECT_EQ(gossip.flood.informed_at, one_hop.flood.informed_at);
+    const auto& hop = one_hop.spread.messages[0];
+    ASSERT_TRUE(hop.completed);
+    EXPECT_EQ(gossip.spread.messages[0].flooding_time, hop.flooding_time);
+    EXPECT_EQ(gossip.spread.messages[0].informed_at, hop.informed_at);
 }
 
 TEST(gossip_test, lossy_forwarding_is_deterministic_and_no_faster) {
@@ -253,59 +258,45 @@ TEST(gossip_test, lossy_forwarding_is_deterministic_and_no_faster) {
     sc.gossip_p = 0.3;
     const auto a = core::run_scenario(sc);
     const auto b = core::run_scenario(sc);
-    ASSERT_TRUE(a.flood.completed);
-    EXPECT_EQ(a.flood.flooding_time, b.flood.flooding_time);
-    EXPECT_EQ(a.flood.informed_at, b.flood.informed_at);
+    ASSERT_TRUE(a.spread.messages[0].completed);
+    EXPECT_EQ(a.spread, b.spread);
     // Dropping transmissions can only slow the spread down.
-    EXPECT_GE(a.flood.flooding_time, reference.flood.flooding_time);
+    EXPECT_GE(a.spread.messages[0].flooding_time, reference.spread.messages[0].flooding_time);
 }
 
 TEST(gossip_test, invalid_probability_throws) {
-    core::flood_config cfg;
-    cfg.mode = core::propagation::gossip;
-    cfg.gossip_p = 0.0;
+    auto cfg = one_message(0, core::propagation::gossip);
+    double& gossip_p = cfg.spread.messages[0].gossip_p;
+    gossip_p = 0.0;
     EXPECT_THROW(core::flooding_sim(frozen_walker({{1, 1}, {2, 1}}), 1.0, cfg),
                  std::invalid_argument);
-    cfg.gossip_p = 1.5;
+    gossip_p = 1.5;
     EXPECT_THROW(core::flooding_sim(frozen_walker({{1, 1}, {2, 1}}), 1.0, cfg),
                  std::invalid_argument);
-    cfg.gossip_p = 0.5;
+    gossip_p = 0.5;
     EXPECT_NO_THROW(core::flooding_sim(frozen_walker({{1, 1}, {2, 1}}), 1.0, cfg));
 }
 
 // ------------------------------------------------- intra-replica threading ---
 
-// Full-field comparison of two flood_results (EXPECT_EQ on every member so a
-// mismatch names the field).
-void expect_same_result(const core::flood_result& a, const core::flood_result& b) {
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.flooding_time, b.flooding_time);
-    EXPECT_EQ(a.informed_count, b.informed_count);
-    EXPECT_EQ(a.informed_at, b.informed_at);
-    EXPECT_EQ(a.timeline, b.timeline);
-    EXPECT_EQ(a.central_zone_informed_step, b.central_zone_informed_step);
-    EXPECT_EQ(a.last_suburb_informed_step, b.last_suburb_informed_step);
-}
-
 class intra_thread_determinism : public ::testing::TestWithParam<core::propagation> {
  protected:
     // A mobile mid-size run with a cell partition, exercising both one_hop
     // scan branches (few-informed and few-uninformed) along the way.
-    [[nodiscard]] core::flood_result run_with(manhattan::util::parallel_executor* exec) const {
+    [[nodiscard]] core::spread_result run_with(
+        manhattan::util::parallel_executor* exec) const {
         const std::size_t n = 1200;
         const double side = std::sqrt(static_cast<double>(n));
         const double radius = 2.2 * std::sqrt(std::log(static_cast<double>(n)));
         auto model = std::make_shared<mobility::manhattan_random_waypoint>(side);
         mobility::walker w(model, n, core::paper::speed_bound(radius), rng{321});
-        core::flood_config cfg;
-        cfg.mode = GetParam();
+        auto cfg = one_message(0, GetParam());
         cfg.max_steps = 50'000;
-        cfg.record_timeline = true;
-        cfg.gossip_p = GetParam() == core::propagation::gossip ? 0.35 : 1.0;
-        cfg.gossip_seed = 99;
+        cfg.spread.messages[0].gossip_p = GetParam() == core::propagation::gossip ? 0.35 : 1.0;
+        cfg.spread.messages[0].gossip_seed = 99;
         core::cell_partition cells(n, side, radius);
         core::flooding_sim sim(std::move(w), radius, cfg, &cells, exec);
-        return sim.run();
+        return sim.run_spread();
     }
 };
 
@@ -316,8 +307,7 @@ TEST_P(intra_thread_determinism, bit_identical_across_thread_counts_and_vs_seria
     for (const std::size_t threads : {1u, 2u, 8u}) {
         manhattan::engine::thread_pool pool(threads);
         const auto threaded = run_with(&pool.executor());
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        expect_same_result(serial, threaded);
+        EXPECT_EQ(serial, threaded) << "threads=" << threads;
     }
 }
 
@@ -325,6 +315,33 @@ INSTANTIATE_TEST_SUITE_P(modes, intra_thread_determinism,
                          ::testing::Values(core::propagation::one_hop,
                                            core::propagation::per_component,
                                            core::propagation::gossip));
+
+TEST(flooding_test, flood_config_runs_one_one_hop_message_from_agent_zero) {
+    // The flood_config constructor (the path perfbench's flood_1e5 drives)
+    // must run exactly the one-message spread workload, serially and on a
+    // 4-lane executor.
+    const std::size_t n = 1200;
+    const double side = std::sqrt(static_cast<double>(n));
+    const double radius = 2.2 * std::sqrt(std::log(static_cast<double>(n)));
+    auto model = std::make_shared<mobility::manhattan_random_waypoint>(side);
+    const auto walker = [&] {
+        return mobility::walker(model, n, core::paper::speed_bound(radius), rng{808});
+    };
+    core::flood_config flood;
+    flood.max_steps = 50'000;
+    auto spread = one_message(0);
+    spread.max_steps = flood.max_steps;
+    manhattan::util::parallel_executor* const serial = nullptr;
+    manhattan::engine::thread_pool pool(4);
+    for (auto* exec : {serial, &pool.executor()}) {
+        const auto via_flood =
+            core::flooding_sim(walker(), radius, flood, nullptr, exec).run_spread();
+        const auto via_spread =
+            core::flooding_sim(walker(), radius, spread, nullptr, exec).run_spread();
+        ASSERT_TRUE(via_flood.completed);
+        EXPECT_EQ(via_flood, via_spread) << (exec == nullptr ? "serial" : "4 lanes");
+    }
+}
 
 TEST(flooding_test, scenario_intra_threads_matches_serial_scenario) {
     core::scenario sc;
@@ -337,9 +354,8 @@ TEST(flooding_test, scenario_intra_threads_matches_serial_scenario) {
     const auto serial = core::run_scenario(sc);
     sc.intra_threads = 4;
     const auto threaded = core::run_scenario(sc);
-    ASSERT_TRUE(serial.flood.completed);
-    expect_same_result(serial.flood, threaded.flood);
-    EXPECT_EQ(serial.source_agent, threaded.source_agent);
+    ASSERT_TRUE(serial.spread.completed);
+    EXPECT_EQ(serial.spread, threaded.spread);
 }
 
 TEST(flooding_test, set_executor_mid_run_does_not_change_outcomes) {
@@ -362,9 +378,7 @@ TEST(flooding_test, set_executor_mid_run_does_not_change_outcomes) {
         const std::size_t b = mixed.step();
         ASSERT_EQ(a, b) << "step " << serial.steps_taken();
     }
-    const auto ra = serial.run();
-    const auto rb = mixed.run();
-    expect_same_result(ra, rb);
+    EXPECT_EQ(serial.run_spread(), mixed.run_spread());
 }
 
 TEST(flooding_test, moving_agents_bridge_static_gap) {
@@ -376,7 +390,7 @@ TEST(flooding_test, moving_agents_bridge_static_gap) {
     core::flood_config cfg;
     cfg.max_steps = 100'000;
     core::flooding_sim sim(std::move(w), 3.0, cfg);
-    const auto result = sim.run();
+    const auto result = sim.run_spread().messages[0];
     EXPECT_TRUE(result.completed);
     EXPECT_GT(result.flooding_time, 0u);
 }

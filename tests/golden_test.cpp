@@ -51,11 +51,12 @@ TEST_P(golden_scenario_sweep, end_to_end_flooding_time_is_stable) {
     sc.seed = gc.seed;
     sc.max_steps = 50'000;
     const auto out = core::run_scenario(sc);
-    ASSERT_TRUE(out.flood.completed);
-    EXPECT_EQ(out.flood.flooding_time, gc.flood_time);
-    ASSERT_TRUE(out.flood.central_zone_informed_step.has_value());
-    EXPECT_EQ(*out.flood.central_zone_informed_step, gc.cz_time);
-    EXPECT_EQ(out.source_agent, 0u);
+    const auto& flood = out.spread.messages[0];
+    ASSERT_TRUE(flood.completed);
+    EXPECT_EQ(flood.flooding_time, gc.flood_time);
+    ASSERT_TRUE(flood.central_zone_informed_step.has_value());
+    EXPECT_EQ(*flood.central_zone_informed_step, gc.cz_time);
+    EXPECT_EQ(flood.sources, (std::vector<std::uint32_t>{0}));
 }
 
 INSTANTIATE_TEST_SUITE_P(pinned, golden_scenario_sweep,

@@ -9,6 +9,7 @@
 #include "core/cell_partition.h"
 #include "core/flooding.h"
 #include "core/scenario.h"
+#include "engine/runner.h"
 #include "graph/disk_graph.h"
 #include "mobility/mrwp.h"
 #include "mobility/static_model.h"
@@ -18,6 +19,7 @@
 namespace {
 
 namespace core = manhattan::core;
+namespace engine = manhattan::engine;
 namespace paper = manhattan::core::paper;
 namespace mobility = manhattan::mobility;
 using manhattan::rng::rng;
@@ -35,10 +37,10 @@ TEST(integration_test, theorem10_central_zone_informed_within_18_l_over_r) {
         sc.source = core::source_placement::center_most;
         sc.seed = seed;
         sc.max_steps = 100'000;
-        const auto out = core::run_scenario(sc);
-        ASSERT_TRUE(out.flood.completed);
-        ASSERT_TRUE(out.flood.central_zone_informed_step.has_value());
-        EXPECT_LE(static_cast<double>(*out.flood.central_zone_informed_step),
+        const auto flood = core::run_scenario(sc).spread.messages[0];
+        ASSERT_TRUE(flood.completed);
+        ASSERT_TRUE(flood.central_zone_informed_step.has_value());
+        EXPECT_LE(static_cast<double>(*flood.central_zone_informed_step),
                   paper::central_zone_flood_bound(side, radius))
             << "seed " << seed;
     }
@@ -58,9 +60,9 @@ TEST(integration_test, corollary12_large_radius_floods_within_18_l_over_r) {
         sc.params = {n, side, radius, paper::speed_bound(radius)};
         sc.seed = seed;
         sc.max_steps = 10'000;
-        const auto out = core::run_scenario(sc);
-        ASSERT_TRUE(out.flood.completed);
-        EXPECT_LE(static_cast<double>(out.flood.flooding_time),
+        const auto flood = core::run_scenario(sc).spread.messages[0];
+        ASSERT_TRUE(flood.completed);
+        EXPECT_LE(static_cast<double>(flood.flooding_time),
                   paper::central_zone_flood_bound(side, radius));
     }
 }
@@ -79,9 +81,10 @@ TEST(integration_test, theorem3_flooding_within_asymptotic_envelope) {
             sc.seed = 6;
             sc.max_steps = 200'000;
             const auto out = core::run_scenario(sc);
-            ASSERT_TRUE(out.flood.completed);
+            const auto& flood = out.spread.messages[0];
+            ASSERT_TRUE(flood.completed);
             const double s_over_v = out.suburb_diameter / speed;
-            EXPECT_LE(static_cast<double>(out.flood.flooding_time),
+            EXPECT_LE(static_cast<double>(flood.flooding_time),
                       paper::central_zone_flood_bound(side, radius) + 30.0 * s_over_v)
                 << "n=" << n << " c1=" << c1;
         }
@@ -100,7 +103,7 @@ TEST(integration_test, flooding_time_decreases_with_radius) {
         sc.params = {n, side, radius, paper::speed_bound(radius)};
         sc.seed = 9;
         sc.max_steps = 100'000;
-        times.push_back(manhattan::stats::mean(core::flooding_times(sc, 3)));
+        times.push_back(manhattan::stats::mean(engine::flooding_times(sc, 3)));
     }
     for (std::size_t i = 1; i < times.size(); ++i) {
         EXPECT_LE(times[i], times[i - 1] + 1.5) << "radius step " << i;
@@ -121,9 +124,9 @@ TEST(integration_test, suburb_source_floods_as_fast_as_central_source) {
     sc.max_steps = 100'000;
     sc.seed = 20;
     sc.source = core::source_placement::center_most;
-    const double central = manhattan::stats::mean(core::flooding_times(sc, 4));
+    const double central = manhattan::stats::mean(engine::flooding_times(sc, 4));
     sc.source = core::source_placement::corner_most;
-    const double corner = manhattan::stats::mean(core::flooding_times(sc, 4));
+    const double corner = manhattan::stats::mean(engine::flooding_times(sc, 4));
 
     EXPECT_LE(corner, 3.0 * central + 10.0);
     EXPECT_LE(central, corner + 1.0);  // central start cannot be slower
@@ -148,11 +151,11 @@ TEST(integration_test, zero_speed_with_isolated_agent_never_completes) {
         s.leg = 1;
         w.set_agent(i, s);
     }
-    core::flood_config cfg;
-    cfg.source = 1;
+    core::spread_config cfg;
+    cfg.spread.messages.push_back({.sources = core::source_spec::agents({1})});
     cfg.max_steps = 2000;
     core::flooding_sim sim(std::move(w), 5.0, cfg);
-    const auto result = sim.run();
+    const auto result = sim.run_spread().messages[0];
     EXPECT_FALSE(result.completed);
     EXPECT_EQ(result.informed_at[0], core::never_informed);
     EXPECT_EQ(result.informed_count, n - 1);
@@ -189,8 +192,9 @@ TEST(integration_test, lower_bound_distance_over_speed_gate) {
     }
     ASSERT_GT(best, radius);  // genuinely isolated at t = 0
 
-    core::flood_config cfg;
-    cfg.source = loner == 0 ? 1 : 0;
+    core::spread_config cfg;
+    cfg.spread.messages.push_back(
+        {.sources = core::source_spec::agents({loner == 0 ? 1u : 0u})});
     cfg.max_steps = static_cast<std::uint64_t>((best - radius) / (2.0 * speed)) + 5000;
     core::flooding_sim sim(std::move(w), radius, cfg);
     while (!sim.is_informed(loner) && sim.steps_taken() < cfg.max_steps) {
@@ -214,9 +218,9 @@ TEST(integration_test, one_hop_dominates_component_mode_across_models) {
         const auto hop = core::run_scenario(sc);
         sc.mode = core::propagation::per_component;
         const auto comp = core::run_scenario(sc);
-        ASSERT_TRUE(hop.flood.completed);
-        ASSERT_TRUE(comp.flood.completed);
-        EXPECT_LE(comp.flood.flooding_time, hop.flood.flooding_time);
+        ASSERT_TRUE(hop.spread.messages[0].completed);
+        ASSERT_TRUE(comp.spread.messages[0].completed);
+        EXPECT_LE(comp.spread.messages[0].flooding_time, hop.spread.messages[0].flooding_time);
     }
 }
 
@@ -260,9 +264,9 @@ TEST(integration_test, informed_fraction_grows_sigmoidally) {
     sc.seed = 29;
     sc.record_timeline = true;
     sc.max_steps = 100'000;
-    const auto out = core::run_scenario(sc);
-    ASSERT_TRUE(out.flood.completed);
-    const auto& tl = out.flood.timeline;
+    const auto flood = core::run_scenario(sc).spread.messages[0];
+    ASSERT_TRUE(flood.completed);
+    const auto& tl = flood.timeline;
     ASSERT_GE(tl.size(), 4u);
 
     auto first_reaching = [&](double frac) {

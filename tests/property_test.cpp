@@ -24,15 +24,16 @@ using manhattan::rng::rng;
 constexpr double kSide = 70.0;
 constexpr std::size_t kAgents = 400;
 
-core::flood_result run_flood(mobility::model_kind kind, std::uint64_t seed, double radius,
-                             core::propagation mode, double speed = 1.0) {
+// Message 0 of a one-message flood from agent 0 in propagation \p mode.
+core::message_result run_flood(mobility::model_kind kind, std::uint64_t seed, double radius,
+                               core::propagation mode, double speed = 1.0) {
     const auto model = mobility::make_model(kind, kSide);
     mobility::walker w(model, kAgents, speed, rng{seed});
-    core::flood_config cfg;
-    cfg.mode = mode;
+    core::spread_config cfg;
+    cfg.spread.messages.push_back({.sources = core::source_spec::agents({0}), .mode = mode});
     cfg.max_steps = 30'000;
     core::flooding_sim sim(std::move(w), radius, cfg);
-    return sim.run();
+    return sim.run_spread().messages[0];
 }
 
 struct property_case {
@@ -86,7 +87,7 @@ TEST_P(coupling_sweep, temporal_oracle_agrees_for_every_model) {
     }
     ASSERT_TRUE(sim.all_informed());
 
-    const auto oracle = graph::temporal_flood(rec, radius, kSide, cfg.source);
+    const auto oracle = graph::temporal_flood(rec, radius, kSide, 0);  // flood_config's source
     const auto reference = run_flood(kind, seed, radius, core::propagation::one_hop);
     for (std::size_t i = 0; i < kAgents; ++i) {
         ASSERT_EQ(reference.informed_at[i], oracle.reached_at[i]) << "agent " << i;

@@ -4,10 +4,12 @@
 #include <cmath>
 
 #include "core/scenario.h"
+#include "engine/runner.h"
 
 namespace {
 
 namespace core = manhattan::core;
+namespace engine = manhattan::engine;
 
 core::scenario small_scenario() {
     core::scenario sc;
@@ -69,8 +71,8 @@ TEST(paper_constants_test, turn_bound_grows_with_window) {
 
 TEST(scenario_test, completes_and_reports_metrics) {
     const auto out = core::run_scenario(small_scenario());
-    EXPECT_TRUE(out.flood.completed);
-    EXPECT_GT(out.flood.flooding_time, 0u);
+    EXPECT_TRUE(out.spread.messages[0].completed);
+    EXPECT_GT(out.spread.messages[0].flooding_time, 0u);
     EXPECT_GT(out.cell_side, 0.0);
     EXPECT_GT(out.central_cells, 0u);
     EXPECT_GT(out.wall_seconds, 0.0);
@@ -79,8 +81,7 @@ TEST(scenario_test, completes_and_reports_metrics) {
 TEST(scenario_test, deterministic_per_seed) {
     const auto a = core::run_scenario(small_scenario());
     const auto b = core::run_scenario(small_scenario());
-    EXPECT_EQ(a.flood.flooding_time, b.flood.flooding_time);
-    EXPECT_EQ(a.source_agent, b.source_agent);
+    EXPECT_EQ(a.spread, b.spread);
 }
 
 TEST(scenario_test, different_seeds_differ) {
@@ -89,8 +90,9 @@ TEST(scenario_test, different_seeds_differ) {
     sc.seed = 12345;
     const auto b = core::run_scenario(sc);
     // Flooding times can coincide; positions of sources almost surely differ.
-    EXPECT_TRUE(a.flood.flooding_time != b.flood.flooding_time ||
-                a.source_agent != b.source_agent);
+    const auto& ma = a.spread.messages[0];
+    const auto& mb = b.spread.messages[0];
+    EXPECT_TRUE(ma.flooding_time != mb.flooding_time || ma.sources != mb.sources);
 }
 
 TEST(scenario_test, source_placement_center_and_corner) {
@@ -99,16 +101,16 @@ TEST(scenario_test, source_placement_center_and_corner) {
     const auto center = core::run_scenario(sc);
     sc.source = core::source_placement::corner_most;
     const auto corner = core::run_scenario(sc);
-    EXPECT_TRUE(center.flood.completed);
-    EXPECT_TRUE(corner.flood.completed);
+    EXPECT_TRUE(center.spread.messages[0].completed);
+    EXPECT_TRUE(corner.spread.messages[0].completed);
 }
 
 TEST(scenario_test, max_steps_cutoff_reported_incomplete) {
     auto sc = small_scenario();
     sc.max_steps = 1;
     const auto out = core::run_scenario(sc);
-    EXPECT_FALSE(out.flood.completed);
-    EXPECT_EQ(out.flood.flooding_time, 1u);
+    EXPECT_FALSE(out.spread.messages[0].completed);
+    EXPECT_EQ(out.spread.messages[0].flooding_time, 1u);
 }
 
 TEST(scenario_test, partition_can_be_disabled) {
@@ -116,7 +118,7 @@ TEST(scenario_test, partition_can_be_disabled) {
     sc.with_cell_partition = false;
     const auto out = core::run_scenario(sc);
     EXPECT_DOUBLE_EQ(out.cell_side, 0.0);
-    EXPECT_FALSE(out.flood.central_zone_informed_step.has_value());
+    EXPECT_FALSE(out.spread.messages[0].central_zone_informed_step.has_value());
 }
 
 TEST(scenario_test, out_of_regime_radius_degrades_gracefully) {
@@ -128,10 +130,10 @@ TEST(scenario_test, out_of_regime_radius_degrades_gracefully) {
     sc.params = {300, 10.0, 18.0, 1.0};
     sc.max_steps = 100;
     const auto out = core::run_scenario(sc);
-    EXPECT_TRUE(out.flood.completed);
-    EXPECT_EQ(out.flood.flooding_time, 1u);
+    EXPECT_TRUE(out.spread.messages[0].completed);
+    EXPECT_EQ(out.spread.messages[0].flooding_time, 1u);
     EXPECT_DOUBLE_EQ(out.cell_side, 0.0);
-    EXPECT_FALSE(out.flood.central_zone_informed_step.has_value());
+    EXPECT_FALSE(out.spread.messages[0].central_zone_informed_step.has_value());
 }
 
 TEST(scenario_test, baseline_models_run) {
@@ -141,14 +143,14 @@ TEST(scenario_test, baseline_models_run) {
         auto sc = small_scenario();
         sc.model = kind;
         const auto out = core::run_scenario(sc);
-        EXPECT_TRUE(out.flood.completed) << static_cast<int>(kind);
+        EXPECT_TRUE(out.spread.messages[0].completed) << static_cast<int>(kind);
     }
 }
 
 TEST(scenario_test, flooding_times_returns_reps_and_is_deterministic) {
     auto sc = small_scenario();
-    const auto a = core::flooding_times(sc, 3);
-    const auto b = core::flooding_times(sc, 3);
+    const auto a = engine::flooding_times(sc, 3);
+    const auto b = engine::flooding_times(sc, 3);
     ASSERT_EQ(a.size(), 3u);
     EXPECT_EQ(a, b);
 }
@@ -157,10 +159,10 @@ TEST(scenario_test, record_timeline_flag) {
     auto sc = small_scenario();
     sc.record_timeline = true;
     const auto out = core::run_scenario(sc);
-    EXPECT_FALSE(out.flood.timeline.empty());
+    EXPECT_FALSE(out.spread.messages[0].timeline.empty());
     sc.record_timeline = false;
     const auto out2 = core::run_scenario(sc);
-    EXPECT_TRUE(out2.flood.timeline.empty());
+    EXPECT_TRUE(out2.spread.messages[0].timeline.empty());
 }
 
 TEST(scenario_test, warmup_runs_before_flooding) {
@@ -168,7 +170,7 @@ TEST(scenario_test, warmup_runs_before_flooding) {
     sc.stationary_start = false;
     sc.warmup_time = 100.0;
     const auto out = core::run_scenario(sc);
-    EXPECT_TRUE(out.flood.completed);
+    EXPECT_TRUE(out.spread.messages[0].completed);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Unit tests for the stats module: summaries, histograms, goodness-of-fit
+// Unit tests for the stats module: summaries, goodness-of-fit
 // statistics, and the regression helpers the scaling-law benches use.
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include "rng/rng.h"
 #include "stats/fit.h"
 #include "stats/gof.h"
-#include "stats/histogram.h"
 #include "stats/summary.h"
 
 namespace {
@@ -49,44 +48,6 @@ TEST(percentile_test, interpolation) {
     EXPECT_DOUBLE_EQ(stats::percentile(xs, 1.0), 10.0);
     EXPECT_DOUBLE_EQ(stats::percentile(xs, 0.25), 2.5);
     EXPECT_THROW((void)stats::percentile(xs, 1.5), std::invalid_argument);
-}
-
-TEST(histogram_test, construction_validates) {
-    EXPECT_THROW((void)stats::histogram1d(1.0, 1.0, 4), std::invalid_argument);
-    EXPECT_THROW((void)stats::histogram1d(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(histogram_test, binning_and_clamping) {
-    stats::histogram1d h(0.0, 10.0, 10);
-    h.add(0.5);    // bin 0
-    h.add(9.99);   // bin 9
-    h.add(-5.0);   // clamps to bin 0
-    h.add(42.0);   // clamps to bin 9
-    h.add(5.0);    // bin 5
-    EXPECT_EQ(h.count(0), 2u);
-    EXPECT_EQ(h.count(9), 2u);
-    EXPECT_EQ(h.count(5), 1u);
-    EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(histogram_test, pdf_integrates_to_one) {
-    stats::histogram1d h(0.0, 1.0, 20);
-    manhattan::rng::rng g{1};
-    for (int i = 0; i < 10'000; ++i) {
-        h.add(g.uniform01());
-    }
-    double integral = 0.0;
-    for (std::size_t b = 0; b < h.bin_count(); ++b) {
-        integral += h.pdf(b) * h.bin_width();
-    }
-    EXPECT_NEAR(integral, 1.0, 1e-12);
-}
-
-TEST(histogram_test, bin_center) {
-    stats::histogram1d h(0.0, 10.0, 10);
-    EXPECT_DOUBLE_EQ(h.bin_center(0), 0.5);
-    EXPECT_DOUBLE_EQ(h.bin_center(9), 9.5);
-    EXPECT_THROW((void)h.bin_center(10), std::out_of_range);
 }
 
 TEST(chi_square_test, perfect_fit_is_small) {

@@ -182,13 +182,12 @@ TEST(temporal_test, oracle_matches_flooding_sim_exactly) {
     }
     ASSERT_TRUE(sim.all_informed());
 
-    const auto oracle = graph::temporal_flood(rec, radius, side, cfg.source);
+    const auto oracle = graph::temporal_flood(rec, radius, side, 0);  // flood_config's source
     ASSERT_TRUE(oracle.all_reached);
 
     // Compare against the sim's per-agent informing steps.
-    core::flood_config cfg2 = cfg;
-    core::flooding_sim sim2(mobility::walker(model, n, 1.0, rng{91}), radius, cfg2);
-    const auto result = sim2.run();
+    core::flooding_sim sim2(mobility::walker(model, n, 1.0, rng{91}), radius, cfg);
+    const auto result = sim2.run_spread().messages[0];
     ASSERT_EQ(result.informed_at.size(), oracle.reached_at.size());
     for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(result.informed_at[i], oracle.reached_at[i]) << "agent " << i;
