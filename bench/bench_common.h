@@ -587,7 +587,7 @@ class fabric_set {
         engine::memory_sink rows;
         std::vector<engine::result_sink*> all(sinks.begin(), sinks.end());
         all.push_back(&rows);
-        engine::replay_rows(fspec, merged, all);
+        engine::replay_rows(fspec.points, merged.manifest, all);
         engine::sweep_result result;
         result.rows = rows.rows();
         result.wall_seconds = clock.seconds();

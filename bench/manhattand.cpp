@@ -58,10 +58,6 @@ int main(int argc, char** argv) {
         config.cache_max_entries = bench::count_arg(args, "cache-entries", 0);
         config.cache_max_bytes = bench::count_arg(args, "cache-bytes", 0);
 
-        // The cache / admission counters are the service's observability
-        // surface (the stats op); they must count even without --telemetry.
-        util::telemetry::set_enabled(true);
-
         service::daemon d(config);
         live_daemon = &d;
         std::signal(SIGTERM, on_terminate);

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
 
         bench::sink_set sinks(args);
         const std::size_t rows =
-            engine::replay_rows(spec, merged, sinks.span(), allow_partial);
+            engine::replay_rows(spec.points, merged.manifest, sinks.span(), allow_partial);
         sinks.finish();
         bench::note("sweep-merge: wrote " + std::to_string(rows) + "/" +
                     std::to_string(spec.points.size()) + " rows");

@@ -58,7 +58,8 @@ int main(int argc, char** argv) {
                             "use sweep-merge --allow-partial for partial output");
                 return engine::exit_partial;
             }
-            const std::size_t rows = engine::replay_rows(spec, merged, sinks.span());
+            const std::size_t rows =
+                engine::replay_rows(spec.points, merged.manifest, sinks.span());
             sinks.finish();
             bench::note("sweepd: replayed " + std::to_string(rows) + " rows");
         }

@@ -16,6 +16,7 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <unordered_map>
 
 #include "core/scenario.h"
 #include "engine/fault.h"
@@ -50,18 +51,30 @@ std::optional<std::string> slurp(const std::string& path) {
 
 // ------------------------------------------------------------- dir layout --
 
+std::string batch_name(std::size_t b) { return "batch-" + std::to_string(b); }
+std::string pair_name(std::size_t p, std::size_t r) {
+    return "pair-" + std::to_string(p) + "-" + std::to_string(r);
+}
+std::string ledger_name(const std::string& owner) { return "ledger-" + owner + ".manifest"; }
+
 std::string spec_path(const std::string& dir) { return dir + "/sweep.spec"; }
-std::string lease_base(const std::string& dir, std::size_t b) {
-    return dir + "/leases/batch-" + std::to_string(b);
+std::string lease_path(const std::string& dir, std::size_t b) {
+    return dir + "/leases/" + batch_name(b) + ".lease";
 }
 std::string pair_quarantine_path(const std::string& dir, std::size_t p, std::size_t r) {
-    return dir + "/quarantine/pair-" + std::to_string(p) + "-" + std::to_string(r);
+    return dir + "/quarantine/" + pair_name(p, r);
 }
 std::string batch_quarantine_path(const std::string& dir, std::size_t b) {
-    return dir + "/quarantine/batch-" + std::to_string(b);
+    return dir + "/quarantine/" + batch_name(b);
 }
 std::string ledger_path(const std::string& dir, const std::string& owner) {
-    return dir + "/ledger-" + owner + ".manifest";
+    return dir + "/" + ledger_name(owner);
+}
+
+/// Flat pair range [first, last) of batch \p b.
+std::pair<std::size_t, std::size_t> batch_pairs(const fabric_spec& spec, std::size_t b) {
+    const std::size_t first = b * spec.batch;
+    return {first, std::min(spec.pair_count(), first + spec.batch)};
 }
 
 // -------------------------------------------------------------- lease file --
@@ -125,8 +138,8 @@ bool create_exclusive(const std::string& path, const std::string& content) {
 std::size_t try_claim(const std::string& dir, std::size_t b, const std::string& owner,
                       std::chrono::milliseconds ttl) {
     fault::inject("lease.acquire");
-    const std::string lease = lease_base(dir, b) + ".lease";
-    const std::string tomb = lease_base(dir, b) + ".tomb";
+    const std::string lease = lease_path(dir, b);
+    const std::string tomb = dir + "/leases/" + batch_name(b) + ".tomb";
 
     std::error_code ec;
     const auto mtime = fs::last_write_time(lease, ec);
@@ -281,38 +294,88 @@ void write_pair_quarantine(const std::string& dir, const std::string& owner,
     }
 }
 
-/// Every (point, replica) recorded in some *other* worker's ledger — claimed
-/// batches skip these instead of recomputing. A corrupt foreign ledger is
-/// warned about and ignored here (its pairs simply get recomputed); merge
-/// stays strict about it.
-std::vector<std::vector<std::uint8_t>> recorded_elsewhere(const std::string& dir,
-                                                          const std::string& owner,
-                                                          const fabric_spec& spec) {
-    std::vector<std::vector<std::uint8_t>> table(
-        spec.points.size(), std::vector<std::uint8_t>(spec.repetitions, 0));
-    const std::string own = ledger_path(dir, owner);
+/// A worker ledger, refused (class state) unless it belongs to \p spec.
+run_manifest load_ledger(const std::string& path, const fabric_spec& spec) {
+    run_manifest m = load_manifest(path);
+    if (m.fingerprint != spec.fingerprint || m.points != spec.points.size() ||
+        m.repetitions != spec.repetitions) {
+        corrupt("ledger '" + path + "' does not match this fabric's sweep.spec — stale "
+                "directory or another sweep's file");
+    }
+    return m;
+}
+
+/// What DIR's files say about each (point, replica) pair, by flat pair index.
+struct coverage {
+    std::unordered_map<std::size_t, replica_stat> records;
+    std::vector<std::uint8_t> quarantined;
+
+    [[nodiscard]] bool covers(std::size_t flat) const {
+        return quarantined[flat] != 0 || records.contains(flat);
+    }
+};
+
+/// The one answer to "is this (point, replica) done?", for workers and the
+/// merge alike: the union of every ledger-<owner>.manifest in DIR (except
+/// \p skip_owner's, whose records a worker holds in memory) plus every
+/// quarantine marker, batch markers expanded to their pairs. Files count by
+/// exact name only, so the temp file of an interrupted publish never does.
+/// A pair several ledgers record must agree on every field but wall_seconds:
+/// records are deterministic (a reclaimed batch recomputes the same bits),
+/// so a disagreement is mixed-up state and throws engine::error (class
+/// state), as does a ledger that is corrupt or belongs to another sweep.
+coverage scan_coverage(const std::string& dir, const fabric_spec& spec,
+                       const std::string& skip_owner = {}) {
+    const std::size_t reps = spec.repetitions;
+    coverage cov;
+    cov.quarantined.resize(spec.pair_count());
+
+    std::vector<std::string> ledgers;
     std::error_code ec;
     for (const auto& entry : fs::directory_iterator(dir, ec)) {
+        // ledger-<owner>.manifest for a non-empty owner: a publish's temp
+        // file (ledger-<owner>.manifest.tmp) never matches.
         const std::string name = entry.path().filename().string();
-        if (name.rfind("ledger-", 0) != 0 || name.find(".manifest") == std::string::npos ||
-            entry.path().string() == own) {
-            continue;
-        }
-        try {
-            const run_manifest m = load_manifest(entry.path().string());
-            if (m.fingerprint != spec.fingerprint || m.points != spec.points.size() ||
-                m.repetitions != spec.repetitions) {
-                continue;  // some other sweep's ledger; merge rejects it loudly
-            }
-            for (const auto& rec : m.records) {
-                table[rec.point][rec.replica] = 1;
-            }
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "fabric: ignoring unreadable ledger '%s': %s\n",
-                         name.c_str(), e.what());
+        if (name.size() > ledger_name("").size() && name.starts_with("ledger-") &&
+            name.ends_with(".manifest") && name != ledger_name(skip_owner)) {
+            ledgers.push_back(entry.path().string());
         }
     }
-    return table;
+    std::sort(ledgers.begin(), ledgers.end());  // deterministic merge order
+    for (const auto& path : ledgers) {
+        for (replica_record& rec : load_ledger(path, spec).records) {
+            const auto [slot, first] =
+                cov.records.try_emplace(rec.point * reps + rec.replica, std::move(rec.stat));
+            if (first) {
+                continue;
+            }
+            // wall_seconds is the one field a recompute may change.
+            rec.stat.wall_seconds = slot->second.wall_seconds;
+            if (slot->second != rec.stat) {
+                throw error(errc::state,
+                            "fabric: ledgers disagree on point " + std::to_string(rec.point) +
+                                " replica " + std::to_string(rec.replica) + " ('" + path +
+                                "' vs an earlier ledger) — non-deterministic or mixed-up "
+                                "state");
+            }
+        }
+    }
+
+    for (const auto& entry : fs::directory_iterator(dir + "/quarantine", ec)) {
+        const std::string name = entry.path().filename().string();
+        std::size_t p = 0;
+        std::size_t r = 0;
+        std::size_t b = 0;
+        if (std::sscanf(name.c_str(), "pair-%zu-%zu", &p, &r) == 2 &&
+            name == pair_name(p, r) && p < spec.points.size() && r < reps) {
+            cov.quarantined[p * reps + r] = 1;
+        } else if (std::sscanf(name.c_str(), "batch-%zu", &b) == 1 && name == batch_name(b) &&
+                   b < spec.batch_count()) {
+            const auto [first, last] = batch_pairs(spec, b);
+            std::fill(cov.quarantined.begin() + first, cov.quarantined.begin() + last, 1);
+        }
+    }
+    return cov;
 }
 
 }  // namespace
@@ -464,18 +527,13 @@ fabric_report run_fabric_worker(const fabric_options& opts, const run_options& r
     manifest.points = spec.points.size();
     manifest.repetitions = reps;
     if (fs::exists(own_ledger)) {
-        manifest = load_manifest(own_ledger);
-        if (manifest.fingerprint != spec.fingerprint ||
-            manifest.points != spec.points.size() || manifest.repetitions != reps) {
-            throw manifest_error("fabric: ledger '" + own_ledger +
-                                 "' does not match this fabric's sweep.spec — stale "
-                                 "directory or reused owner name");
-        }
+        manifest = load_ledger(own_ledger, spec);
     }
-    std::vector<std::vector<std::uint8_t>> own(spec.points.size(),
-                                               std::vector<std::uint8_t>(reps, 0));
+    // This worker's records by flat pair index: coverage scans skip its
+    // ledger file and read this instead.
+    std::vector<std::uint8_t> own(spec.pair_count(), 0);
     for (const auto& rec : manifest.records) {
-        own[rec.point][rec.replica] = 1;
+        own[rec.point * reps + rec.replica] = 1;
     }
     checkpoint_ledger ledger(std::move(manifest), own_ledger, 1);
 
@@ -505,10 +563,6 @@ fabric_report run_fabric_worker(const fabric_options& opts, const run_options& r
     const auto stop_requested = [&] {
         return opts.stop != nullptr && opts.stop->load(std::memory_order_relaxed);
     };
-    const auto terminal = [&](std::size_t b) {
-        return fs::exists(lease_base(opts.dir, b) + ".done") ||
-               fs::exists(batch_quarantine_path(opts.dir, b));
-    };
 
     fabric_report report;
     std::mutex report_mutex;
@@ -518,13 +572,27 @@ fabric_report run_fabric_worker(const fabric_options& opts, const run_options& r
             report.stopped = true;
             break;
         }
+        // A batch is terminal once every pair in it is recorded or quarantined.
+        const coverage at_start = scan_coverage(opts.dir, spec, opts.owner);
+        const auto terminal = [&](std::size_t b) {
+            const auto [first, last] = batch_pairs(spec, b);
+            for (std::size_t flat = first; flat < last; ++flat) {
+                if (own[flat] == 0 && !at_start.covers(flat)) {
+                    return false;
+                }
+            }
+            return true;
+        };
         bool progress = false;
         bool all_terminal = true;
-        for (std::size_t b = 0; b < spec.batch_count() && !stop_requested(); ++b) {
+        for (std::size_t b = 0; b < spec.batch_count(); ++b) {
             if (terminal(b)) {
                 continue;
             }
             all_terminal = false;
+            if (stop_requested()) {
+                break;
+            }
             std::size_t attempts = 0;
             try {
                 attempts = try_claim(opts.dir, b, opts.owner, opts.lease_ttl);
@@ -537,7 +605,7 @@ fabric_report run_fabric_worker(const fabric_options& opts, const run_options& r
             if (attempts == 0) {
                 continue;  // held by a live worker (their work counts)
             }
-            const std::string lease = lease_base(opts.dir, b) + ".lease";
+            const std::string lease = lease_path(opts.dir, b);
             if (attempts > max_batch_attempts) {
                 // This batch has now killed (or lost) that many owners;
                 // quarantine it instead of wedging the fabric forever.
@@ -548,38 +616,40 @@ fabric_report run_fabric_worker(const fabric_options& opts, const run_options& r
                                               std::to_string(attempts) +
                                               "\nreason repeated lease reclaims\n");
                     });
+                    ++report.quarantined_batches;
+                    progress = true;
                 } catch (const error& e) {
                     std::fprintf(stderr, "fabric: cannot quarantine batch %zu: %s\n", b,
                                  e.what());
-                    ::unlink(lease.c_str());
-                    continue;
                 }
                 ::unlink(lease.c_str());
-                ++report.quarantined_batches;
-                progress = true;
                 continue;
             }
             beat.hold(lease);
+            struct release_lease {  // on every way out, the error paths too
+                heartbeat& beat;
+                const std::string& lease;
+                ~release_lease() {
+                    beat.release();
+                    ::unlink(lease.c_str());
+                }
+            } release{beat, lease};
 
-            // Drain the batch: run every pair not already recorded (here or
-            // in another ledger) and not quarantined.
-            const auto elsewhere = recorded_elsewhere(opts.dir, opts.owner, spec);
-            const std::size_t lo = b * spec.batch;
-            const std::size_t hi = std::min(spec.pair_count(), lo + spec.batch);
+            // Drain the batch: run every pair no ledger records and no
+            // marker quarantines, rescanned now that the lease is ours.
+            const coverage cov = scan_coverage(opts.dir, spec, opts.owner);
+            const auto [first, last] = batch_pairs(spec, b);
             std::vector<std::future<void>> pending;
-            std::exception_ptr first_error;
-            std::mutex error_mutex;
-            for (std::size_t flat = lo; flat < hi; ++flat) {
+            for (std::size_t flat = first; flat < last; ++flat) {
+                if (own[flat] != 0) {
+                    continue;
+                }
+                if (cov.covers(flat)) {
+                    ++report.skipped;  // this thread's field; tasks count fresh
+                    continue;
+                }
                 const auto [p, r] = spec.pair(flat);
-                if (own[p][r] != 0) {
-                    continue;
-                }
-                if (elsewhere[p][r] != 0 || fs::exists(pair_quarantine_path(opts.dir, p, r))) {
-                    const std::lock_guard<std::mutex> lock(report_mutex);
-                    ++report.skipped;
-                    continue;
-                }
-                pending.push_back(pool.submit([&, p, r] {
+                pending.push_back(pool.submit([&, flat, p, r] {
                     registry.begin(p, r);
                     struct dereg {  // also on the exception path
                         running_registry* reg;
@@ -596,7 +666,7 @@ fabric_report run_fabric_worker(const fabric_options& opts, const run_options& r
                             replica_stat stat =
                                 reduce_outcome(core::run_scenario(sc));
                             ledger.record(p, r, std::move(stat));
-                            own[p][r] = 1;
+                            own[flat] = 1;
                             const std::lock_guard<std::mutex> lock(report_mutex);
                             ++report.fresh;
                             return;
@@ -616,35 +686,20 @@ fabric_report run_fabric_worker(const fabric_options& opts, const run_options& r
                     ++report.quarantined_pairs;
                 }));
             }
+            std::exception_ptr first_error;
             for (auto& f : pending) {
                 try {
                     f.get();
                 } catch (...) {
-                    const std::lock_guard<std::mutex> lock(error_mutex);
                     if (!first_error) {
                         first_error = std::current_exception();
                     }
                 }
             }
             if (first_error) {
-                beat.release();
-                ::unlink(lease.c_str());  // let another worker re-drain
-                std::rethrow_exception(first_error);
+                std::rethrow_exception(first_error);  // the lease goes: others re-drain
             }
-            ledger.flush();  // durable before the done marker goes up
-            try {
-                with_retry(backoff_policy{}, "done marker publish", [&] {
-                    atomic_write_file(lease_base(opts.dir, b) + ".done",
-                                      "owner " + opts.owner + "\n");
-                });
-            } catch (const error& e) {
-                // The records are safely in the ledger; without the marker
-                // the batch just gets rescanned (and found complete) later.
-                std::fprintf(stderr, "fabric: done marker for batch %zu failed: %s\n", b,
-                             e.what());
-            }
-            beat.release();
-            ::unlink(lease.c_str());
+            ledger.flush();  // durable before the lease goes
             progress = true;
         }
         if (all_terminal) {
@@ -666,97 +721,34 @@ fabric_report run_fabric_worker(const fabric_options& opts, const run_options& r
 // ------------------------------------------------------------------ merge --
 
 fabric_merge merge_fabric(const std::string& dir, const fabric_spec& spec) {
-    const std::size_t reps = spec.repetitions;
-    std::vector<std::vector<std::optional<replica_stat>>> table(
-        spec.points.size(), std::vector<std::optional<replica_stat>>(reps));
-
-    std::vector<std::string> ledgers;
-    std::error_code ec;
-    for (const auto& entry : fs::directory_iterator(dir, ec)) {
-        const std::string name = entry.path().filename().string();
-        if (name.rfind("ledger-", 0) == 0 && name.size() > 9 &&
-            name.compare(name.size() - 9, 9, ".manifest") == 0) {
-            ledgers.push_back(entry.path().string());
-        }
-    }
-    std::sort(ledgers.begin(), ledgers.end());  // deterministic merge order
-
-    const auto same_modulo_wall = [](replica_stat a, replica_stat b) {
-        a.wall_seconds = b.wall_seconds = 0.0;
-        return a == b;
-    };
-    for (const auto& path : ledgers) {
-        const run_manifest m = load_manifest(path);
-        if (m.fingerprint != spec.fingerprint || m.points != spec.points.size() ||
-            m.repetitions != reps) {
-            throw error(errc::state, "fabric: ledger '" + path +
-                                         "' does not match this fabric's sweep.spec");
-        }
-        for (const auto& rec : m.records) {
-            auto& slot = table[rec.point][rec.replica];
-            if (!slot) {
-                slot = rec.stat;
-            } else if (!same_modulo_wall(*slot, rec.stat)) {
-                // Records are deterministic: a reclaimed batch recomputes the
-                // same bits. A real disagreement means mixed-up state.
-                throw error(errc::state,
-                            "fabric: ledgers disagree on point " +
-                                std::to_string(rec.point) + " replica " +
-                                std::to_string(rec.replica) + " ('" + path +
-                                "' vs an earlier ledger) — non-deterministic or "
-                                "mixed-up state");
-            }
-        }
-    }
-
-    // Quarantine markers: identity is in the filename; batch markers expand
-    // to their unrecorded pairs.
-    std::set<std::pair<std::size_t, std::size_t>> quarantined;
-    for (const auto& entry : fs::directory_iterator(dir + "/quarantine", ec)) {
-        const std::string name = entry.path().filename().string();
-        std::size_t p = 0;
-        std::size_t r = 0;
-        std::size_t b = 0;
-        if (std::sscanf(name.c_str(), "pair-%zu-%zu", &p, &r) == 2) {
-            if (p < spec.points.size() && r < reps && !table[p][r]) {
-                quarantined.insert({p, r});
-            }
-        } else if (std::sscanf(name.c_str(), "batch-%zu", &b) == 1) {
-            const std::size_t lo = b * spec.batch;
-            const std::size_t hi = std::min(spec.pair_count(), lo + spec.batch);
-            for (std::size_t flat = lo; flat < hi; ++flat) {
-                const auto [bp, br] = spec.pair(flat);
-                if (!table[bp][br]) {
-                    quarantined.insert({bp, br});
-                }
-            }
-        }
-    }
-
+    coverage cov = scan_coverage(dir, spec);
     fabric_merge merged;
     merged.manifest.fingerprint = spec.fingerprint;
     merged.manifest.points = spec.points.size();
-    merged.manifest.repetitions = reps;
-    for (std::size_t p = 0; p < spec.points.size(); ++p) {
-        for (std::size_t r = 0; r < reps; ++r) {
-            if (table[p][r]) {
-                merged.manifest.records.push_back({p, r, std::move(*table[p][r])});
-            } else if (quarantined.contains({p, r})) {
-                merged.quarantined.push_back({p, r});
-            } else {
-                merged.missing.push_back({p, r});
-            }
+    merged.manifest.repetitions = spec.repetitions;
+    for (std::size_t flat = 0; flat < spec.pair_count(); ++flat) {
+        const auto [p, r] = spec.pair(flat);
+        if (const auto rec = cov.records.find(flat); rec != cov.records.end()) {
+            merged.manifest.records.push_back({p, r, std::move(rec->second)});
+        } else if (cov.quarantined[flat] != 0) {
+            merged.quarantined.push_back({p, r});
+        } else {
+            merged.missing.push_back({p, r});
         }
     }
     return merged;
 }
 
-std::size_t replay_rows(const fabric_spec& spec, const fabric_merge& merged,
+std::size_t replay_rows(std::span<const sweep_point> points, const run_manifest& manifest,
                         std::span<result_sink* const> sinks, bool allow_partial) {
-    const std::size_t reps = spec.repetitions;
-    const auto table = merged.manifest.by_point();
+    if (manifest.points != points.size()) {
+        corrupt("manifest covers " + std::to_string(manifest.points) +
+                " points, the sweep has " + std::to_string(points.size()));
+    }
+    const std::size_t reps = manifest.repetitions;
+    const auto table = manifest.by_point();
     std::size_t rows = 0;
-    for (std::size_t p = 0; p < spec.points.size(); ++p) {
+    for (std::size_t p = 0; p < points.size(); ++p) {
         std::vector<replica_stat> stats;
         stats.reserve(reps);
         for (std::size_t r = 0; r < reps; ++r) {
@@ -770,12 +762,12 @@ std::size_t replay_rows(const fabric_spec& spec, const fabric_merge& merged,
                 continue;
             }
             throw error(errc::state,
-                        "fabric: point " + std::to_string(p) + " ('" +
-                            spec.points[p].label + "') is incomplete (" +
-                            std::to_string(stats.size()) + "/" + std::to_string(reps) +
+                        "fabric: point " + std::to_string(p) + " ('" + points[p].label +
+                            "') is incomplete (" + std::to_string(stats.size()) + "/" +
+                            std::to_string(reps) +
                             " replicas) — rerun the workers or pass allow_partial");
         }
-        const sweep_row row = aggregate_sweep_row(spec.points[p], stats);
+        const sweep_row row = aggregate_sweep_row(points[p], stats);
         for (result_sink* sink : sinks) {
             sink->on_row(row);
         }

@@ -14,12 +14,16 @@
 ///                            read-only after
 ///   leases/batch-<b>.lease   held claim on replica batch b (owner +
 ///                            attempts inside; mtime = heartbeat)
-///   leases/batch-<b>.done    batch b fully drained (terminal marker)
 ///   quarantine/pair-<p>-<r>  (point, replica) abandoned after repeated
-///                            failures (terminal marker, reason inside)
+///                            failures (reason inside)
 ///   quarantine/batch-<b>     batch abandoned after too many lease reclaims
 ///   ledger-<owner>.manifest  per-worker completion ledger (run_manifest
 ///                            format, sparse over the full grid)
+///
+/// Coverage comes from these files alone: a (point, replica) pair is done
+/// when some ledger records it or a quarantine marker names it (a batch
+/// marker names all its pairs), and a batch is terminal when every pair in
+/// it is done. Workers and the merge read them through one scan.
 ///
 /// Work unit: the (point, replica) grid is flattened point-major and cut
 /// into batches of `batch` consecutive pairs. A worker claims a batch by
@@ -143,7 +147,7 @@ struct fabric_options {
 
 /// What one run_fabric_worker call did / observed.
 struct fabric_report {
-    bool complete = false;   ///< every batch terminal (done or quarantined)
+    bool complete = false;   ///< every pair recorded or quarantined
     bool stopped = false;    ///< graceful stop before coverage
     std::size_t fresh = 0;   ///< replicas this worker computed
     std::size_t skipped = 0; ///< pairs found already recorded elsewhere
@@ -156,7 +160,8 @@ struct fabric_report {
 /// the stop flag rises). Blocks while other live workers hold leases —
 /// their work counts towards coverage; if they die, their leases go stale
 /// and this worker reclaims. Throws engine::error on unrecoverable
-/// failures (corrupt spec/ledger = state, persistent ledger I/O = io).
+/// failures (a corrupt spec or any corrupt, foreign or disagreeing ledger
+/// = state, persistent ledger I/O = io).
 fabric_report run_fabric_worker(const fabric_options& opts, const run_options& run = {});
 
 /// The union of every worker ledger in DIR, plus coverage bookkeeping.
@@ -170,20 +175,23 @@ struct fabric_merge {
     }
 };
 
-/// Merge every ledger-*.manifest in DIR (filename order): validate each
-/// against the spec, union their records, and verify that duplicated pairs
-/// — recomputed after a lease reclaim — agree on every field except
+/// Merge every ledger-<owner>.manifest in DIR (filename order): validate
+/// each against the spec, union their records, and verify that duplicated
+/// pairs — recomputed after a lease reclaim — agree on every field except
 /// wall_seconds (a true disagreement means non-deterministic or mixed-up
 /// state and throws engine::error, class state). Quarantine markers and
-/// never-recorded pairs are reported, not errors.
+/// never-recorded pairs are reported, not errors. The same coverage scan
+/// the workers run, so merge and workers never disagree on what is done.
 [[nodiscard]] fabric_merge merge_fabric(const std::string& dir, const fabric_spec& spec);
 
-/// Re-derive the sweep rows from merged records and stream them to \p sinks
-/// in expansion order — bit-identical to an uninterrupted run_sweep (same
+/// Re-derive the sweep rows of \p points from the records of \p manifest
+/// (its repetitions per point) and stream them to \p sinks in expansion
+/// order — bit-identical to an uninterrupted run_sweep (same
 /// aggregate_sweep_row reduction). Points with missing or quarantined
 /// replicas are skipped when \p allow_partial, otherwise throw
-/// engine::error (class state). Returns the number of rows emitted.
-std::size_t replay_rows(const fabric_spec& spec, const fabric_merge& merged,
+/// engine::error (class state), as does a manifest over a different number
+/// of points. Returns the number of rows emitted.
+std::size_t replay_rows(std::span<const sweep_point> points, const run_manifest& manifest,
                         std::span<result_sink* const> sinks, bool allow_partial = false);
 
 }  // namespace manhattan::engine

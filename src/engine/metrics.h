@@ -1,10 +1,10 @@
 /// \file metrics.h
 /// The engine's metric vocabulary: counters, gauges, and fixed-bucket
 /// histograms, owned by a lock-light registry. Mutations are relaxed atomic
-/// operations behind the process-wide telemetry switch (util/telemetry.h) —
-/// with telemetry disabled every add()/set()/observe() is one load and a
-/// predictable branch, and registration (the only locking path) happens once
-/// per metric, never per sample.
+/// operations that always count; the process-wide telemetry switch
+/// (util/telemetry.h) gates only the clock reads that produce timing
+/// samples, at their call sites. Registration (the only locking path)
+/// happens once per metric, never per sample.
 ///
 /// Usage pattern: a component registers its instruments up front and keeps
 /// the returned references (stable for the registry's lifetime), samples
@@ -27,18 +27,13 @@
 #include <string>
 #include <vector>
 
-#include "util/telemetry.h"
-
 namespace manhattan::engine {
 
 /// Monotonically increasing event count.
 class counter {
  public:
-    /// No-op while telemetry is disabled.
     void add(std::uint64_t delta = 1) noexcept {
-        if (util::telemetry::enabled()) {
-            value_.fetch_add(delta, std::memory_order_relaxed);
-        }
+        value_.fetch_add(delta, std::memory_order_relaxed);
     }
 
     [[nodiscard]] std::uint64_t value() const noexcept {
@@ -56,17 +51,9 @@ class counter {
 /// e.g. summed phase seconds across replicas.
 class gauge {
  public:
-    void set(double v) noexcept {
-        if (util::telemetry::enabled()) {
-            value_.store(v, std::memory_order_relaxed);
-        }
-    }
+    void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
 
-    void add(double delta) noexcept {
-        if (util::telemetry::enabled()) {
-            value_.fetch_add(delta, std::memory_order_relaxed);
-        }
-    }
+    void add(double delta) noexcept { value_.fetch_add(delta, std::memory_order_relaxed); }
 
     [[nodiscard]] double value() const noexcept {
         return value_.load(std::memory_order_relaxed);
@@ -88,11 +75,7 @@ class fixed_histogram {
     /// has upper_bounds.size() + 1 entries (the last is the overflow).
     explicit fixed_histogram(std::vector<double> upper_bounds);
 
-    /// No-op while telemetry is disabled.
     void observe(double v) noexcept {
-        if (!util::telemetry::enabled()) {
-            return;
-        }
         std::size_t b = 0;
         while (b < bounds_.size() && v > bounds_[b]) {
             ++b;

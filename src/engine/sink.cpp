@@ -10,6 +10,7 @@
 #include "engine/append_log.h"
 #include "engine/error.h"
 #include "engine/fault.h"
+#include "service/wire.h"
 
 namespace manhattan::engine {
 
@@ -63,18 +64,6 @@ std::string json_array(const std::vector<double>& values) {
     return out;
 }
 
-std::string json_quote(const std::string& s) {
-    std::string out = "\"";
-    for (const char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-        }
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
 }  // namespace
 
 void csv_sink::on_row(const sweep_row& row) {
@@ -111,11 +100,13 @@ void json_sink::on_row(const sweep_row& row) {
     out_ << (open_ ? ",\n" : "{\"rows\": [\n");
     open_ = true;
     const auto& sc = row.point.sc;
-    out_ << "  {\"index\": " << row.point.index << ", \"label\": " << json_quote(row.point.label)
+    std::string label;
+    service::dump_string(label, row.point.label);
+    out_ << "  {\"index\": " << row.point.index << ", \"label\": " << label
          << ",\n   \"params\": {\"n\": " << sc.params.n << ", \"side\": " << num(sc.params.side)
          << ", \"radius\": " << num(sc.params.radius) << ", \"speed\": " << num(sc.params.speed)
-         << ", \"model\": " << json_quote(core::enum_name(sc.model))
-         << ", \"mode\": " << json_quote(core::enum_name(sc.mode))
+         << ", \"model\": \"" << core::enum_name(sc.model) << '"'
+         << ", \"mode\": \"" << core::enum_name(sc.mode) << '"'
          << ", \"gossip_p\": " << num(sc.gossip_p) << ", \"seed\": " << sc.seed
          << ", \"messages\": " << row.message_mean_times.size() << "},\n"
          << "   \"summary\": {\"reps\": " << row.times.size()

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "util/telemetry.h"
+
 namespace manhattan::engine {
 
 namespace {
@@ -126,7 +128,8 @@ void thread_pool::worker_loop(std::size_t worker) {
             entry = std::move(queue_.front());
             queue_.pop_front();
         }
-        // Telemetry: sample only tasks whose submit stamped an enqueue time
+        tasks_run_.add(1);
+        // Telemetry: time only tasks whose submit stamped an enqueue time
         // (the switch may flip mid-flight; an unstamped task is skipped
         // rather than billed a bogus wait since the epoch).
         const bool measured = entry.enqueued != std::chrono::steady_clock::time_point{};
@@ -136,7 +139,6 @@ void thread_pool::worker_loop(std::size_t worker) {
                                     .count();
             queue_wait_seconds_.add(wait);
             queue_wait_hist_.observe(wait);
-            tasks_run_.add(1);
         }
         const auto run_start = measured ? std::chrono::steady_clock::now()
                                         : std::chrono::steady_clock::time_point{};

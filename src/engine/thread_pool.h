@@ -11,10 +11,11 @@
 /// claim lanes from a per-run ticket, with no queued task and no allocation
 /// per run (docs/PERF.md, "Lane dispatch").
 ///
-/// Telemetry (util/telemetry.h, off by default): with the process-wide
-/// switch on, the pool records tasks run, queue wait (a fixed-bucket
-/// histogram plus a summed gauge) and per-worker busy seconds into its own
-/// metrics_registry, and per multi-lane run() a lane-run count plus lane
+/// Metrics: the pool counts every task it runs into its own
+/// metrics_registry. With the process-wide telemetry switch on
+/// (util/telemetry.h, off by default) it also reads the clock for queue
+/// wait (a fixed-bucket histogram plus a summed gauge) and per-worker busy
+/// seconds, and per multi-lane run() records a lane-run count plus lane
 /// start skew and lane-time imbalance histograms. stats() snapshots the
 /// task side; the trace sink's sweep_end event renders it. Measuring never
 /// changes scheduling or task outputs.
@@ -42,7 +43,8 @@ namespace manhattan::engine {
 /// never less than 1).
 [[nodiscard]] std::size_t default_thread_count() noexcept;
 
-/// Utilization snapshot of one pool (all zeros while telemetry is off).
+/// Utilization snapshot of one pool (timings stay zero while telemetry is
+/// off; tasks_run always counts).
 struct pool_stats {
     std::size_t workers = 0;
     std::uint64_t tasks_run = 0;
@@ -101,8 +103,9 @@ class thread_pool {
     /// run() calls of one flooding step (docs/PERF.md, "Lane dispatch").
     static constexpr std::chrono::microseconds lane_spin{200};
 
-    /// Utilization snapshot (thread-safe; callable while tasks run). Zeros
-    /// unless telemetry was enabled while the measured work happened.
+    /// Utilization snapshot (thread-safe; callable while tasks run). The
+    /// timings stay zero unless telemetry was enabled while the measured
+    /// work happened; tasks_run counts every task.
     [[nodiscard]] pool_stats stats() const;
 
     /// The pool's instruments ("pool.tasks_run", "pool.queue_wait_seconds",

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "engine/thread_pool.h"
+#include "service/wire.h"
 
 namespace manhattan::engine {
 
@@ -19,33 +20,6 @@ std::string fmt(double v) {
     os.precision(17);
     os << v;
     return os.str();
-}
-
-std::string json_quote(const std::string& s) {
-    std::string out = "\"";
-    for (const char c : s) {
-        switch (c) {
-            case '"':
-                out += "\\\"";
-                break;
-            case '\\':
-                out += "\\\\";
-                break;
-            case '\n':
-                out += "\\n";
-                break;
-            case '\t':
-                out += "\\t";
-                break;
-            case '\r':
-                out += "\\r";
-                break;
-            default:
-                out += c;
-        }
-    }
-    out += '"';
-    return out;
 }
 
 template <typename T>
@@ -80,7 +54,9 @@ trace_field trace_field::boolean(std::string key, bool value) {
 }
 
 trace_field trace_field::str(std::string key, const std::string& value) {
-    return {std::move(key), json_quote(value)};
+    std::string rendered;
+    service::dump_string(rendered, value);
+    return {std::move(key), std::move(rendered)};
 }
 
 trace_field trace_field::raw(std::string key, std::string json) {
@@ -110,8 +86,9 @@ std::string metrics_json(const std::vector<metric_snapshot>& snapshots) {
         if (i != 0) {
             out += ", ";
         }
-        out += "{\"name\": " + json_quote(m.name);
-        out += ", \"kind\": " + json_quote(metric_kind_name(m.what));
+        out += "{\"name\": ";
+        service::dump_string(out, m.name);
+        out += ", \"kind\": \"" + std::string{metric_kind_name(m.what)} + '"';
         if (m.what == metric_snapshot::kind::histogram) {
             out += ", \"bounds\": " + json_number_array(m.bounds);
             out += ", \"counts\": " + json_number_array(m.counts);
@@ -166,12 +143,15 @@ void trace_sink::emit(const std::string& event, const std::vector<trace_field>& 
     // assembled in two pieces.
     std::string tail;
     for (const trace_field& f : fields) {
-        tail += ", " + json_quote(f.key) + ": " + f.rendered;
+        tail += ", ";
+        service::dump_string(tail, f.key);
+        tail += ": " + f.rendered;
     }
     tail += "}\n";
 
     const std::lock_guard<std::mutex> lock(mutex_);
-    buffer_ += "{\"event\": " + json_quote(event);
+    buffer_ += "{\"event\": ";
+    service::dump_string(buffer_, event);
     buffer_ += ", \"seq\": " + std::to_string(seq_++);
     buffer_ += ", \"t\": " + fmt(clock_.seconds());
     buffer_ += tail;

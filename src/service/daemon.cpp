@@ -15,7 +15,6 @@
 #include "engine/fabric.h"
 #include "engine/sink.h"
 #include "service/wire.h"
-#include "util/telemetry.h"
 
 namespace manhattan::service {
 
@@ -323,21 +322,13 @@ void daemon::handle_connection(int fd) {
 
 void daemon::serve_manifest(int fd, const std::string& job,
                             const std::vector<engine::sweep_point>& points,
-                            std::size_t repetitions,
-                            engine::run_manifest manifest, bool cached) {
+                            const engine::run_manifest& manifest, bool cached) {
     // Re-derive the rows through the fabric replay path: the exact
     // aggregate_sweep_row reduction run_sweep performs, with zero pool tasks
     // by construction.
-    engine::fabric_spec spec;
-    spec.fingerprint = manifest.fingerprint;
-    spec.repetitions = repetitions;
-    spec.batch = 1;
-    spec.points = points;
-    engine::fabric_merge merged;
-    merged.manifest = std::move(manifest);
     stream_sink rows(fd, job);
     engine::result_sink* sink = &rows;
-    engine::replay_rows(spec, merged, {&sink, 1});
+    engine::replay_rows(points, manifest, {&sink, 1});
     json_value done = json_value::object();
     done.set("event", json_value::string("done"));
     done.set("job", json_value::string(job));
@@ -372,7 +363,7 @@ void daemon::handle_submit(int fd, const json_value& request) {
     // Fast path: already memoized — serve without consuming admission.
     if (std::optional<engine::run_manifest> hit = cache_.load(fp)) {
         send_header(true);
-        serve_manifest(fd, job, points, spec.repetitions, std::move(*hit), true);
+        serve_manifest(fd, job, points, *hit, true);
         return;
     }
 
@@ -390,7 +381,7 @@ void daemon::handle_submit(int fd, const json_value& request) {
         }
         if (std::optional<engine::run_manifest> hit = cache_.load(fp)) {
             send_header(true);
-            serve_manifest(fd, job, points, spec.repetitions, std::move(*hit), true);
+            serve_manifest(fd, job, points, *hit, true);
             return;
         }
         // The in-flight twin was cancelled or failed: fall through and run.
@@ -430,7 +421,7 @@ void daemon::handle_submit(int fd, const json_value& request) {
     if (std::optional<engine::run_manifest> hit = cache_.load(fp)) {
         state->transition("done", true);
         unregister();
-        serve_manifest(fd, job, points, spec.repetitions, std::move(*hit), true);
+        serve_manifest(fd, job, points, *hit, true);
         return;
     }
 
@@ -516,14 +507,10 @@ engine::run_manifest daemon::run_on_fabric(const engine::sweep_spec& spec,
         throw engine::fabric_partial("fabric job '" + dir +
                                      "' left quarantined or missing replicas");
     }
-    engine::run_manifest manifest = merged.manifest;
-    manifest.fingerprint = fspec.fingerprint;
-    manifest.points = fspec.points.size();
-    manifest.repetitions = fspec.repetitions;
     engine::result_sink* sinks[] = {&sink};
-    engine::replay_rows(fspec, merged, sinks);
-    cache_.store(manifest);
-    return manifest;
+    engine::replay_rows(fspec.points, merged.manifest, sinks);
+    cache_.store(merged.manifest);
+    return std::move(merged.manifest);
 }
 
 void daemon::handle_status(int fd, const json_value& request) {

@@ -100,8 +100,7 @@ class daemon {
     /// and the trailing done event. Zero pool tasks by construction.
     void serve_manifest(int fd, const std::string& job,
                         const std::vector<engine::sweep_point>& points,
-                        std::size_t repetitions, engine::run_manifest manifest,
-                        bool cached);
+                        const engine::run_manifest& manifest, bool cached);
 
     /// Run one job through a per-job fabric directory under fabric_root (this
     /// daemon drains it too; external sweepd workers may join). Streams rows

@@ -31,8 +31,8 @@ struct cache_config {
 
 /// Thread-compatible (callers serialize; the daemon's registry lock does).
 /// Counters land in the supplied metrics registry under "cache.hits",
-/// "cache.misses", "cache.stores", "cache.evictions" — remember that the
-/// engine's instruments are no-ops while util::telemetry is disabled.
+/// "cache.misses", "cache.stores", "cache.evictions"; they count whether or
+/// not util::telemetry is enabled.
 class result_cache {
  public:
     explicit result_cache(cache_config config,

@@ -80,6 +80,11 @@ struct json_value {
 /// dump() is always one protocol line.
 [[nodiscard]] std::string dump(const json_value& v);
 
+/// Append \p s to \p out as a JSON string literal: quotes, backslashes and
+/// every control character escaped per RFC 8259. The one string escaper of
+/// the wire writer, engine::json_sink and engine::trace_sink.
+void dump_string(std::string& out, const std::string& s);
+
 /// Parse one complete JSON document. Throws wire_error on malformed input,
 /// trailing garbage, or a document cut short (truncation never yields a
 /// value).

@@ -3,15 +3,15 @@
 /// switch plus the per-phase step profiler the hot loops feed. Lives in
 /// util/ so core (which must not depend on engine/) can instrument its step
 /// phases; the richer metrics vocabulary (counters, gauges, histograms,
-/// registry) builds on top in engine/metrics.h.
+/// registry) lives in engine/metrics.h and counts with the switch off too.
 ///
 /// Contract: telemetry is observation only. Enabling it reads clocks and
-/// bumps counters but never touches RNG streams, iteration order, or any
+/// records timings but never touches RNG streams, iteration order, or any
 /// state a simulation result depends on — flood/spread outputs are
 /// bit-identical with telemetry on or off, at any thread count
 /// (tests/telemetry_test.cpp pins this; docs/OBSERVABILITY.md documents it).
-/// When disabled (the default) every instrumentation point reduces to one
-/// relaxed atomic load and a predictable branch.
+/// When disabled (the default) every timing point reduces to one relaxed
+/// atomic load and a predictable branch.
 #pragma once
 
 #include <array>

@@ -24,12 +24,14 @@
 #include "engine/sink.h"
 #include "engine/sweep.h"
 #include "engine/thread_pool.h"
+#include "service/wire.h"
 #include "rng/splitmix64.h"
 
 namespace {
 
 namespace core = manhattan::core;
 namespace engine = manhattan::engine;
+namespace service = manhattan::service;
 
 core::scenario small_scenario() {
     core::scenario sc;
@@ -585,8 +587,14 @@ TEST(sink_test, json_sink_emits_rows_array_with_replica_times) {
     spec.repetitions = 2;
     std::ostringstream json;
     engine::json_sink sink(json);
-    engine::result_sink* sinks[] = {&sink};
+    engine::memory_sink memory;
+    engine::result_sink* sinks[] = {&sink, &memory};
     (void)engine::run_sweep(spec, {.threads = 1}, sinks);
+    // One more row under a label no sweep axis renders but sweep.spec may
+    // carry: quotes, a backslash and control characters must be escaped.
+    engine::sweep_row odd = memory.rows().front();
+    odd.point.label = "a\nb\"c\\d\x01";
+    sink.on_row(odd);
     sink.finish();
     sink.finish();  // idempotent: the array is closed exactly once
 
@@ -597,6 +605,10 @@ TEST(sink_test, json_sink_emits_rows_array_with_replica_times) {
     // Despite the double finish() the document is closed exactly once.
     EXPECT_EQ(text.substr(text.size() - 4), "\n]}\n");
     EXPECT_EQ(text.find("\n]}\n"), text.size() - 4);
+    const service::json_value doc = service::parse_json(text);
+    const auto& rows = service::require(doc, "rows").items;
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_EQ(service::str_field(rows[1], "label"), odd.point.label);
 }
 
 TEST(sink_test, sinks_emit_per_message_aggregates) {

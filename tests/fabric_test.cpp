@@ -3,7 +3,9 @@
 // cases, lease claim mutual exclusion and stale-lease reclaim (including the
 // tomb attempts counter surviving a "crash"), corrupt leases never wedging
 // the drain, racing workers producing byte-identical merged output,
-// quarantine of persistently failing replicas and batches, the deadline
+// coverage read from the ledgers alone (stray temp files never count, a
+// corrupt foreign ledger stops workers and merge alike), quarantine of
+// persistently failing replicas and batches, the deadline
 // watchdog hook, the fault-injection registry, the typed error taxonomy with
 // retry/backoff, and the atomic sink's degrade-instead-of-abort path.
 #include <gtest/gtest.h>
@@ -115,7 +117,7 @@ std::string merged_csv(const std::string& dir, bool allow_partial = false) {
     std::ostringstream out;
     engine::csv_sink sink(out);
     engine::result_sink* sinks[] = {&sink};
-    (void)engine::replay_rows(spec, merged, sinks, allow_partial);
+    (void)engine::replay_rows(spec.points, merged.manifest, sinks, allow_partial);
     return out.str();
 }
 
@@ -288,11 +290,8 @@ TEST(fabric_test, single_worker_drain_is_byte_identical_to_run_sweep) {
     EXPECT_EQ(report.skipped, 0u);
     EXPECT_EQ(report.quarantined_pairs, 0u);
 
-    // Terminal markers up, no lease or tomb left behind.
-    EXPECT_TRUE(fs::exists(dir.path() + "/leases/batch-0.done"));
-    EXPECT_TRUE(fs::exists(dir.path() + "/leases/batch-1.done"));
-    EXPECT_FALSE(fs::exists(dir.path() + "/leases/batch-0.lease"));
-    EXPECT_FALSE(fs::exists(dir.path() + "/leases/batch-0.tomb"));
+    // Coverage lives in the ledger: no lease, tomb or marker left behind.
+    EXPECT_TRUE(fs::is_empty(dir.path() + "/leases"));
 
     EXPECT_EQ(merged_csv(dir.path()), reference_csv());
 }
@@ -309,9 +308,16 @@ TEST(fabric_test, live_lease_excludes_other_workers) {
     engine::fabric_options opts = worker_opts(dir.path(), "w1");
     opts.lease_ttl = std::chrono::hours{1};  // the foreign lease stays live
     opts.stop = &stop;
+    const std::string ledger = dir.path() + "/ledger-w1.manifest";
+    const auto recorded = [&]() -> std::size_t {
+        try {
+            return engine::load_manifest(ledger).records.size();
+        } catch (const engine::error&) {
+            return 0;  // not published yet
+        }
+    };
     std::thread stopper([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds{50});
-        while (!fs::exists(dir.path() + "/leases/batch-1.done")) {
+        while (recorded() < 2) {  // batch 1's two records
             std::this_thread::sleep_for(std::chrono::milliseconds{20});
         }
         stop.store(true);
@@ -323,7 +329,11 @@ TEST(fabric_test, live_lease_excludes_other_workers) {
     EXPECT_TRUE(report.stopped);
     EXPECT_EQ(report.fresh, 2u);  // batch 1 only
     EXPECT_TRUE(fs::exists(dir.path() + "/leases/batch-0.lease"));
-    EXPECT_FALSE(fs::exists(dir.path() + "/leases/batch-0.done"));
+    const engine::run_manifest own = engine::load_manifest(ledger);
+    EXPECT_EQ(own.records.size(), 2u);
+    for (const engine::replica_record& rec : own.records) {
+        EXPECT_EQ(rec.point, 1u);  // batch 0 = point 0's replicas, never touched
+    }
 }
 
 TEST(fabric_test, stale_lease_is_reclaimed) {
@@ -383,9 +393,12 @@ TEST(fabric_test, tomb_attempts_survive_crashes_and_quarantine_the_batch) {
     std::ostringstream out;
     engine::csv_sink sink(out);
     engine::result_sink* sinks[] = {&sink};
-    EXPECT_EQ(error_class([&] { (void)engine::replay_rows(spec, merged, sinks); }),
+    EXPECT_EQ(error_class([&] {
+                  (void)engine::replay_rows(spec.points, merged.manifest, sinks);
+              }),
               engine::errc::state);
-    EXPECT_EQ(engine::replay_rows(spec, merged, sinks, /*allow_partial=*/true), 1u);
+    EXPECT_EQ(engine::replay_rows(spec.points, merged.manifest, sinks, /*allow_partial=*/true),
+              1u);
 }
 
 // ----------------------------------------------------- multi-worker drain ---
@@ -416,16 +429,22 @@ TEST(fabric_test, work_recorded_elsewhere_is_skipped_not_recomputed) {
     scratch_dir dir("skip");
     (void)engine::init_fabric(dir.path(), small_spec(), 2);
     (void)engine::run_fabric_worker(worker_opts(dir.path(), "w1"), two_threads());
-    // Knock the terminal markers down: a second worker rescans the batches,
-    // finds every pair in w1's ledger, and recomputes nothing.
-    fs::remove(dir.path() + "/leases/batch-0.done");
-    fs::remove(dir.path() + "/leases/batch-1.done");
+    // Drop one of batch 1's records from w1's ledger: a second worker finds
+    // batch 0 terminal from w1's ledger alone, claims batch 1, skips the
+    // pair w1 still records and recomputes only the dropped one.
+    const std::string ledger = dir.path() + "/ledger-w1.manifest";
+    engine::run_manifest w1 = engine::load_manifest(ledger);
+    std::erase_if(w1.records, [](const engine::replica_record& rec) {
+        return rec.point == 1 && rec.replica == 1;
+    });
+    ASSERT_EQ(w1.records.size(), 3u);
+    engine::save_manifest(w1, ledger);
 
     const engine::fabric_report report =
         engine::run_fabric_worker(worker_opts(dir.path(), "w2"), two_threads());
     EXPECT_TRUE(report.complete);
-    EXPECT_EQ(report.fresh, 0u);
-    EXPECT_EQ(report.skipped, 4u);
+    EXPECT_EQ(report.fresh, 1u);
+    EXPECT_EQ(report.skipped, 1u);
     EXPECT_EQ(merged_csv(dir.path()), reference_csv());
 }
 
@@ -471,14 +490,66 @@ TEST(fabric_test, merge_accepts_a_worker_ledger_cut_mid_record) {
 
     // The restarted owner adopts its ledger (republishing it whole before
     // any append) and recomputes only the lost pair.
-    fs::remove(dir.path() + "/leases/batch-0.done");
-    fs::remove(dir.path() + "/leases/batch-1.done");
     const engine::fabric_report report =
         engine::run_fabric_worker(worker_opts(dir.path(), "w1"), two_threads());
     EXPECT_TRUE(report.complete);
     EXPECT_EQ(report.fresh, 1u);
     EXPECT_EQ(engine::load_manifest(ledger).records.size(), 4u);
     EXPECT_EQ(merged_csv(dir.path()), reference_csv());
+}
+
+TEST(fabric_test, a_stray_ledger_temp_file_is_not_coverage) {
+    // What a worker killed between a temp file's fsync and its rename leaves
+    // behind: a complete ledger and a quarantine marker never published.
+    scratch_dir drained("stray_source");
+    (void)engine::init_fabric(drained.path(), small_spec(), 2);
+    (void)engine::run_fabric_worker(worker_opts(drained.path(), "w1"), two_threads());
+
+    scratch_dir dir("stray");
+    (void)engine::init_fabric(dir.path(), small_spec(), 2);
+    fs::copy_file(drained.path() + "/ledger-w1.manifest",
+                  dir.path() + "/ledger-ghost.manifest.tmp");
+    write_file(dir.path() + "/quarantine/pair-0-0.tmp", "");
+
+    const engine::fabric_spec spec = engine::load_fabric(dir.path());
+    const engine::fabric_merge fresh = engine::merge_fabric(dir.path(), spec);
+    EXPECT_TRUE(fresh.manifest.records.empty());
+    EXPECT_TRUE(fresh.quarantined.empty());
+    EXPECT_EQ(fresh.missing.size(), 4u);
+
+    const engine::fabric_report report =
+        engine::run_fabric_worker(worker_opts(dir.path(), "w1"), two_threads());
+    EXPECT_TRUE(report.complete);
+    EXPECT_EQ(report.fresh, 4u);
+    EXPECT_EQ(report.skipped, 0u);
+    EXPECT_EQ(merged_csv(dir.path()), reference_csv());
+}
+
+TEST(fabric_test, a_corrupt_foreign_ledger_stops_the_worker) {
+    scratch_dir dir("foreign");
+    (void)engine::init_fabric(dir.path(), small_spec(), 2);
+    const engine::fabric_spec spec = engine::load_fabric(dir.path());
+    const std::string ledger = dir.path() + "/ledger-w2.manifest";
+    const auto refused_by_merge_and_worker = [&] {
+        EXPECT_EQ(error_class([&] { (void)engine::merge_fabric(dir.path(), spec); }),
+                  engine::errc::state);
+        EXPECT_EQ(error_class([&] {
+                      (void)engine::run_fabric_worker(worker_opts(dir.path(), "w1"),
+                                                      two_threads());
+                  }),
+                  engine::errc::state);
+    };
+
+    write_file(ledger, "not a ledger\n");
+    refused_by_merge_and_worker();
+
+    // A well-formed ledger of another sweep is refused the same way.
+    engine::run_manifest other;
+    other.fingerprint = spec.fingerprint ^ 1;
+    other.points = spec.points.size();
+    other.repetitions = spec.repetitions;
+    engine::save_manifest(other, ledger);
+    refused_by_merge_and_worker();
 }
 
 TEST(fabric_test, graceful_stop_reports_stopped_then_resumes) {

@@ -173,7 +173,6 @@ void write_file(const std::string& path, const std::string& text) {
 // ----------------------------------------------------------- result cache ---
 
 TEST(service_test, cache_store_load_round_trips_and_counts) {
-    util::telemetry::scoped_enable telemetry;
     scratch_dir dir("cache_roundtrip");
     engine::metrics_registry metrics;
     service::result_cache cache({.dir = dir.path() + "/cache"}, &metrics);

@@ -121,18 +121,13 @@ TEST(timer_test, lap_returns_splits_and_seconds_keeps_total) {
 
 // ---------------------------------------------------------------- metrics ---
 
-TEST(metrics_test, instruments_are_gated_on_the_switch) {
+TEST(metrics_test, instruments_count_with_the_switch_off) {
+    // The switch gates clock reads at their call sites, not the instruments:
+    // operational counters (cache, admission, pool tasks) always count.
+    ASSERT_FALSE(telemetry::enabled());
     engine::counter c;
     engine::gauge g;
     engine::fixed_histogram h({1.0, 10.0});
-    c.add(3);
-    g.add(1.5);
-    h.observe(0.5);
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_DOUBLE_EQ(g.value(), 0.0);
-    EXPECT_EQ(h.total(), 0u);
-
-    const telemetry::scoped_enable on;
     c.add(3);
     g.add(1.5);
     g.add(2.5);
@@ -142,6 +137,14 @@ TEST(metrics_test, instruments_are_gated_on_the_switch) {
     EXPECT_EQ(c.value(), 3u);
     EXPECT_DOUBLE_EQ(g.value(), 4.0);
     EXPECT_EQ(h.counts(), (std::vector<std::uint64_t>{1, 1, 1}));
+    g.set(0.5);
+    EXPECT_DOUBLE_EQ(g.value(), 0.5);
+
+    const telemetry::scoped_enable on;  // and the same with it on
+    c.add(2);
+    h.observe(0.5);
+    EXPECT_EQ(c.value(), 5u);
+    EXPECT_EQ(h.total(), 4u);
 }
 
 TEST(metrics_test, histogram_rejects_bad_bounds) {
@@ -199,10 +202,21 @@ TEST(metrics_test, aggregate_snapshots_sums_by_name) {
 
 // ------------------------------------------------------------- pool stats ---
 
-TEST(pool_stats_test, tracks_tasks_and_busy_time_only_while_enabled) {
+TEST(pool_stats_test, counts_every_task_and_times_them_only_while_enabled) {
     engine::thread_pool pool(2);
-    pool.parallel_for(16, [](std::size_t) {});
-    EXPECT_EQ(pool.stats().tasks_run, 0u);  // disabled: nothing measured
+    for (int i = 0; i < 4; ++i) {
+        pool.submit([] {}).get();
+    }
+    // Disabled: every task counts, but no clock is read for its timings.
+    const engine::pool_stats off = pool.stats();
+    EXPECT_EQ(off.tasks_run, 4u);
+    EXPECT_DOUBLE_EQ(off.queue_wait_seconds, 0.0);
+    for (const auto c : off.queue_wait_counts) {
+        EXPECT_EQ(c, 0u);
+    }
+    for (const double b : off.worker_busy_seconds) {
+        EXPECT_EQ(b, 0.0);
+    }
 
     const telemetry::scoped_enable on;
     std::atomic<int> hits{0};
@@ -212,7 +226,7 @@ TEST(pool_stats_test, tracks_tasks_and_busy_time_only_while_enabled) {
     const engine::pool_stats s = pool.stats();
     EXPECT_EQ(hits.load(), 8);
     EXPECT_EQ(s.workers, 2u);
-    EXPECT_EQ(s.tasks_run, 8u);
+    EXPECT_EQ(s.tasks_run, 12u);
     EXPECT_EQ(s.queue_wait_counts.size(), s.queue_wait_bounds.size() + 1);
     std::uint64_t waits = 0;
     for (const auto c : s.queue_wait_counts) {
@@ -478,6 +492,7 @@ TEST(trace_sink_test, field_builders_render_json_values) {
     EXPECT_EQ(engine::trace_field::boolean("k", true).rendered, "true");
     EXPECT_EQ(engine::trace_field::str("k", "a\"b\\c\nd").rendered,
               "\"a\\\"b\\\\c\\nd\"");
+    EXPECT_EQ(engine::trace_field::str("k", "a\x01").rendered, "\"a\\u0001\"");
     EXPECT_EQ(engine::trace_field::raw("k", "{\"x\": 1}").rendered, "{\"x\": 1}");
 }
 
