@@ -454,8 +454,9 @@ class checkpointer {
 ///                        (util/telemetry.h) without writing a trace;
 ///   --trace=FILE         JSONL event stream (engine/trace_sink.h); implies
 ///                        --telemetry so phase timings are non-zero;
-///   --trace-every=K      publish cadence, events per append + sync
-///                        (default 1 = crash-safe after every event);
+///   --trace-every=K      publish cadence, events per append (default 1 =
+///                        kill-safe after every event; engine/append_log.h
+///                        decides when to sync);
 ///   --progress           live progress/ETA line on stderr.
 /// None of these affect results: flood/spread outputs are bit-identical with
 /// any combination on or off. Binaries that run several sweeps call arm()

@@ -57,14 +57,15 @@ append_log::~append_log() {
     }
 }
 
-bool append_log::publish(std::string_view lines, bool surface_errors) {
+void append_log::publish(std::string_view lines, bool flush) {
+    unsynced_ += lines;
     try {
         with_retry(backoff_policy{}, site_, [&] {
             fault::inject(site_);
-            write_lines(lines);
+            write_and_sync(flush);
         });
     } catch (const error& e) {
-        if (surface_errors) {
+        if (flush) {
             throw;
         }
         if (!failing_) {
@@ -74,17 +75,14 @@ bool append_log::publish(std::string_view lines, bool surface_errors) {
                          path_.c_str(), e.what());
             failing_ = true;
         }
-        return false;
+        return;
     }
     failing_ = false;
-    return true;
 }
 
-void append_log::write_lines(std::string_view lines) {
-    if (!torn_) {
-        if (lines.empty()) {
-            return;
-        }
+void append_log::write_and_sync(bool flush) {
+    if (!torn_ && written_ < unsynced_.size()) {
+        const std::string_view lines = std::string_view{unsynced_}.substr(written_);
         const fault::outcome due = fault::hit("log.append");
         const bool cut = due.act == fault::action::fail || due.act == fault::action::crash;
         const std::size_t len = cut ? lines.size() / 2 : lines.size();
@@ -92,26 +90,50 @@ void append_log::write_lines(std::string_view lines) {
         if (due.act != fault::action::fail) {
             fault::act("log.append", due);  // a crash dies with the torn tail on disk
         }
-        if (wrote == static_cast<ssize_t>(lines.size()) && ::fdatasync(fd_) == 0) {
-            durable_ += lines.size();
-            return;
+        if (wrote == static_cast<ssize_t>(lines.size())) {
+            written_ = unsynced_.size();
+        } else {
+            torn_ = true;  // a partial line may now sit past the synced prefix
         }
-        torn_ = true;  // a partial line may now sit past the durable prefix
     }
-    republish(lines);
+    if (torn_) {
+        republish();
+        return;
+    }
+    if (written_ == 0 ||
+        (!flush && std::chrono::steady_clock::now() - last_sync_ < sync_interval)) {
+        return;
+    }
+    const fault::outcome due = fault::hit("log.sync");
+    if (due.act != fault::action::fail) {
+        fault::act("log.sync", due);
+    }
+    if (due.act == fault::action::fail || ::fdatasync(fd_) != 0) {
+        // After a failed fdatasync the written bytes may never reach the
+        // disk, even though reading them back still works: rewrite them
+        // from the copy in memory.
+        torn_ = true;
+        republish();
+        return;
+    }
+    synced_ += written_;
+    unsynced_.clear();
+    written_ = 0;
+    ++syncs_;
+    last_sync_ = std::chrono::steady_clock::now();
 }
 
-void append_log::republish(std::string_view lines) {
-    // The durable prefix comes back from the open descriptor, which pins
-    // the file this log wrote even if its path has since changed; before
-    // the first publish it is just the header.
+void append_log::republish() {
+    // The synced prefix comes back from the open descriptor, which pins the
+    // file this log wrote even if its path has since changed; before the
+    // first publish it is just the header.
     std::string doc;
     if (fd_ < 0) {
         doc = header_;
     } else {
-        doc.resize(durable_);
-        for (std::size_t got = 0; got < durable_;) {
-            const ssize_t n = ::pread(fd_, doc.data() + got, durable_ - got,
+        doc.resize(synced_);
+        for (std::size_t got = 0; got < synced_;) {
+            const ssize_t n = ::pread(fd_, doc.data() + got, synced_ - got,
                                       static_cast<off_t>(got));
             if (n < 0 && errno == EINTR) {
                 continue;
@@ -122,7 +144,7 @@ void append_log::republish(std::string_view lines) {
             got += static_cast<std::size_t>(n);
         }
     }
-    doc += lines;
+    doc += unsynced_;
     atomic_write_file(path_, doc);
     const int fd = ::open(path_.c_str(), O_RDWR | O_APPEND | O_CLOEXEC);
     if (fd < 0) {
@@ -134,8 +156,11 @@ void append_log::republish(std::string_view lines) {
         ::close(fd_);
     }
     fd_ = fd;
-    durable_ = doc.size();
+    synced_ = doc.size();
+    unsynced_.clear();
+    written_ = 0;
     torn_ = false;
+    last_sync_ = std::chrono::steady_clock::now();
 }
 
 }  // namespace manhattan::engine

@@ -27,6 +27,10 @@
 ///   log.append      append_log's write(): fail and crash both write only
 ///                   half of the lines first — fail then takes the atomic
 ///                   republish fallback, crash dies with a torn tail.
+///   log.sync        append_log's fdatasync (once per interval and at each
+///                   flush): fail reports a failed sync, which takes the
+///                   atomic republish fallback from the log's copy of the
+///                   unsynced lines.
 ///   sink.publish    atomic_file_sink's CSV/JSON publish.
 ///   lease.acquire   fabric lease claim (the O_EXCL create).
 ///   lease.renew     fabric lease heartbeat refresh.

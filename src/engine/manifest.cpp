@@ -454,14 +454,18 @@ void checkpoint_ledger::record(std::size_t point, std::size_t replica, replica_s
         // still holding the lock (keeping the on-disk record count exactly
         // the fatal hit number — no concurrent record can slip in), then die
         // exactly like an external `kill -9`: no stack unwinding, no sink
-        // finish(), no final flush.
-        publish_locked(true);
+        // finish(), no final flush. A checkpoint publish, not a flush: the
+        // records reach the file by write() alone, so the count the smokes
+        // read after the kill is what the page cache kept, not a sync.
+        publish_locked(false);
     }
     fault::act("ledger.record", due);  // crash / fail / delay
-    // Every checkpoint_every records, also while a failed publish keeps
-    // earlier records pending (a broken disk is retried at the cadence, not
-    // on every record).
-    if ((manifest_.records.size() - published_) % checkpoint_every_ == 0) {
+    // Once at least checkpoint_every records are pending, not exactly that
+    // many: an adopted ledger starts with all its old records pending, and a
+    // failed ledger.record hit above skips this check. A failed publish leaves
+    // its lines with the log, which writes them with the next one: a broken
+    // disk is retried at the cadence, not on every record.
+    if (manifest_.records.size() - published_ >= checkpoint_every_) {
         publish_locked(false);
     }
 }
@@ -471,14 +475,13 @@ void checkpoint_ledger::flush() {
     publish_locked(true);
 }
 
-void checkpoint_ledger::publish_locked(bool surface_errors) {
+void checkpoint_ledger::publish_locked(bool flush) {
     std::string lines;
     for (std::size_t i = published_; i < manifest_.records.size(); ++i) {
         lines += record_line(manifest_.records[i]);
     }
-    if (log_.publish(lines, surface_errors)) {
-        published_ = manifest_.records.size();
-    }
+    published_ = manifest_.records.size();  // the log owns them now, even if it throws
+    log_.publish(lines, flush);
 }
 
 }  // namespace manhattan::engine

@@ -158,10 +158,13 @@ void save_manifest(const run_manifest& manifest, const std::string& path);
 
 /// Thread-safe checkpoint writer for one run_sweep call: workers record()
 /// replicas as they complete, and every `checkpoint_every` fresh records the
-/// unpublished record lines are appended to the ledger file (one write plus
-/// fdatasync, engine::append_log). flush() publishes whatever is left
-/// (run_sweep calls it once the workers drained — also on the error path,
-/// so a failed sweep keeps its completed work).
+/// unpublished record lines are appended to the ledger file in one write()
+/// (engine::append_log; its file comment says when it syncs and what a
+/// crash loses). flush() publishes whatever is left and syncs the whole
+/// tail (run_sweep calls it once the workers drained — also on the error
+/// path, so a failed sweep keeps its completed work; a fabric worker calls
+/// it before it releases a batch). A resume computes again whatever a
+/// crash lost.
 ///
 /// The first publish of an adopted ledger (one built from a manifest that
 /// already holds records: a resume, a restarted fabric owner) rewrites it
@@ -169,10 +172,10 @@ void save_manifest(const run_manifest& manifest, const std::string& path);
 ///
 /// Failure handling (engine::append_log's): each publish retries transient
 /// I/O errors with exponential backoff. A mid-run publish that still fails
-/// is *reported and skipped* — the records stay in memory and the next
-/// publish appends them too, so a recovered disk loses nothing and a broken
-/// one never aborts the sweep mid-flight. Only flush() (the final publish,
-/// after the workers drained) surfaces the failure.
+/// is *reported and skipped* — the log keeps the records in memory and the
+/// next publish writes them too, so a recovered disk loses nothing and a
+/// broken one never aborts the sweep mid-flight. Only flush() (the final
+/// publish, after the workers drained) surfaces the failure.
 ///
 /// Fault injection (engine/fault.h): record() hits site "ledger.record" —
 /// a crash rule publishes the ledger first, so the on-disk record count is
@@ -194,17 +197,20 @@ class checkpoint_ledger {
     /// Driver-only (after workers drained): the accumulated manifest.
     [[nodiscard]] const run_manifest& manifest() const noexcept { return manifest_; }
 
+    /// Driver-only (after workers drained): the ledger file's log.
+    [[nodiscard]] const append_log& log() const noexcept { return log_; }
+
  private:
-    /// Append records [published_, end) under mutex_. \p surface_errors:
-    /// rethrow a persistent publish failure (flush) vs report-and-continue
-    /// (worker-side checkpoints).
-    void publish_locked(bool surface_errors);
+    /// Hand records [published_, end) to the log under mutex_. \p flush:
+    /// sync and rethrow a persistent publish failure (flush) vs
+    /// report-and-continue (worker-side checkpoints).
+    void publish_locked(bool flush);
 
     std::mutex mutex_;
     run_manifest manifest_;
     append_log log_;
     std::size_t checkpoint_every_;
-    std::size_t published_ = 0;  ///< records durable in the file
+    std::size_t published_ = 0;  ///< records handed to the log
 };
 
 }  // namespace manhattan::engine

@@ -126,7 +126,8 @@ struct checkpoint_options {
     std::string manifest_path;
 
     /// Completed replicas between manifest publishes (>= 1; 0 is treated
-    /// as 1). Each publish appends the unpublished records and syncs them.
+    /// as 1). Each publish appends the unpublished records in one write();
+    /// engine::append_log decides when to sync.
     ///
     /// (Crash injection moved to the structured fault harness: a
     /// MANHATTAN_FAULT=ledger.record:crash:K rule — engine/fault.h —

@@ -155,18 +155,14 @@ void trace_sink::emit(const std::string& event, const std::vector<trace_field>& 
     buffer_ += ", \"seq\": " + std::to_string(seq_++);
     buffer_ += ", \"t\": " + fmt(clock_.seconds());
     buffer_ += tail;
-    // Every publish_every events, also while a failed publish keeps earlier
-    // ones buffered.
-    if (++unpublished_ % publish_every_ == 0) {
+    if (++unpublished_ >= publish_every_) {
         publish_locked(false);
     }
 }
 
 void trace_sink::flush() {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (unpublished_ > 0) {
-        publish_locked(true);
-    }
+    publish_locked(true);  // also with nothing buffered: it syncs what was written
 }
 
 std::size_t trace_sink::events() const {
@@ -179,11 +175,11 @@ std::size_t trace_sink::next_sweep_id() {
     return sweeps_++;
 }
 
-void trace_sink::publish_locked(bool surface_errors) {
-    if (log_.publish(buffer_, surface_errors)) {
-        buffer_.clear();
-        unpublished_ = 0;
-    }
+void trace_sink::publish_locked(bool flush) {
+    const std::string lines = std::move(buffer_);  // the log owns them now, even if it throws
+    buffer_.clear();
+    unpublished_ = 0;
+    log_.publish(lines, flush);
 }
 
 }  // namespace manhattan::engine

@@ -2,11 +2,12 @@
 /// Structured engine telemetry as a JSONL event stream: one self-contained
 /// JSON object per line, appended by whoever observes something (run_sweep,
 /// its workers, a bench harness) and published to disk through the
-/// engine's append-only log (engine/append_log.h): each publish appends only
-/// the new lines and syncs them. A kill -9 at any instant leaves complete,
-/// parseable lines, possibly missing the newest unpublished events (exactly
-/// like a checkpoint ledger) and possibly followed by one unterminated
-/// final line from an interrupted append, which readers skip.
+/// engine's append-only log (engine/append_log.h, which says when it syncs
+/// and what a power cut loses): each publish appends only the new lines in
+/// one write(). A kill -9 at any instant leaves complete, parseable lines,
+/// possibly missing the newest unpublished events (exactly like a
+/// checkpoint ledger) and possibly followed by one unterminated final line
+/// from an interrupted append, which readers skip.
 ///
 /// Event vocabulary (docs/OBSERVABILITY.md pins the schema; the CI
 /// trace-validate job parses every line and checks the begin/end pairing):
@@ -71,12 +72,12 @@ struct trace_field {
 /// The JSONL writer. Construction publishes an empty file (an unwritable
 /// destination fails before any work is spent — the atomic_file_sink rule);
 /// every \p publish_every emitted events the buffered lines are appended,
-/// and flush() / destruction force a final publish.
+/// and flush() / destruction publish the rest and sync the file.
 ///
 /// Failure handling is the append log's, shared with the checkpoint ledger:
 /// each publish retries transient I/O errors (fault site "trace.publish").
-/// A publish from emit() that still fails is reported once, its lines stay
-/// buffered for the next publish, and the caller carries on — a trace
+/// A publish from emit() that still fails is reported once, the log keeps
+/// its lines for the next publish, and the caller carries on — a trace
 /// write failure never aborts the sweep it observes. Only flush() throws.
 class trace_sink {
  public:
@@ -95,8 +96,8 @@ class trace_sink {
     void emit(const std::string& event, std::initializer_list<trace_field> fields);
     void emit(const std::string& event, const std::vector<trace_field>& fields);
 
-    /// Publish everything emitted so far (thread-safe). Throws engine::error
-    /// (class io) when the publish fails even after retries.
+    /// Publish everything emitted so far and sync it (thread-safe). Throws
+    /// engine::error (class io) when the publish fails even after retries.
     void flush();
 
     /// Events emitted so far.
@@ -106,10 +107,13 @@ class trace_sink {
     /// run_sweep call claims the next id to label its events (thread-safe).
     [[nodiscard]] std::size_t next_sweep_id();
 
+    /// The trace file's log (read it once the emitters stopped).
+    [[nodiscard]] const append_log& log() const noexcept { return log_; }
+
  private:
-    /// Append buffer_ to the log (caller holds mutex_). \p surface_errors:
+    /// Hand buffer_ to the log (caller holds mutex_). \p flush: sync and
     /// rethrow a persistent failure (flush) vs report-and-continue (emit).
-    void publish_locked(bool surface_errors);
+    void publish_locked(bool flush);
 
     std::size_t publish_every_;
     util::timer clock_;

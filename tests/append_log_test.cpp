@@ -1,11 +1,16 @@
 // Append-only durable log tests (engine/append_log.h) and the torn-tail
 // contract of its two readers. The log itself: the first publish writes
-// header + lines atomically, later publishes append whole lines, a failed
-// append falls back to an atomic republish that loses and duplicates
-// nothing, and the descriptor closes with its owner. The ledger on top of
-// it keeps its publish cadence through failed publishes. The manifest reader:
-// a ledger cut at *every* byte offset parses to exactly the records whose
-// lines are complete, and one flipped byte in any non-final record is
+// header + lines atomically, later publishes append whole lines that are
+// in the file before any sync, syncs come once per interval and at a flush
+// (also a flush with nothing new, through the ledger and the trace sink),
+// a failed append or sync falls back to an atomic republish that loses and
+// duplicates nothing, and the descriptor closes with its owner. The ledger
+// on top of it keeps its publish cadence through failed publishes, from an
+// adopted manifest and after a failed ledger.record hit. No test
+// sleeps: a sync count is checked against the intervals the test actually
+// spanned, so a slow host weakens a check but never fails it. The manifest
+// reader: a ledger cut at *every* byte offset parses to exactly the records
+// whose lines are complete, and one flipped byte in any non-final record is
 // corruption. The trace stream: every newline-terminated line of a cut
 // file parses. And the point of the design: a traced, checkpointed sweep
 // writes about its final file bytes, not their square.
@@ -14,9 +19,11 @@
 // failure reproduces from the iteration index alone.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -167,6 +174,20 @@ long long written_bytes() {
     return -1;
 }
 
+/// The inode behind \p path: a republish renames a new file over it.
+ino_t inode_of(const std::string& path) {
+    struct stat st {};
+    return ::stat(path.c_str(), &st) == 0 ? st.st_ino : 0;
+}
+
+/// Whole sync intervals in the time since \p start: a log whose last sync
+/// (or first publish) came after \p start cannot have synced more often
+/// than this on its own.
+std::size_t intervals_since(std::chrono::steady_clock::time_point start) {
+    return static_cast<std::size_t>((std::chrono::steady_clock::now() - start) /
+                                    engine::append_log::sync_interval);
+}
+
 std::size_t open_fds() {
     std::size_t count = 0;
     std::error_code ec;
@@ -216,6 +237,118 @@ TEST(append_log_test, failed_append_falls_back_to_an_atomic_republish) {
     EXPECT_EQ(slurp(path), "head\na\nyyy\nzzz\nw\n");
 }
 
+TEST(append_log_test, published_lines_are_in_the_file_before_any_sync) {
+    const fault_guard guard;
+    const scratch_dir dir("deferred");
+    const std::string path = dir.file("log.txt");
+    engine::append_log log(path, "head\n", "test.publish");
+    const auto start = std::chrono::steady_clock::now();
+    log.publish("a\n", false);  // the atomic first publish
+    std::string expected = "head\na\n";
+    for (int i = 0; i < 100; ++i) {
+        const std::string line = "line " + std::to_string(i) + "\n";
+        log.publish(line, false);
+        expected += line;
+        ASSERT_EQ(slurp(path), expected) << "publish " << i;
+    }
+    // One sync per elapsed interval at most, not one per publish: on any
+    // host quicker than an interval, none of the reads above saw a sync.
+    EXPECT_LE(log.syncs(), intervals_since(start));
+}
+
+TEST(append_log_test, flush_syncs_a_tail_written_earlier) {
+    const fault_guard guard;
+    const scratch_dir dir("flush_tail");
+    const std::string path = dir.file("log.txt");
+    engine::append_log log(path, "head\n", "test.publish");
+    log.publish("a\n", false);
+    EXPECT_EQ(log.syncs(), 0u);  // the first publish syncs through the atomic write
+    // Written now, synced either by this publish (a full interval passed) or
+    // by the flush that follows with nothing new: exactly once.
+    log.publish("b\n", false);
+    log.publish("", true);
+    EXPECT_EQ(log.syncs(), 1u);
+    log.publish("", true);  // nothing unsynced: no sync
+    EXPECT_EQ(log.syncs(), 1u);
+    EXPECT_EQ(slurp(path), "head\na\nb\n");
+}
+
+TEST(append_log_test, ledger_flush_syncs_records_published_earlier) {
+    const fault_guard guard;
+    const scratch_dir dir("ledger_flush");
+    const std::string path = dir.file("ledger.manifest");
+    engine::run_manifest initial;
+    initial.fingerprint = 7;
+    initial.points = 1;
+    initial.repetitions = 2;
+    engine::checkpoint_ledger ledger(initial, path, 1);
+    ledger.record(0, 0, {});  // the atomic first publish
+    ledger.record(0, 1, {});  // written at the cadence, nothing left pending
+    EXPECT_EQ(engine::load_manifest(path).records.size(), 2u);
+    ledger.flush();
+    EXPECT_EQ(ledger.log().syncs(), 1u);
+    ledger.flush();
+    EXPECT_EQ(ledger.log().syncs(), 1u);
+    EXPECT_TRUE(engine::load_manifest(path).complete());
+}
+
+TEST(append_log_test, trace_flush_syncs_events_published_earlier) {
+    const fault_guard guard;
+    const scratch_dir dir("trace_flush");
+    const std::string path = dir.file("trace.jsonl");
+    engine::trace_sink trace(path);  // the atomic first publish
+    trace.emit("probe", {engine::trace_field::num("k", std::uint64_t{1})});
+    EXPECT_EQ(line_ends(slurp(path)).size(), 1u);  // written at emit
+    trace.flush();
+    EXPECT_EQ(trace.log().syncs(), 1u);
+    trace.flush();
+    EXPECT_EQ(trace.log().syncs(), 1u);
+}
+
+TEST(append_log_test, failed_sync_falls_back_to_an_atomic_republish) {
+    const fault_guard guard;
+    const scratch_dir dir("sync_fallback");
+    const std::string path = dir.file("log.txt");
+    engine::append_log log(path, "head\n", "test.publish");
+    log.publish("a\n", false);
+    log.publish("b\n", false);
+    const std::size_t syncs = log.syncs();
+    const ino_t before = inode_of(path);
+    // The flush's fdatasync reports an error: the written bytes' fate is
+    // unknown, so a new file is written from the copy in memory.
+    fault::configure("log.sync:fail:1");
+    log.publish("c\n", true);
+    EXPECT_EQ(slurp(path), "head\na\nb\nc\n");
+    EXPECT_NE(inode_of(path), before);
+    EXPECT_EQ(log.syncs(), syncs);
+    // Back to plain appends and syncs, on the new file.
+    log.publish("d\n", true);
+    EXPECT_EQ(slurp(path), "head\na\nb\nc\nd\n");
+    EXPECT_EQ(log.syncs(), syncs + 1);
+}
+
+TEST(append_log_test, failed_sync_and_republish_lose_and_duplicate_nothing) {
+    const fault_guard guard;
+    const scratch_dir dir("sync_outage");
+    const std::string sub = dir.file("d");
+    fs::create_directories(sub);
+    const std::string path = sub + "/log.txt";
+    engine::append_log log(path, "head\n", "test.publish");
+    log.publish("a\n", false);
+    log.publish("b\n", false);
+    // The sync fails, and so does every republish: its directory is gone.
+    fault::configure("log.sync:fail:1");
+    fs::remove_all(sub);
+    EXPECT_THROW(log.publish("c\n", true), engine::error);
+    log.publish("d\n", false);  // reported; the log keeps the line
+    // The disk recovers: one flush writes every line, once.
+    fs::create_directories(sub);
+    log.publish("", true);
+    EXPECT_EQ(slurp(path), "head\na\nb\nc\nd\n");
+    log.publish("e\n", true);
+    EXPECT_EQ(slurp(path), "head\na\nb\nc\nd\ne\n");
+}
+
 TEST(append_log_test, descriptor_closes_with_the_log) {
     const scratch_dir dir("fds");
     const std::size_t before = open_fds();
@@ -239,7 +372,7 @@ TEST(append_log_test, sweep_survives_failed_appends_with_identical_output) {
     spec.repetitions = 3;
     const std::string plain = csv_of(spec, {.threads = 2});
 
-    fault::configure("log.append:fail:4");
+    fault::configure("log.append:fail:4,log.sync:fail:2");
     const std::string manifest = dir.file("sweep.manifest");
     std::string durable;
     std::size_t events = 0;
@@ -290,6 +423,47 @@ TEST(append_log_test, ledger_keeps_its_cadence_through_failed_publishes) {
     fault::configure("");
     ledger.flush();
     EXPECT_EQ(engine::load_manifest(path).records.size(), 5u);
+}
+
+TEST(append_log_test, adopted_ledger_publishes_at_its_cadence) {
+    // A resume, a daemon job re-run from its ledger or a restarted fabric
+    // owner adopts a manifest that already holds records; its first fresh
+    // record must still be published at the cadence, not only at flush().
+    const fault_guard guard;
+    const scratch_dir dir("ledger_adopted");
+    const std::string path = dir.file("ledger.manifest");
+    engine::run_manifest initial;
+    initial.fingerprint = 7;
+    initial.points = 1;
+    initial.repetitions = 4;
+    initial.records.push_back({0, 0, {}});
+    engine::checkpoint_ledger ledger(initial, path, 1);
+    ledger.record(0, 1, {});
+    ASSERT_TRUE(fs::exists(path));
+    EXPECT_EQ(engine::load_manifest(path).records.size(), 2u);
+    ledger.record(0, 2, {});
+    EXPECT_EQ(engine::load_manifest(path).records.size(), 3u);
+}
+
+TEST(append_log_test, ledger_publishes_after_a_failed_record_hit) {
+    // A ledger.record fail rule throws after the record was kept but before
+    // its cadence check: the next record publishes both.
+    const fault_guard guard;
+    const scratch_dir dir("ledger_record_fail");
+    const std::string path = dir.file("ledger.manifest");
+    engine::run_manifest initial;
+    initial.fingerprint = 7;
+    initial.points = 1;
+    initial.repetitions = 3;
+    engine::checkpoint_ledger ledger(initial, path, 1);
+    fault::configure("ledger.record:fail:1");
+    EXPECT_THROW(ledger.record(0, 0, {}), engine::error);
+    EXPECT_FALSE(fs::exists(path));
+    ledger.record(0, 1, {});
+    ASSERT_TRUE(fs::exists(path));
+    EXPECT_EQ(engine::load_manifest(path).records.size(), 2u);
+    ledger.record(0, 2, {});
+    EXPECT_EQ(engine::load_manifest(path).records.size(), 3u);
 }
 
 // ---------------------------------------------------- manifest torn tails ---
