@@ -98,30 +98,28 @@ void flooding_sim::spawn(message_state& msg) {
 }
 
 /// Decide whether a scan is worth skip tables and build them if so. The
-/// occupancy counts come from the uninformed id list (O(#uninformed)); the
-/// committed side is its complement against the bucket sizes (between scans
-/// touched == committed, so #committed = bucket size - #uninformed in every
-/// bucket). The decision compares the scan's potential savings (queries x
-/// average bucket occupancy) against the build cost — purely a function of
-/// already-deterministic counts, so serial and parallel paths always agree.
-bool flooding_sim::prepare_skip_tables(const message_state& msg, std::size_t scan_size,
-                                       bool uninformed) {
+/// scanned ids are counted per bucket (O(#scanned)) and each count is
+/// replaced by its complement against the bucket size: between scans
+/// touched == committed, so that is the passive side of the scan in every
+/// bucket. A query covers up to 3x3 buckets of about n / #buckets agents,
+/// so the tables are skipped only when the scan's queries, 9n / #buckets
+/// candidates each, cost less than the build (#scanned + 4 passes over the
+/// buckets) — purely a function of already-deterministic counts, so serial
+/// and parallel paths always agree.
+bool flooding_sim::prepare_skip_tables(std::span<const std::uint32_t> scanned) {
     const std::size_t buckets = grid_.bucket_count();
     const std::size_t n = walker_.size();
-    const std::size_t build_cost = msg.uninformed.size() + 4 * buckets;
-    if (scan_size * n < 2 * build_cost * buckets) {
+    if (scanned.size() * 9 * n < (scanned.size() + 4 * buckets) * buckets) {
         return false;
     }
     bucket_counts_.assign(buckets, 0);
-    for (const std::uint32_t a : msg.uninformed) {
+    for (const std::uint32_t a : scanned) {
         ++bucket_counts_[grid_.bucket_of_item(a)];
     }
-    if (!uninformed) {
-        for (std::size_t b = 0; b < buckets; ++b) {
-            const auto size = static_cast<std::uint32_t>(grid_.bucket_end(b) -
-                                                         grid_.bucket_begin(b));
-            bucket_counts_[b] = size - bucket_counts_[b];
-        }
+    for (std::size_t b = 0; b < buckets; ++b) {
+        const auto size = static_cast<std::uint32_t>(grid_.bucket_end(b) -
+                                                     grid_.bucket_begin(b));
+        bucket_counts_[b] = size - bucket_counts_[b];
     }
     sum_bucket_neighborhoods();
     return true;
@@ -166,9 +164,11 @@ void flooding_sim::sum_bucket_neighborhoods() {
 /// transmit flag is set (null = every slot transmits), appending the newly
 /// informed to newly_ in the serial discovery order: ascending slot k, grid
 /// scan order within a slot, first discovery wins. The parallel path
-/// reproduces that order exactly — lanes are ascending contiguous k-ranges,
-/// each lane records its first sighting of an agent, and the lane-order
-/// merge keeps the globally first one.
+/// reproduces that order exactly: a filter pass over ascending contiguous
+/// k-ranges builds the live-transmitter list in ascending k (lane lists
+/// concatenated in lane order), the query pass splits that list into
+/// ascending contiguous ranges, each lane records its first sighting of an
+/// agent, and the lane-order merge keeps the globally first one.
 void flooding_sim::scan_transmitters(message_state& msg, std::size_t informed_before,
                                      const std::uint8_t* transmit) {
     const auto positions = walker_.positions();
@@ -179,7 +179,8 @@ void flooding_sim::scan_transmitters(message_state& msg, std::size_t informed_be
     // neighbourhood holds no uninformed agent cannot discover anyone, so its
     // whole radius query is skipped; within a query, buckets with no
     // uninformed agent are skipped bucket-wise.
-    const bool use_skip = prepare_skip_tables(msg, informed_before, /*uninformed=*/true);
+    const bool use_skip = prepare_skip_tables(
+        std::span<const std::uint32_t>(msg.informed_list).first(informed_before));
 
     if (exec_ == nullptr) {
         for (std::size_t k = 0; k < informed_before; ++k) {
@@ -209,11 +210,15 @@ void flooding_sim::scan_transmitters(message_state& msg, std::size_t informed_be
 
     const std::size_t lanes = exec_->lanes();
     const std::size_t n = walker_.size();
+    lane_live_.resize(lanes);
     lane_newly_.resize(lanes);
     lane_seen_.resize(lanes);
     // Pre-clear every lane buffer: run() skips empty ranges, and a lane
     // that was non-empty in an earlier (larger-count) scan of another
-    // message would otherwise leak its stale candidates into the merge.
+    // message would otherwise leak its stale entries into the merges.
+    for (auto& live : lane_live_) {
+        live.clear();
+    }
     for (auto& out : lane_newly_) {
         out.clear();
     }
@@ -225,24 +230,41 @@ void flooding_sim::scan_transmitters(message_state& msg, std::size_t informed_be
     }
     const std::uint32_t epoch = scan_epoch_;
 
-    // Parallel phase: read-only on the message's informed state, the grid
-    // and positions; every lane writes only its own buffers. Cross-lane
-    // duplicates are possible and resolved by the ordered merge below. The
-    // skip tables are frozen before the fan-out, so every lane consults the
-    // same (exact, scan-start) counts the serial path starts from.
+    // Filter pass: each lane keeps the transmitters of its own slot range
+    // that pass the transmit flag and the skip test. The transmitters that
+    // pass are mostly the recently informed ones at the tail of
+    // informed_list, so splitting slots alone would hand nearly all queries
+    // to the last lane.
     exec_->run(informed_before, [&](std::size_t lane, std::size_t begin, std::size_t end) {
-        auto& out = lane_newly_[lane];
-        auto& seen = lane_seen_[lane];
-        seen.resize(n, 0);
+        auto& live = lane_live_[lane];
         for (std::size_t k = begin; k < end; ++k) {
             if (transmit != nullptr && transmit[k] == 0) {
                 continue;
             }
             const std::uint32_t b = msg.informed_list[k];
-            const geom::vec2 p = positions[b];
             if (use_skip && nb_counts_[grid_.bucket_of_item(b)] == 0) {
                 continue;
             }
+            live.push_back(b);
+        }
+    });
+    live_.clear();
+    for (const auto& live : lane_live_) {
+        live_.insert(live_.end(), live.begin(), live.end());
+    }
+
+    // Query pass: read-only on the message's informed state, the grid,
+    // positions and live_; every lane writes only its own buffers.
+    // Cross-lane duplicates are possible and resolved by the ordered merge
+    // below. The skip tables are frozen before both fan-outs, so every lane
+    // consults the same (exact, scan-start) counts the serial path starts
+    // from.
+    exec_->run(live_.size(), [&](std::size_t lane, std::size_t begin, std::size_t end) {
+        auto& out = lane_newly_[lane];
+        auto& seen = lane_seen_[lane];
+        seen.resize(n, 0);
+        for (std::size_t i = begin; i < end; ++i) {
+            const geom::vec2 p = positions[live_[i]];
             grid_.visit_covering_buckets(
                 p, radius_, [&](std::size_t bucket, std::size_t bkt_begin, std::size_t bkt_end) {
                     if (!use_skip || bucket_counts_[bucket] != 0) {
@@ -284,7 +306,7 @@ void flooding_sim::scan_uninformed(message_state& msg) {
     // committed transmitter anywhere in its 3x3 bucket neighbourhood cannot
     // be informed this step. The committed set is immutable during the scan,
     // so the counts stay exact throughout.
-    const bool use_skip = prepare_skip_tables(msg, msg.uninformed.size(), /*uninformed=*/false);
+    const bool use_skip = prepare_skip_tables(msg.uninformed);
 
     // Whether a committed transmitter sits within the radius of agent \p a.
     // Probe order is the grid scan order (first hit stops early); only the

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -152,14 +153,17 @@ class flooding_sim {
                            const std::uint8_t* transmit);
     void scan_uninformed(message_state& msg);
     /// Build the per-bucket / 3x3-neighbourhood occupancy skip tables for a
-    /// scan (bucket_counts_ / nb_counts_). `uninformed` selects which side
-    /// is counted: the still-uninformed agents (transmitter scans skip
-    /// neighbourhoods with none to discover) or the committed informed
-    /// (uninformed scans skip agents with no possible informer nearby).
-    /// Returns false — tables untouched — when the scan is too small to
-    /// amortize the O(#buckets) build; skipping is then simply disabled.
-    [[nodiscard]] bool prepare_skip_tables(const message_state& msg, std::size_t scan_size,
-                                           bool uninformed);
+    /// scan over the ids \p scanned (bucket_counts_ / nb_counts_). The
+    /// scanned ids are counted per bucket and the tables keep the complement
+    /// against the bucket sizes, i.e. the scan's passive side: a transmitter
+    /// scan passes the committed prefix of informed_list and gets the
+    /// still-uninformed counts (neighbourhoods with none to discover are
+    /// skipped); an uninformed scan passes msg.uninformed and gets the
+    /// committed counts (agents with no possible informer nearby are
+    /// skipped). The build is O(#scanned + #buckets). Returns false — tables
+    /// untouched — when the scan's 3x3 queries are too few to repay it;
+    /// skipping is then simply disabled.
+    [[nodiscard]] bool prepare_skip_tables(std::span<const std::uint32_t> scanned);
     void sum_bucket_neighborhoods();
     void commit(message_state& msg);
     void update_zone_metrics(message_state& msg);
@@ -187,6 +191,12 @@ class flooding_sim {
     // reproduces the serial discovery order exactly (see docs/PERF.md).
     std::vector<std::uint32_t> newly_;
     std::vector<std::vector<std::uint32_t>> lane_newly_;
+    // The parallel transmitter scan's live list (scan_transmitters): ids of
+    // the transmitters that pass the transmit flag and the skip test, in
+    // ascending informed-list slot. Lanes filter their slot ranges into
+    // lane_live_; the lane-order concatenation is live_.
+    std::vector<std::uint32_t> live_;
+    std::vector<std::vector<std::uint32_t>> lane_live_;
     std::vector<std::vector<std::uint32_t>> lane_seen_;  ///< per-lane epoch stamps
     std::uint32_t scan_epoch_ = 0;
     std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> lane_edges_;
@@ -194,11 +204,12 @@ class flooding_sim {
     std::vector<std::uint8_t> root_informed_;
 
     // Scan skip tables (prepare_skip_tables): per-bucket occupancy counts of
-    // one side of the scan and their 3x3-neighbourhood sums. A radius query's
-    // covering rectangle is a subset of the 3x3 neighbourhood of the center's
-    // bucket (bucket side >= radius), so a zero neighbourhood sum proves the
-    // query cannot yield a candidate and the whole query is skipped — a pure
-    // subset optimisation that cannot change the discovered set or its order.
+    // the scan's passive side (the complement of the scanned ids) and their
+    // 3x3-neighbourhood sums. A radius query's covering rectangle is a
+    // subset of the 3x3 neighbourhood of the center's bucket (bucket side >=
+    // radius), so a zero neighbourhood sum proves the query cannot yield a
+    // candidate and the whole query is skipped — a pure subset optimisation
+    // that cannot change the discovered set or its order.
     // Counts are taken before a scan and not maintained during it (the
     // uninformed side only shrinks, so stale zeros stay correct).
     std::vector<std::uint32_t> bucket_counts_;

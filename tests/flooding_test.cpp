@@ -1,7 +1,7 @@
 // Unit tests for the flooding engine: exact hop semantics on frozen
 // geometries, both propagation modes, metric bookkeeping, and determinism —
 // including the intra-replica threading contract: a spread_result is
-// bit-identical for a null executor and for pools of 1, 2 and 8 workers.
+// bit-identical for a null executor and for pools of 1, 2, 3, 4 and 8 workers.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -304,7 +304,7 @@ TEST_P(intra_thread_determinism, bit_identical_across_thread_counts_and_vs_seria
     // The serial (null executor) run is the pre-threading reference path.
     const auto serial = run_with(nullptr);
     ASSERT_TRUE(serial.completed);
-    for (const std::size_t threads : {1u, 2u, 8u}) {
+    for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
         manhattan::engine::thread_pool pool(threads);
         const auto threaded = run_with(&pool.executor());
         EXPECT_EQ(serial, threaded) << "threads=" << threads;

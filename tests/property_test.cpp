@@ -9,6 +9,7 @@
 
 #include "core/flooding.h"
 #include "core/params.h"
+#include "engine/thread_pool.h"
 #include "graph/temporal.h"
 #include "mobility/factory.h"
 #include "mobility/trace.h"
@@ -24,15 +25,17 @@ using manhattan::rng::rng;
 constexpr double kSide = 70.0;
 constexpr std::size_t kAgents = 400;
 
-// Message 0 of a one-message flood from agent 0 in propagation \p mode.
+// Message 0 of a one-message flood from agent 0 in propagation \p mode,
+// serial or over the lanes of \p exec.
 core::message_result run_flood(mobility::model_kind kind, std::uint64_t seed, double radius,
-                               core::propagation mode, double speed = 1.0) {
+                               core::propagation mode, double speed = 1.0,
+                               manhattan::util::parallel_executor* exec = nullptr) {
     const auto model = mobility::make_model(kind, kSide);
     mobility::walker w(model, kAgents, speed, rng{seed});
     core::spread_config cfg;
     cfg.spread.messages.push_back({.sources = core::source_spec::agents({0}), .mode = mode});
     cfg.max_steps = 30'000;
-    core::flooding_sim sim(std::move(w), radius, cfg);
+    core::flooding_sim sim(std::move(w), radius, cfg, nullptr, exec);
     return sim.run_spread().messages[0];
 }
 
@@ -89,8 +92,12 @@ TEST_P(coupling_sweep, temporal_oracle_agrees_for_every_model) {
 
     const auto oracle = graph::temporal_flood(rec, radius, kSide, 0);  // flood_config's source
     const auto reference = run_flood(kind, seed, radius, core::propagation::one_hop);
+    manhattan::engine::thread_pool pool(4);
+    const auto lanes4 =
+        run_flood(kind, seed, radius, core::propagation::one_hop, 1.0, &pool.executor());
     for (std::size_t i = 0; i < kAgents; ++i) {
         ASSERT_EQ(reference.informed_at[i], oracle.reached_at[i]) << "agent " << i;
+        ASSERT_EQ(lanes4.informed_at[i], oracle.reached_at[i]) << "agent " << i << ", 4 lanes";
     }
 }
 

@@ -435,7 +435,7 @@ TEST_P(spread_determinism, bit_identical_across_intra_thread_counts) {
     auto sc = multi_scenario();
     const auto serial = core::run_scenario(sc);  // intra_threads = 1: serial path
     ASSERT_TRUE(serial.spread.completed);
-    for (const std::size_t threads : {2u, 8u}) {
+    for (const std::size_t threads : {2u, 3u, 4u, 8u}) {
         sc.intra_threads = threads;
         const auto threaded = core::run_scenario(sc);
         SCOPED_TRACE("intra_threads=" + std::to_string(threads));
