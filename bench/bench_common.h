@@ -26,7 +26,6 @@
 #include "core/scenario.h"
 #include "engine/error.h"
 #include "engine/fabric.h"
-#include "engine/fault.h"
 #include "engine/progress.h"
 #include "engine/runner.h"
 #include "engine/sink.h"
@@ -410,26 +409,15 @@ void sharded_sample(engine::thread_pool& pool, std::size_t shards, std::uint64_t
     });
 }
 
-/// Checkpoint/restart knobs shared by every sweep binary (engine/manifest.h,
+/// Checkpoint/restart knob shared by every sweep binary (engine/manifest.h,
 /// docs/ENGINE.md): `--resume=PATH` arms checkpointing to PATH and resumes
-/// from it when the file exists; `--checkpoint-every=K` (default 1) spaces
-/// the ledger publishes; `--abort-after-replicas=K` is a legacy alias for
-/// the structured fault harness — it arms the same SIGKILL-after-K-fresh-
-/// replicas crash as `MANHATTAN_FAULT=ledger.record:crash:K` (engine/fault.h).
-/// Binaries that run several sweeps call next() once per run_sweep, in a
-/// fixed order — each sweep gets its own manifest (PATH, PATH.2, PATH.3,
-/// ...), so resuming a multi-sweep binary replays the earlier sweeps from
-/// their ledgers.
+/// from it when the file exists. Binaries that run several sweeps call
+/// next() once per run_sweep, in a fixed order — each sweep gets its own
+/// manifest (PATH, PATH.2, PATH.3, ...), so resuming a multi-sweep binary
+/// replays the earlier sweeps from their ledgers.
 class checkpointer {
  public:
-    explicit checkpointer(const util::cli_args& args)
-        : path_(args.get_string("resume", "")),
-          every_(count_arg(args, "checkpoint-every", 1)) {
-        if (const std::size_t abort_after = count_arg(args, "abort-after-replicas", 0);
-            abort_after != 0) {
-            engine::fault::arm("ledger.record", engine::fault::action::crash, abort_after);
-        }
-    }
+    explicit checkpointer(const util::cli_args& args) : path_(args.get_string("resume", "")) {}
 
     /// Options for the next run_sweep call of this binary.
     [[nodiscard]] engine::checkpoint_options next() {
@@ -438,14 +426,12 @@ class checkpointer {
         if (!path_.empty()) {
             opts.manifest_path =
                 sweep_ == 1 ? path_ : path_ + "." + std::to_string(sweep_);
-            opts.checkpoint_every = every_;
         }
         return opts;
     }
 
  private:
     std::string path_;
-    std::size_t every_;
     std::size_t sweep_ = 0;
 };
 
@@ -454,9 +440,6 @@ class checkpointer {
 ///                        (util/telemetry.h) without writing a trace;
 ///   --trace=FILE         JSONL event stream (engine/trace_sink.h); implies
 ///                        --telemetry so phase timings are non-zero;
-///   --trace-every=K      publish cadence, events per append (default 1 =
-///                        kill-safe after every event; engine/append_log.h
-///                        decides when to sync);
 ///   --progress           live progress/ETA line on stderr.
 /// None of these affect results: flood/spread outputs are bit-identical with
 /// any combination on or off. Binaries that run several sweeps call arm()
@@ -468,8 +451,7 @@ class telemetry_set {
     explicit telemetry_set(const util::cli_args& args)
         : progress_flag_(args.has("progress")) {
         if (args.has("trace")) {
-            trace_.emplace(args.get_string("trace", ""),
-                           count_arg(args, "trace-every", 1));
+            trace_.emplace(args.get_string("trace", ""));
         }
         if (args.has("telemetry") || args.has("trace")) {
             util::telemetry::set_enabled(true);

@@ -5,7 +5,7 @@
 //
 // The n-sweep is a declarative engine::sweep_spec fanned over all cores.
 // Knobs: --n=LIST --c1=3 --reps=3 --seed=1 --threads=0 --csv=FILE --json=FILE
-//        --resume=MANIFEST --checkpoint-every=K (checkpoint/restart)
+//        --resume=MANIFEST (checkpoint/restart)
 #include <cstdio>
 #include <vector>
 

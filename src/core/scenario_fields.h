@@ -2,10 +2,10 @@
 /// The one field list of core::scenario. Every walk over a scenario's
 /// output-affecting fields is a visitor driven by for_each_field(): the
 /// sweep fingerprint and the first-difference diagnostic
-/// (engine/manifest.cpp), and the wire codec (service/wire.cpp), which the
-/// fabric's sweep.spec reuses. A field added here reaches all of them at
-/// once. The name tables every text surface spells the scenario's enums
-/// with live here too.
+/// (engine/manifest.cpp), and the JSON scenario codec (codec/json.cpp),
+/// which the daemon protocol and the fabric's sweep.spec use. A field added
+/// here reaches all of them at once. The name tables every text surface
+/// spells the scenario's enums with live here too.
 #pragma once
 
 #include <optional>

@@ -18,11 +18,11 @@
 #include <thread>
 #include <unordered_map>
 
+#include "codec/json.h"
 #include "core/scenario.h"
 #include "engine/fault.h"
 #include "engine/sink.h"
 #include "engine/thread_pool.h"
-#include "service/wire.h"
 
 namespace fs = std::filesystem;
 
@@ -383,7 +383,7 @@ coverage scan_coverage(const std::string& dir, const fabric_spec& spec,
 // ------------------------------------------------------------ spec on disk --
 
 std::string serialize_fabric_spec(const fabric_spec& spec) {
-    using service::json_value;
+    using codec::json_value;
     json_value doc = json_value::object();
     doc.set("format", json_value::string(spec_format));
     doc.set("fingerprint", json_value::string(fingerprint_hex(spec.fingerprint)));
@@ -394,38 +394,38 @@ std::string serialize_fabric_spec(const fabric_spec& spec) {
         json_value entry = json_value::object();
         entry.set("index", json_value::integer(point.index));
         entry.set("label", json_value::string(point.label));
-        entry.set("scenario", service::encode_scenario(point.sc));
+        entry.set("scenario", codec::encode_scenario(point.sc));
         points.items.push_back(std::move(entry));
     }
     doc.set("points", std::move(points));
-    return service::dump(doc) + "\n";
+    return codec::dump(doc) + "\n";
 }
 
 fabric_spec parse_fabric_spec(const std::string& text) {
     fabric_spec spec;
     std::string stored;
     try {
-        const service::json_value doc = service::parse_json(text);
-        const std::string format = service::str_field(doc, "format");
+        const codec::json_value doc = codec::parse_json(text);
+        const std::string format = codec::str_field(doc, "format");
         if (format != spec_format) {
             corrupt("unsupported spec format '" + format + "'");
         }
-        stored = service::str_field(doc, "fingerprint");
-        spec.repetitions = service::u64_field(doc, "repetitions");
-        spec.batch = service::u64_field(doc, "batch");
-        for (const service::json_value& entry : service::require(doc, "points").items) {
+        stored = codec::str_field(doc, "fingerprint");
+        spec.repetitions = codec::u64_field(doc, "repetitions");
+        spec.batch = codec::u64_field(doc, "batch");
+        for (const codec::json_value& entry : codec::require(doc, "points").items) {
             sweep_point point;
-            point.index = service::u64_field(entry, "index");
+            point.index = codec::u64_field(entry, "index");
             if (point.index != spec.points.size()) {
                 corrupt("points out of order: expected index " +
                         std::to_string(spec.points.size()) + ", got " +
                         std::to_string(point.index));
             }
-            point.label = service::str_field(entry, "label");
-            point.sc = service::decode_scenario(service::require(entry, "scenario"));
+            point.label = codec::str_field(entry, "label");
+            point.sc = codec::decode_scenario(codec::require(entry, "scenario"));
             spec.points.push_back(std::move(point));
         }
-    } catch (const service::wire_error& e) {
+    } catch (const codec::wire_error& e) {
         // Truncated, mangled or written in another format (a v1 text spec
         // is not JSON): durable state this binary cannot read.
         corrupt(std::string{"unreadable spec: not a "} + spec_format + " document (" +
@@ -535,7 +535,7 @@ fabric_report run_fabric_worker(const fabric_options& opts, const run_options& r
     for (const auto& rec : manifest.records) {
         own[rec.point * reps + rec.replica] = 1;
     }
-    checkpoint_ledger ledger(std::move(manifest), own_ledger, 1);
+    checkpoint_ledger ledger(std::move(manifest), own_ledger);
 
     std::optional<thread_pool> owned_pool;
     thread_pool& pool = run.pool != nullptr ? *run.pool : owned_pool.emplace(run.threads);

@@ -8,8 +8,9 @@
 ///
 /// Directory layout (`DIR` below):
 ///   sweep.spec               the fully-expanded sweep as one
-///                            "manhattan-fabric v2" JSON document (the wire
-///                            scenario codec: IEEE-754 bit patterns) + its
+///                            "manhattan-fabric v2" JSON document (the
+///                            codec/json.h scenario codec: IEEE-754 bit
+///                            patterns) + its
 ///                            fingerprint; written once by init_fabric,
 ///                            read-only after
 ///   leases/batch-<b>.lease   held claim on replica batch b (owner +
@@ -96,7 +97,7 @@ struct fabric_spec {
 
 /// Serialize / parse the sweep.spec document (docs/FABRIC.md): the format
 /// tag, fingerprint, repetitions, batch and one {index, label, scenario}
-/// entry per point, each scenario in the service wire codec. Doubles are
+/// entry per point, each scenario in the codec/json.h scenario codec. Doubles are
 /// IEEE-754 bit patterns, so the round trip is exact and the parsed spec
 /// re-fingerprints to the stored value — parse_fabric_spec verifies that
 /// and throws engine::error (class state) on any disagreement (a spec

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "codec/number.h"
 #include "engine/error.h"
 
 namespace manhattan::engine::fault {
@@ -48,18 +49,11 @@ void ensure_env_loaded() {
 }
 
 std::uint64_t parse_count(const std::string& plan, const std::string& token) {
-    try {
-        std::size_t used = 0;
-        const unsigned long long v = std::stoull(token, &used);
-        if (used != token.size() || v == 0) {
-            malformed(plan, "count must be a positive integer, got '" + token + "'");
-        }
-        return v;
-    } catch (const error&) {
-        throw;
-    } catch (const std::exception&) {
+    const std::optional<std::uint64_t> v = codec::parse_u64(token);
+    if (!v || *v == 0) {
         malformed(plan, "count must be a positive integer, got '" + token + "'");
     }
+    return *v;
 }
 
 }  // namespace

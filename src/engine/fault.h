@@ -20,8 +20,7 @@
 /// Instrumented sites (grep for fault::hit / fault::inject):
 ///   ledger.record   checkpoint_ledger::record — a crash here publishes the
 ///                   ledger first (under the ledger lock, so the on-disk
-///                   record count is exactly N) and supersedes PR 4's
-///                   --abort-after-replicas crash injection.
+///                   record count is exactly N).
 ///   ledger.publish  checkpoint_ledger's record append.
 ///   trace.publish   trace_sink's event append.
 ///   log.append      append_log's write(): fail and crash both write only

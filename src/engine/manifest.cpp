@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cinttypes>
-#include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -11,6 +9,7 @@
 #include <string_view>
 #include <type_traits>
 
+#include "codec/number.h"
 #include "core/scenario_fields.h"
 #include "engine/fault.h"
 
@@ -116,19 +115,15 @@ std::string next_token(std::istringstream& line, const std::string& what) {
     return token;
 }
 
+/// A decimal (\p base 10) or 16-hex-digit (\p base 16) number, read by
+/// the codec's strict parsers (codec/number.h).
 std::uint64_t parse_u64(const std::string& token, const std::string& what, int base = 10) {
-    try {
-        std::size_t used = 0;
-        const std::uint64_t value = std::stoull(token, &used, base);
-        if (used != token.size()) {
-            corrupt("malformed " + what + " '" + token + "'");
-        }
-        return value;
-    } catch (const manifest_error&) {
-        throw;
-    } catch (const std::exception&) {
+    const std::optional<std::uint64_t> value =
+        base == 16 ? codec::parse_hex64(token) : codec::parse_u64(token);
+    if (!value) {
         corrupt("malformed " + what + " '" + token + "'");
     }
+    return *value;
 }
 
 double parse_f64_bits(const std::string& token, const std::string& what) {
@@ -177,11 +172,7 @@ std::uint64_t sweep_fingerprint(const sweep_spec& spec) {
     return sweep_fingerprint(spec.expand(), spec.repetitions);
 }
 
-std::string fingerprint_hex(std::uint64_t fingerprint) {
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016" PRIx64, fingerprint);
-    return {buf};
-}
+std::string fingerprint_hex(std::uint64_t fingerprint) { return codec::hex64(fingerprint); }
 
 namespace {
 
@@ -439,11 +430,9 @@ run_manifest load_manifest(const std::string& path) {
     }
 }
 
-checkpoint_ledger::checkpoint_ledger(run_manifest manifest, std::string path,
-                                     std::size_t checkpoint_every)
+checkpoint_ledger::checkpoint_ledger(run_manifest manifest, std::string path)
     : manifest_(std::move(manifest)),
-      log_(std::move(path), header_text(manifest_), "ledger.publish"),
-      checkpoint_every_(checkpoint_every == 0 ? 1 : checkpoint_every) {}
+      log_(std::move(path), header_text(manifest_), "ledger.publish") {}
 
 void checkpoint_ledger::record(std::size_t point, std::size_t replica, replica_stat stat) {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -454,20 +443,17 @@ void checkpoint_ledger::record(std::size_t point, std::size_t replica, replica_s
         // still holding the lock (keeping the on-disk record count exactly
         // the fatal hit number — no concurrent record can slip in), then die
         // exactly like an external `kill -9`: no stack unwinding, no sink
-        // finish(), no final flush. A checkpoint publish, not a flush: the
-        // records reach the file by write() alone, so the count the smokes
-        // read after the kill is what the page cache kept, not a sync.
+        // finish(), no final flush. A publish, not a flush: the records
+        // reach the file by write() alone, so the count the smokes read
+        // after the kill is what the page cache kept, not a sync.
         publish_locked(false);
     }
     fault::act("ledger.record", due);  // crash / fail / delay
-    // Once at least checkpoint_every records are pending, not exactly that
-    // many: an adopted ledger starts with all its old records pending, and a
-    // failed ledger.record hit above skips this check. A failed publish leaves
-    // its lines with the log, which writes them with the next one: a broken
-    // disk is retried at the cadence, not on every record.
-    if (manifest_.records.size() - published_ >= checkpoint_every_) {
-        publish_locked(false);
-    }
+    // Every pending record, not just this one: an adopted ledger starts
+    // with all its old records pending, and a failed ledger.record hit above
+    // skips this publish. A failed publish leaves its lines with the log,
+    // which writes them with the next one.
+    publish_locked(false);
 }
 
 void checkpoint_ledger::flush() {

@@ -157,10 +157,10 @@ void save_manifest(const run_manifest& manifest, const std::string& path);
                                             std::span<const replica_stat> stats);
 
 /// Thread-safe checkpoint writer for one run_sweep call: workers record()
-/// replicas as they complete, and every `checkpoint_every` fresh records the
-/// unpublished record lines are appended to the ledger file in one write()
-/// (engine::append_log; its file comment says when it syncs and what a
-/// crash loses). flush() publishes whatever is left and syncs the whole
+/// replicas as they complete, and each record's line is appended to the
+/// ledger file in one write() before record() returns (engine::append_log;
+/// its file comment says when it syncs and what a crash loses). flush()
+/// publishes whatever a failed publish left pending and syncs the whole
 /// tail (run_sweep calls it once the workers drained — also on the error
 /// path, so a failed sweep keeps its completed work; a fabric worker calls
 /// it before it releases a batch). A resume computes again whatever a
@@ -179,13 +179,11 @@ void save_manifest(const run_manifest& manifest, const std::string& path);
 ///
 /// Fault injection (engine/fault.h): record() hits site "ledger.record" —
 /// a crash rule publishes the ledger first, so the on-disk record count is
-/// exactly the fatal hit number (the CI resume smoke's SIGKILL, formerly
-/// --abort-after-replicas) — and every publish hits "ledger.publish" inside
-/// its retry loop.
+/// exactly the fatal hit number (the CI resume smoke's SIGKILL) — and every
+/// publish hits "ledger.publish" inside its retry loop.
 class checkpoint_ledger {
  public:
-    checkpoint_ledger(run_manifest manifest, std::string path,
-                      std::size_t checkpoint_every);
+    checkpoint_ledger(run_manifest manifest, std::string path);
 
     /// Record one completed replica (any worker thread).
     void record(std::size_t point, std::size_t replica, replica_stat stat);
@@ -209,7 +207,6 @@ class checkpoint_ledger {
     std::mutex mutex_;
     run_manifest manifest_;
     append_log log_;
-    std::size_t checkpoint_every_;
     std::size_t published_ = 0;  ///< records handed to the log
 };
 

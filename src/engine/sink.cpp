@@ -1,28 +1,23 @@
 #include "engine/sink.h"
 
-#include <cmath>
 #include <cstdio>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
+#include "codec/json.h"
+#include "codec/number.h"
 #include "core/scenario_fields.h"
 #include "engine/append_log.h"
 #include "engine/error.h"
 #include "engine/fault.h"
-#include "service/wire.h"
 
 namespace manhattan::engine {
 
 namespace {
 
-/// Shortest round-trip double formatting (JSON/CSV want full precision).
-std::string num(double v) {
-    std::ostringstream os;
-    os.precision(17);
-    os << v;
-    return os.str();
-}
+using codec::f64_text;
+using codec::number_array;
+using codec::number_list;
 
 std::string csv_quote(const std::string& s) {
     if (s.find_first_of(",\"\n") == std::string::npos) {
@@ -37,31 +32,6 @@ std::string csv_quote(const std::string& s) {
     }
     quoted += '"';
     return quoted;
-}
-
-/// Semicolon-joined number list for one CSV cell (comma would split the cell).
-std::string joined(const std::vector<double>& values) {
-    std::string out;
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i != 0) {
-            out += ';';
-        }
-        out += num(values[i]);
-    }
-    return out;
-}
-
-/// JSON array of numbers.
-std::string json_array(const std::vector<double>& values) {
-    std::string out = "[";
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i != 0) {
-            out += ", ";
-        }
-        out += num(values[i]);
-    }
-    out += "]";
-    return out;
 }
 
 }  // namespace
@@ -80,19 +50,19 @@ void csv_sink::on_row(const sweep_row& row) {
     }
     const auto& sc = row.point.sc;
     out_ << row.point.index << ',' << csv_quote(row.point.label) << ',' << sc.params.n << ','
-         << num(sc.params.side) << ',' << num(sc.params.radius) << ',' << num(sc.params.speed)
-         << ',' << core::enum_name(sc.model) << ',' << core::enum_name(sc.mode) << ','
-         << num(sc.gossip_p) << ',' << row.times.size() << ',' << num(row.summary.mean) << ','
-         << num(row.summary.stddev) << ',' << num(row.summary.min) << ','
-         << num(row.summary.median) << ',' << num(row.summary.max) << ','
-         << num(row.mean_ci.lo) << ',' << num(row.mean_ci.hi) << ','
-         << num(row.completed_fraction) << ','
-         << (row.mean_cz_step ? num(*row.mean_cz_step) : std::string{}) << ','
-         << (row.max_cz_step ? num(*row.max_cz_step) : std::string{}) << ','
-         << num(row.cz_fraction) << ','
-         << num(row.suburb_diameter) << ','
-         << row.message_mean_times.size() << ',' << joined(row.message_mean_times) << ','
-         << joined(row.message_completed_fraction) << '\n';
+         << f64_text(sc.params.side) << ',' << f64_text(sc.params.radius) << ','
+         << f64_text(sc.params.speed) << ',' << core::enum_name(sc.model) << ','
+         << core::enum_name(sc.mode) << ',' << f64_text(sc.gossip_p) << ',' << row.times.size()
+         << ',' << f64_text(row.summary.mean) << ',' << f64_text(row.summary.stddev) << ','
+         << f64_text(row.summary.min) << ',' << f64_text(row.summary.median) << ','
+         << f64_text(row.summary.max) << ',' << f64_text(row.mean_ci.lo) << ','
+         << f64_text(row.mean_ci.hi) << ',' << f64_text(row.completed_fraction) << ','
+         << (row.mean_cz_step ? f64_text(*row.mean_cz_step) : std::string{}) << ','
+         << (row.max_cz_step ? f64_text(*row.max_cz_step) : std::string{}) << ','
+         << f64_text(row.cz_fraction) << ',' << f64_text(row.suburb_diameter) << ','
+         // A semicolon-joined list per cell: a comma would split the cell.
+         << row.message_mean_times.size() << ',' << number_list(row.message_mean_times, ";")
+         << ',' << number_list(row.message_completed_fraction, ";") << '\n';
     out_.flush();  // a killed multi-hour sweep keeps its completed rows
 }
 
@@ -101,34 +71,35 @@ void json_sink::on_row(const sweep_row& row) {
     open_ = true;
     const auto& sc = row.point.sc;
     std::string label;
-    service::dump_string(label, row.point.label);
+    codec::dump_string(label, row.point.label);
     out_ << "  {\"index\": " << row.point.index << ", \"label\": " << label
-         << ",\n   \"params\": {\"n\": " << sc.params.n << ", \"side\": " << num(sc.params.side)
-         << ", \"radius\": " << num(sc.params.radius) << ", \"speed\": " << num(sc.params.speed)
+         << ",\n   \"params\": {\"n\": " << sc.params.n
+         << ", \"side\": " << f64_text(sc.params.side)
+         << ", \"radius\": " << f64_text(sc.params.radius)
+         << ", \"speed\": " << f64_text(sc.params.speed)
          << ", \"model\": \"" << core::enum_name(sc.model) << '"'
          << ", \"mode\": \"" << core::enum_name(sc.mode) << '"'
-         << ", \"gossip_p\": " << num(sc.gossip_p) << ", \"seed\": " << sc.seed
+         << ", \"gossip_p\": " << f64_text(sc.gossip_p) << ", \"seed\": " << sc.seed
          << ", \"messages\": " << row.message_mean_times.size() << "},\n"
          << "   \"summary\": {\"reps\": " << row.times.size()
-         << ", \"mean\": " << num(row.summary.mean) << ", \"stddev\": " << num(row.summary.stddev)
-         << ", \"min\": " << num(row.summary.min) << ", \"median\": " << num(row.summary.median)
-         << ", \"max\": " << num(row.summary.max) << ", \"ci95\": [" << num(row.mean_ci.lo)
-         << ", " << num(row.mean_ci.hi) << "], \"completed_fraction\": "
-         << num(row.completed_fraction) << ", \"suburb_diameter\": " << num(row.suburb_diameter)
+         << ", \"mean\": " << f64_text(row.summary.mean)
+         << ", \"stddev\": " << f64_text(row.summary.stddev)
+         << ", \"min\": " << f64_text(row.summary.min)
+         << ", \"median\": " << f64_text(row.summary.median)
+         << ", \"max\": " << f64_text(row.summary.max) << ", \"ci95\": ["
+         << f64_text(row.mean_ci.lo) << ", " << f64_text(row.mean_ci.hi)
+         << "], \"completed_fraction\": " << f64_text(row.completed_fraction)
+         << ", \"suburb_diameter\": " << f64_text(row.suburb_diameter)
          << ", \"mean_cz_step\": "
-         << (row.mean_cz_step ? num(*row.mean_cz_step) : std::string{"null"})
+         << (row.mean_cz_step ? f64_text(*row.mean_cz_step) : std::string{"null"})
          << ", \"max_cz_step\": "
-         << (row.max_cz_step ? num(*row.max_cz_step) : std::string{"null"})
-         << ", \"cz_fraction\": " << num(row.cz_fraction)
-         << ", \"message_mean_times\": " << json_array(row.message_mean_times)
+         << (row.max_cz_step ? f64_text(*row.max_cz_step) : std::string{"null"})
+         << ", \"cz_fraction\": " << f64_text(row.cz_fraction)
+         << ", \"message_mean_times\": " << number_array(row.message_mean_times)
          << ", \"message_completed_fraction\": "
-         << json_array(row.message_completed_fraction) << "}";
+         << number_array(row.message_completed_fraction) << "}";
     if (per_replica_times_) {
-        out_ << ",\n   \"times\": [";
-        for (std::size_t i = 0; i < row.times.size(); ++i) {
-            out_ << (i == 0 ? "" : ", ") << num(row.times[i]);
-        }
-        out_ << "]";
+        out_ << ",\n   \"times\": " << number_array(row.times);
     }
     out_ << "}";
     out_.flush();  // a killed multi-hour sweep keeps its completed rows

@@ -248,9 +248,7 @@ std::unique_ptr<checkpoint_ledger> open_ledger(const checkpoint_options& checkpo
         manifest.points = points.size();
         manifest.repetitions = reps;
     }
-    return std::make_unique<checkpoint_ledger>(std::move(manifest),
-                                               checkpoint.manifest_path,
-                                               checkpoint.checkpoint_every);
+    return std::make_unique<checkpoint_ledger>(std::move(manifest), checkpoint.manifest_path);
 }
 
 }  // namespace

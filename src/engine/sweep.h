@@ -124,15 +124,6 @@ struct checkpoint_options {
     /// manifest whose fingerprint does not match the spec fails with
     /// engine::manifest_error instead of silently mixing experiments.
     std::string manifest_path;
-
-    /// Completed replicas between manifest publishes (>= 1; 0 is treated
-    /// as 1). Each publish appends the unpublished records in one write();
-    /// engine::append_log decides when to sync.
-    ///
-    /// (Crash injection moved to the structured fault harness: a
-    /// MANHATTAN_FAULT=ledger.record:crash:K rule — engine/fault.h —
-    /// replaces the old abort_after knob.)
-    std::size_t checkpoint_every = 1;
 };
 
 /// Run the sweep. Rows are delivered to every sink in expansion order, each

@@ -2,47 +2,20 @@
 
 #include <cstdio>
 #include <exception>
-#include <sstream>
 #include <stdexcept>
-#include <type_traits>
 #include <utility>
 
+#include "codec/json.h"
+#include "codec/number.h"
 #include "engine/thread_pool.h"
-#include "service/wire.h"
 
 namespace manhattan::engine {
 
-namespace {
-
-/// Shortest round-trip double formatting (same idiom as the result sinks).
-std::string fmt(double v) {
-    std::ostringstream os;
-    os.precision(17);
-    os << v;
-    return os.str();
-}
-
-template <typename T>
-std::string json_number_array(const std::vector<T>& values) {
-    std::string out = "[";
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i != 0) {
-            out += ", ";
-        }
-        if constexpr (std::is_floating_point_v<T>) {
-            out += fmt(values[i]);
-        } else {
-            out += std::to_string(values[i]);
-        }
-    }
-    out += "]";
-    return out;
-}
-
-}  // namespace
+using codec::f64_text;
+using codec::number_array;
 
 trace_field trace_field::num(std::string key, double value) {
-    return {std::move(key), fmt(value)};
+    return {std::move(key), f64_text(value)};
 }
 
 trace_field trace_field::num(std::string key, std::uint64_t value) {
@@ -55,7 +28,7 @@ trace_field trace_field::boolean(std::string key, bool value) {
 
 trace_field trace_field::str(std::string key, const std::string& value) {
     std::string rendered;
-    service::dump_string(rendered, value);
+    codec::dump_string(rendered, value);
     return {std::move(key), std::move(rendered)};
 }
 
@@ -69,10 +42,10 @@ std::string phases_json(const util::phase_profile& profile) {
         out += '"';
         out += util::phase_name(static_cast<util::phase>(p));
         out += "_s\": ";
-        out += fmt(profile.seconds[p]);
+        codec::append_f64(out, profile.seconds[p]);
         out += ", ";
     }
-    out += "\"total_s\": " + fmt(profile.total_seconds());
+    out += "\"total_s\": " + f64_text(profile.total_seconds());
     out += ", \"steps\": " +
            std::to_string(profile.calls[static_cast<std::size_t>(util::phase::advance)]);
     out += "}";
@@ -87,13 +60,13 @@ std::string metrics_json(const std::vector<metric_snapshot>& snapshots) {
             out += ", ";
         }
         out += "{\"name\": ";
-        service::dump_string(out, m.name);
+        codec::dump_string(out, m.name);
         out += ", \"kind\": \"" + std::string{metric_kind_name(m.what)} + '"';
         if (m.what == metric_snapshot::kind::histogram) {
-            out += ", \"bounds\": " + json_number_array(m.bounds);
-            out += ", \"counts\": " + json_number_array(m.counts);
+            out += ", \"bounds\": " + number_array(m.bounds);
+            out += ", \"counts\": " + number_array(m.counts);
         } else {
-            out += ", \"value\": " + fmt(m.value);
+            out += ", \"value\": " + f64_text(m.value);
         }
         out += "}";
     }
@@ -105,18 +78,17 @@ std::string pool_json(const pool_stats& stats) {
     std::string out = "{";
     out += "\"workers\": " + std::to_string(stats.workers);
     out += ", \"tasks_run\": " + std::to_string(stats.tasks_run);
-    out += ", \"queue_wait_s\": " + fmt(stats.queue_wait_seconds);
-    out += ", \"queue_wait_bounds\": " + json_number_array(stats.queue_wait_bounds);
-    out += ", \"queue_wait_counts\": " + json_number_array(stats.queue_wait_counts);
-    out += ", \"busy_s\": " + json_number_array(stats.worker_busy_seconds);
-    out += ", \"busy_fraction\": " + fmt(stats.busy_fraction());
-    out += ", \"alive_s\": " + fmt(stats.alive_seconds);
+    out += ", \"queue_wait_s\": " + f64_text(stats.queue_wait_seconds);
+    out += ", \"queue_wait_bounds\": " + number_array(stats.queue_wait_bounds);
+    out += ", \"queue_wait_counts\": " + number_array(stats.queue_wait_counts);
+    out += ", \"busy_s\": " + number_array(stats.worker_busy_seconds);
+    out += ", \"busy_fraction\": " + f64_text(stats.busy_fraction());
+    out += ", \"alive_s\": " + f64_text(stats.alive_seconds);
     out += "}";
     return out;
 }
 
-trace_sink::trace_sink(std::string path, std::size_t publish_every)
-    : publish_every_(publish_every == 0 ? 1 : publish_every), log_(path, "", "trace.publish") {
+trace_sink::trace_sink(std::string path) : log_(path, "", "trace.publish") {
     // Publish the empty document now: an unwritable path fails before any
     // simulation work is spent (the same rule the result sinks follow).
     try {
@@ -139,30 +111,30 @@ void trace_sink::emit(const std::string& event, std::initializer_list<trace_fiel
 }
 
 void trace_sink::emit(const std::string& event, const std::vector<trace_field>& fields) {
-    // Render outside the lock; "seq"/"t" need the lock, so the line is
-    // assembled in two pieces.
+    // Render outside the lock; "seq" and "t" need the lock, so the line is
+    // assembled around them.
+    std::string line = "{\"event\": ";
+    codec::dump_string(line, event);
+    line += ", \"seq\": ";
     std::string tail;
     for (const trace_field& f : fields) {
         tail += ", ";
-        service::dump_string(tail, f.key);
+        codec::dump_string(tail, f.key);
         tail += ": " + f.rendered;
     }
     tail += "}\n";
 
     const std::lock_guard<std::mutex> lock(mutex_);
-    buffer_ += "{\"event\": ";
-    service::dump_string(buffer_, event);
-    buffer_ += ", \"seq\": " + std::to_string(seq_++);
-    buffer_ += ", \"t\": " + fmt(clock_.seconds());
-    buffer_ += tail;
-    if (++unpublished_ >= publish_every_) {
-        publish_locked(false);
-    }
+    codec::append_u64(line, seq_++);
+    line += ", \"t\": ";
+    codec::append_f64(line, clock_.seconds());
+    line += tail;
+    log_.publish(line, false);
 }
 
 void trace_sink::flush() {
     const std::lock_guard<std::mutex> lock(mutex_);
-    publish_locked(true);  // also with nothing buffered: it syncs what was written
+    log_.publish("", true);  // syncs what earlier events wrote
 }
 
 std::size_t trace_sink::events() const {
@@ -173,13 +145,6 @@ std::size_t trace_sink::events() const {
 std::size_t trace_sink::next_sweep_id() {
     const std::lock_guard<std::mutex> lock(mutex_);
     return sweeps_++;
-}
-
-void trace_sink::publish_locked(bool flush) {
-    const std::string lines = std::move(buffer_);  // the log owns them now, even if it throws
-    buffer_.clear();
-    unpublished_ = 0;
-    log_.publish(lines, flush);
 }
 
 }  // namespace manhattan::engine

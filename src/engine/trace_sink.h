@@ -3,11 +3,10 @@
 /// JSON object per line, appended by whoever observes something (run_sweep,
 /// its workers, a bench harness) and published to disk through the
 /// engine's append-only log (engine/append_log.h, which says when it syncs
-/// and what a power cut loses): each publish appends only the new lines in
-/// one write(). A kill -9 at any instant leaves complete, parseable lines,
-/// possibly missing the newest unpublished events (exactly like a
-/// checkpoint ledger) and possibly followed by one unterminated final line
-/// from an interrupted append, which readers skip.
+/// and what a power cut loses): each event is appended in one write()
+/// before emit() returns. A kill -9 at any instant leaves complete,
+/// parseable lines, possibly followed by one unterminated final line from
+/// an interrupted append, which readers skip.
 ///
 /// Event vocabulary (docs/OBSERVABILITY.md pins the schema; the CI
 /// trace-validate job parses every line and checks the begin/end pairing):
@@ -71,8 +70,7 @@ struct trace_field {
 
 /// The JSONL writer. Construction publishes an empty file (an unwritable
 /// destination fails before any work is spent — the atomic_file_sink rule);
-/// every \p publish_every emitted events the buffered lines are appended,
-/// and flush() / destruction publish the rest and sync the file.
+/// emit() appends its line, and flush() / destruction sync the file.
 ///
 /// Failure handling is the append log's, shared with the checkpoint ledger:
 /// each publish retries transient I/O errors (fault site "trace.publish").
@@ -82,10 +80,10 @@ struct trace_field {
 class trace_sink {
  public:
     /// Throws std::invalid_argument when \p path cannot be written.
-    explicit trace_sink(std::string path, std::size_t publish_every = 1);
+    explicit trace_sink(std::string path);
 
-    /// Publishes any buffered events; failures are reported to stderr
-    /// rather than thrown (destructors must not throw).
+    /// Flushes; failures are reported to stderr rather than thrown
+    /// (destructors must not throw).
     ~trace_sink();
 
     trace_sink(const trace_sink&) = delete;
@@ -96,8 +94,9 @@ class trace_sink {
     void emit(const std::string& event, std::initializer_list<trace_field> fields);
     void emit(const std::string& event, const std::vector<trace_field>& fields);
 
-    /// Publish everything emitted so far and sync it (thread-safe). Throws
-    /// engine::error (class io) when the publish fails even after retries.
+    /// Publish whatever a failed append left pending and sync everything
+    /// emitted so far (thread-safe). Throws engine::error (class io) when
+    /// the publish fails even after retries.
     void flush();
 
     /// Events emitted so far.
@@ -111,18 +110,11 @@ class trace_sink {
     [[nodiscard]] const append_log& log() const noexcept { return log_; }
 
  private:
-    /// Hand buffer_ to the log (caller holds mutex_). \p flush: sync and
-    /// rethrow a persistent failure (flush) vs report-and-continue (emit).
-    void publish_locked(bool flush);
-
-    std::size_t publish_every_;
     util::timer clock_;
 
     mutable std::mutex mutex_;
     append_log log_;
-    std::string buffer_;       ///< unpublished complete lines only
     std::size_t seq_ = 0;
-    std::size_t unpublished_ = 0;
     std::size_t sweeps_ = 0;
 };
 

@@ -82,7 +82,7 @@ json_value client::read_response() {
 }
 
 void client::raise(const json_value& response) {
-    const std::string cls = str_field(response, "error");
+    const std::string cls = codec::str_field(response, "error");
     const json_value* message = response.find("message");
     const std::string what =
         message != nullptr && message->what == json_value::kind::string
@@ -106,7 +106,7 @@ void client::raise(const json_value& response) {
 json_value client::request(const json_value& req) {
     send(req);
     const json_value response = read_response();
-    if (!bool_field(response, "ok")) {
+    if (!codec::bool_field(response, "ok")) {
         raise(response);
     }
     return response;
@@ -121,25 +121,25 @@ submit_outcome client::submit(const engine::sweep_spec& spec, const std::string&
     send(req);
 
     const json_value header = read_response();
-    if (!bool_field(header, "ok")) {
+    if (!codec::bool_field(header, "ok")) {
         raise(header);
     }
     submit_outcome outcome;
-    outcome.job = str_field(header, "job");
-    outcome.cached = bool_field(header, "cached");
+    outcome.job = codec::str_field(header, "job");
+    outcome.cached = codec::bool_field(header, "cached");
 
     while (true) {
         const json_value event = read_response();
-        const std::string what = str_field(event, "event");
+        const std::string what = codec::str_field(event, "event");
         if (what == "row") {
-            const engine::sweep_row row = decode_sweep_row(require(event, "row"));
+            const engine::sweep_row row = decode_sweep_row(codec::require(event, "row"));
             for (engine::result_sink* sink : sinks) {
                 sink->on_row(row);
             }
         } else if (what == "done") {
-            outcome.rows = u64_field(event, "rows");
-            outcome.cached = bool_field(event, "cached");
-            outcome.fresh_replicas = u64_field(event, "fresh_replicas");
+            outcome.rows = codec::u64_field(event, "rows");
+            outcome.cached = codec::bool_field(event, "cached");
+            outcome.fresh_replicas = codec::u64_field(event, "fresh_replicas");
             return outcome;
         } else if (what == "cancelled") {
             outcome.cancelled = true;
@@ -147,7 +147,7 @@ submit_outcome client::submit(const engine::sweep_spec& spec, const std::string&
         } else if (what == "error") {
             raise(event);
         } else {
-            throw wire_error("unexpected event '" + what + "' in submit stream");
+            throw codec::wire_error("unexpected event '" + what + "' in submit stream");
         }
     }
 }

@@ -27,7 +27,7 @@ struct submit_outcome {
 
 /// One connection. Requests are synchronous: send a line, read the
 /// response line(s). Throws engine::error (class io) on connect/transport
-/// failure, busy_error on an admission-shed submit, wire_error on a
+/// failure, busy_error on an admission-shed submit, codec::wire_error on a
 /// malformed peer, and rebuilds the daemon's typed error for failed ops.
 class client {
  public:

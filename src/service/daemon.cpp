@@ -12,6 +12,7 @@
 #include <fstream>
 #include <optional>
 
+#include "codec/number.h"
 #include "engine/fabric.h"
 #include "engine/sink.h"
 #include "service/wire.h"
@@ -285,7 +286,7 @@ void daemon::handle_connection(int fd) {
         std::string op = "?";
         try {
             const json_value request = parse_json(*line);
-            op = str_field(request, "op");
+            op = codec::str_field(request, "op");
             if (op == "ping") {
                 json_value v = json_value::object();
                 v.set("ok", json_value::boolean(true));
@@ -339,7 +340,7 @@ void daemon::serve_manifest(int fd, const std::string& job,
 }
 
 void daemon::handle_submit(int fd, const json_value& request) {
-    const engine::sweep_spec spec = decode_sweep_spec(require(request, "spec"));
+    const engine::sweep_spec spec = decode_sweep_spec(codec::require(request, "spec"));
     const std::string client = [&] {
         const json_value* c = request.find("client");
         return c != nullptr && c->what == json_value::kind::string ? c->text
@@ -514,7 +515,7 @@ engine::run_manifest daemon::run_on_fabric(const engine::sweep_spec& spec,
 }
 
 void daemon::handle_status(int fd, const json_value& request) {
-    const std::string job = str_field(request, "job");
+    const std::string job = codec::str_field(request, "job");
     std::string status = "unknown";
     {
         std::lock_guard lock(jobs_mutex_);
@@ -526,16 +527,10 @@ void daemon::handle_status(int fd, const json_value& request) {
             }
         }
     }
-    if (status == "unknown" && job.size() == 16) {
-        try {
-            const std::uint64_t fp = std::stoull(job, nullptr, 16);
-            std::ifstream probe(cache_.entry_path(fp));
-            if (probe.good()) {
-                status = "cached";
-            }
-        } catch (const std::exception&) {
-            // not a fingerprint: stays unknown
-        }
+    // Only a job id as fingerprint_hex writes it can name a cache entry.
+    if (const std::optional<std::uint64_t> fp = codec::parse_hex64(job);
+        status == "unknown" && fp && std::ifstream(cache_.entry_path(*fp)).good()) {
+        status = "cached";
     }
     json_value v = json_value::object();
     v.set("ok", json_value::boolean(true));
@@ -546,7 +541,7 @@ void daemon::handle_status(int fd, const json_value& request) {
 }
 
 void daemon::handle_cancel(int fd, const json_value& request) {
-    const std::string job = str_field(request, "job");
+    const std::string job = codec::str_field(request, "job");
     bool found = false;
     {
         std::lock_guard lock(jobs_mutex_);
@@ -588,7 +583,7 @@ void daemon::handle_stats(int fd) {
                 metrics.set(m.name, json_value::integer(
                                         static_cast<std::uint64_t>(m.value)));
             } else if (m.what == engine::metric_snapshot::kind::gauge) {
-                metrics.set(m.name, encode_f64(m.value));
+                metrics.set(m.name, codec::encode_f64(m.value));
             }
         }
     }

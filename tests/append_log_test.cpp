@@ -5,10 +5,11 @@
 // (also a flush with nothing new, through the ledger and the trace sink),
 // a failed append or sync falls back to an atomic republish that loses and
 // duplicates nothing, and the descriptor closes with its owner. The ledger
-// on top of it keeps its publish cadence through failed publishes, from an
-// adopted manifest and after a failed ledger.record hit. No test
-// sleeps: a sync count is checked against the intervals the test actually
-// spanned, so a slow host weakens a check but never fails it. The manifest
+// on top of it has each record on disk when record() returns, through
+// failed publishes, from an adopted manifest and after a failed
+// ledger.record hit. No test sleeps: a sync count is checked against the
+// intervals the test actually spanned, so a slow host weakens a check but
+// never fails it. The manifest
 // reader: a ledger cut at *every* byte offset parses to exactly the records
 // whose lines are complete, and one flipped byte in any non-final record is
 // corruption. The trace stream: every newline-terminated line of a cut
@@ -35,13 +36,13 @@
 #include <utility>
 #include <vector>
 
+#include "codec/json.h"
 #include "engine/append_log.h"
 #include "engine/fault.h"
 #include "engine/manifest.h"
 #include "engine/sink.h"
 #include "engine/sweep.h"
 #include "engine/trace_sink.h"
-#include "service/wire.h"
 #include "util/telemetry.h"
 
 namespace {
@@ -281,9 +282,9 @@ TEST(append_log_test, ledger_flush_syncs_records_published_earlier) {
     initial.fingerprint = 7;
     initial.points = 1;
     initial.repetitions = 2;
-    engine::checkpoint_ledger ledger(initial, path, 1);
+    engine::checkpoint_ledger ledger(initial, path);
     ledger.record(0, 0, {});  // the atomic first publish
-    ledger.record(0, 1, {});  // written at the cadence, nothing left pending
+    ledger.record(0, 1, {});  // written by record(), nothing left pending
     EXPECT_EQ(engine::load_manifest(path).records.size(), 2u);
     ledger.flush();
     EXPECT_EQ(ledger.log().syncs(), 1u);
@@ -392,43 +393,41 @@ TEST(append_log_test, sweep_survives_failed_appends_with_identical_output) {
     EXPECT_EQ(trace_text.back(), '\n');
 }
 
-TEST(append_log_test, ledger_keeps_its_cadence_through_failed_publishes) {
+TEST(append_log_test, ledger_keeps_records_through_failed_publishes) {
     const fault_guard guard;
-    const scratch_dir dir("ledger_cadence");
+    const scratch_dir dir("ledger_failed_publish");
     const std::string path = dir.file("ledger.manifest");
     engine::run_manifest initial;
     initial.fingerprint = 7;
     initial.points = 1;
     initial.repetitions = 6;
-    engine::checkpoint_ledger ledger(initial, path, 2);
+    engine::checkpoint_ledger ledger(initial, path);
 
-    // The second record's publish exhausts its retries: reported, and both
-    // records stay pending.
+    // The first record's publish exhausts its retries: reported, and the
+    // record stays pending.
     fault::configure("ledger.publish:fail:5");
-    ledger.record(0, 0, {});
-    EXPECT_NO_THROW(ledger.record(0, 1, {}));
+    EXPECT_NO_THROW(ledger.record(0, 0, {}));
     EXPECT_FALSE(fs::exists(path));
-    // The next attempt keeps the cadence: not the third record, the fourth,
-    // which lands all four.
+    // The next record's publish lands both before record() returns.
+    ledger.record(0, 1, {});
+    EXPECT_EQ(engine::load_manifest(path).records.size(), 2u);
     ledger.record(0, 2, {});
-    EXPECT_FALSE(fs::exists(path));
-    ledger.record(0, 3, {});
-    EXPECT_EQ(engine::load_manifest(path).records.size(), 4u);
+    EXPECT_EQ(engine::load_manifest(path).records.size(), 3u);
 
     // A persistent failure surfaces from flush(); a recovered disk loses
     // nothing.
     fault::configure("ledger.publish:fail:1000");
-    ledger.record(0, 4, {});
+    EXPECT_NO_THROW(ledger.record(0, 3, {}));
     EXPECT_THROW(ledger.flush(), engine::error);
     fault::configure("");
     ledger.flush();
-    EXPECT_EQ(engine::load_manifest(path).records.size(), 5u);
+    EXPECT_EQ(engine::load_manifest(path).records.size(), 4u);
 }
 
-TEST(append_log_test, adopted_ledger_publishes_at_its_cadence) {
+TEST(append_log_test, adopted_ledger_publishes_on_record) {
     // A resume, a daemon job re-run from its ledger or a restarted fabric
     // owner adopts a manifest that already holds records; its first fresh
-    // record must still be published at the cadence, not only at flush().
+    // record must still be published by record(), not only at flush().
     const fault_guard guard;
     const scratch_dir dir("ledger_adopted");
     const std::string path = dir.file("ledger.manifest");
@@ -437,7 +436,7 @@ TEST(append_log_test, adopted_ledger_publishes_at_its_cadence) {
     initial.points = 1;
     initial.repetitions = 4;
     initial.records.push_back({0, 0, {}});
-    engine::checkpoint_ledger ledger(initial, path, 1);
+    engine::checkpoint_ledger ledger(initial, path);
     ledger.record(0, 1, {});
     ASSERT_TRUE(fs::exists(path));
     EXPECT_EQ(engine::load_manifest(path).records.size(), 2u);
@@ -447,7 +446,7 @@ TEST(append_log_test, adopted_ledger_publishes_at_its_cadence) {
 
 TEST(append_log_test, ledger_publishes_after_a_failed_record_hit) {
     // A ledger.record fail rule throws after the record was kept but before
-    // its cadence check: the next record publishes both.
+    // its publish: the next record publishes both.
     const fault_guard guard;
     const scratch_dir dir("ledger_record_fail");
     const std::string path = dir.file("ledger.manifest");
@@ -455,7 +454,7 @@ TEST(append_log_test, ledger_publishes_after_a_failed_record_hit) {
     initial.fingerprint = 7;
     initial.points = 1;
     initial.repetitions = 3;
-    engine::checkpoint_ledger ledger(initial, path, 1);
+    engine::checkpoint_ledger ledger(initial, path);
     fault::configure("ledger.record:fail:1");
     EXPECT_THROW(ledger.record(0, 0, {}), engine::error);
     EXPECT_FALSE(fs::exists(path));
@@ -553,7 +552,7 @@ TEST(append_log_test, trace_cut_at_every_byte_leaves_only_parseable_lines) {
     std::size_t begin = 0;
     for (const std::size_t end : ends) {
         const std::string line = text.substr(begin, end - begin - 1);
-        EXPECT_NO_THROW((void)manhattan::service::parse_json(line)) << line;
+        EXPECT_NO_THROW((void)manhattan::codec::parse_json(line)) << line;
         begin = end;
     }
     for (std::size_t cut = 0; cut <= text.size(); ++cut) {
@@ -565,8 +564,8 @@ TEST(append_log_test, trace_cut_at_every_byte_leaves_only_parseable_lines) {
         // readers skip it either way, by the termination rule.
         const std::size_t start = complete == 0 ? 0 : ends[complete - 1];
         if (start < cut && cut + 1 < ends[complete]) {
-            EXPECT_THROW((void)manhattan::service::parse_json(torn.substr(start)),
-                         manhattan::service::wire_error)
+            EXPECT_THROW((void)manhattan::codec::parse_json(torn.substr(start)),
+                         manhattan::codec::wire_error)
                 << "cut " << cut;
         }
     }

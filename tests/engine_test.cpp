@@ -20,18 +20,18 @@
 #include <thread>
 #include <utility>
 
+#include "codec/json.h"
 #include "engine/runner.h"
 #include "engine/sink.h"
 #include "engine/sweep.h"
 #include "engine/thread_pool.h"
-#include "service/wire.h"
 #include "rng/splitmix64.h"
 
 namespace {
 
+namespace codec = manhattan::codec;
 namespace core = manhattan::core;
 namespace engine = manhattan::engine;
-namespace service = manhattan::service;
 
 core::scenario small_scenario() {
     core::scenario sc;
@@ -579,6 +579,12 @@ TEST(sink_test, csv_sink_writes_header_and_one_line_per_row) {
     }
     EXPECT_EQ(lines, 4u);  // header + 3 rows
     EXPECT_EQ(text.rfind("index,label,n,side,radius,speed,model,mode,gossip_p", 0), 0u);
+    // One data line byte for byte: doubles at 17 significant digits (the
+    // bytes %.17g prints), one semicolon list per message column.
+    EXPECT_NE(text.find("\n0,n=1200 R=6.657 v=1,1200,34.641016151377549,6.6567995481012172,1,"
+                        "mrwp,one_hop,1,2,5.5,0.70710678118654757,5,5.5,6,5,6,1,5,5,1,"
+                        "44.209343912872924,1,5.5,1\n"),
+              std::string::npos);
 }
 
 TEST(sink_test, json_sink_emits_rows_array_with_replica_times) {
@@ -605,10 +611,10 @@ TEST(sink_test, json_sink_emits_rows_array_with_replica_times) {
     // Despite the double finish() the document is closed exactly once.
     EXPECT_EQ(text.substr(text.size() - 4), "\n]}\n");
     EXPECT_EQ(text.find("\n]}\n"), text.size() - 4);
-    const service::json_value doc = service::parse_json(text);
-    const auto& rows = service::require(doc, "rows").items;
+    const codec::json_value doc = codec::parse_json(text);
+    const auto& rows = codec::require(doc, "rows").items;
     ASSERT_EQ(rows.size(), 2u);
-    EXPECT_EQ(service::str_field(rows[1], "label"), odd.point.label);
+    EXPECT_EQ(codec::str_field(rows[1], "label"), odd.point.label);
 }
 
 TEST(sink_test, sinks_emit_per_message_aggregates) {

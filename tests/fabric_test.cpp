@@ -674,6 +674,9 @@ TEST(fabric_test, malformed_fault_plans_are_spec_errors) {
     rejects("site:delay:1");        // delay needs the ms argument
     rejects("site:fail:1:extra");   // fail takes no argument
     rejects("site:fail:1,,other:fail:1");
+    rejects("site:fail:-1");  // not 2^64 - 1
+    rejects("site:fail:+1");
+    rejects("site:fail: 1");
 }
 
 // ----------------------------------------------------------- error/retry ---

@@ -1,7 +1,7 @@
 // Checkpoint/restart tests: manifest round trips and edge cases (truncated
 // file, corrupt fields, fingerprint mismatch), resuming a sweep at the exact
 // replica boundary, resuming with a different thread count (bit-identical
-// contract), the checkpoint ledger's publish cadence, and the crash-safe
+// contract), the checkpoint ledger's publish per record, and the crash-safe
 // atomic file sinks.
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "engine/manifest.h"
 #include "engine/runner.h"
@@ -152,6 +153,22 @@ TEST(manifest_test, corrupt_manifest_fails) {
     bad.replace(bad.find("fingerprint ") + 12, 4, "zzzz");
     EXPECT_THROW((void)engine::parse_manifest(bad), engine::manifest_error);
 
+    // Header numbers in any form but the one the writer emits: a sign, a
+    // base prefix, upper-case hex. "points -1" must not reach by_point()'s
+    // allocation as 2^64 - 1.
+    const auto with_header = [&text](const std::string& key, const std::string& value) {
+        const std::size_t at = text.find(key + ' ') + key.size() + 1;
+        return text.substr(0, at) + value + text.substr(text.find('\n', at));
+    };
+    const std::pair<std::string, std::string> headers[] = {
+        {"points", "-1"},     {"points", "+3"},     {"fingerprint", "0x7"},
+        {"fingerprint", "-1"}, {"fingerprint", "DEADBEEFCAFEF00D"}};
+    for (const auto& [key, value] : headers) {
+        EXPECT_THROW((void)engine::parse_manifest(with_header(key, value)),
+                     engine::manifest_error)
+            << key << ' ' << value;
+    }
+
     // A damaged record that is not the final line: its digest fails.
     bad = text;
     bad[text.find("record ") + 9] ^= 0x01;
@@ -227,22 +244,22 @@ TEST(manifest_test, fingerprint_is_stable_and_spec_sensitive) {
 
 // ----------------------------------------------------------------- ledger ---
 
-TEST(manifest_test, ledger_publishes_every_k_records_and_on_flush) {
+TEST(manifest_test, ledger_publishes_each_record_before_record_returns) {
     scratch_file file("ledger.manifest");
     engine::run_manifest initial;
     initial.fingerprint = 7;
     initial.points = 2;
     initial.repetitions = 3;
-    engine::checkpoint_ledger ledger(initial, file.path(), 2);
+    engine::checkpoint_ledger ledger(initial, file.path());
 
+    EXPECT_FALSE(file.exists());  // no I/O before the first record
     ledger.record(0, 0, {});
-    EXPECT_FALSE(file.exists());  // 1 unsaved < checkpoint_every
-    ledger.record(0, 1, {});
     ASSERT_TRUE(file.exists());
+    EXPECT_EQ(engine::load_manifest(file.path()).records.size(), 1u);
+    ledger.record(0, 1, {});
     EXPECT_EQ(engine::load_manifest(file.path()).records.size(), 2u);
-
     ledger.record(1, 0, {});
-    EXPECT_EQ(engine::load_manifest(file.path()).records.size(), 2u);
+    EXPECT_EQ(engine::load_manifest(file.path()).records.size(), 3u);
     ledger.flush();
     EXPECT_EQ(engine::load_manifest(file.path()).records.size(), 3u);
 }

@@ -9,7 +9,9 @@
 // by wire_test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
@@ -33,6 +35,7 @@
 
 namespace {
 
+namespace codec = manhattan::codec;
 namespace core = manhattan::core;
 namespace engine = manhattan::engine;
 namespace fault = manhattan::engine::fault;
@@ -138,7 +141,7 @@ void await_status(const std::string& socket, const std::string& job,
     service::client c(socket);
     for (int i = 0; i < 1000; ++i) {
         const service::json_value response = c.status(job);
-        if (service::str_field(response, "status") == status) {
+        if (codec::str_field(response, "status") == status) {
             return;
         }
         std::this_thread::sleep_for(std::chrono::milliseconds{5});
@@ -336,12 +339,18 @@ TEST(service_test, daemon_streams_byte_identical_rows_and_replays_from_cache) {
 
     // The finished job is findable as a cache entry; garbage is unknown.
     service::client probe(d.config().socket_path);
-    EXPECT_EQ(service::str_field(probe.status(job), "status"), "cached");
-    EXPECT_EQ(service::str_field(probe.status("0000000000000000"), "status"),
+    EXPECT_EQ(codec::str_field(probe.status(job), "status"), "cached");
+    EXPECT_EQ(codec::str_field(probe.status("0000000000000000"), "status"),
               "unknown");
+    // Job ids are fingerprint_hex's lower-case form only.
+    std::string upper = job;
+    std::transform(upper.begin(), upper.end(), upper.begin(),
+                   [](unsigned char c) { return static_cast<char>(std::toupper(c)); });
+    ASSERT_NE(upper, job);
+    EXPECT_EQ(codec::str_field(probe.status(upper), "status"), "unknown");
     const service::json_value stats = probe.stats();
-    EXPECT_EQ(service::u64_field(stats, "queued"), 0u);
-    EXPECT_TRUE(service::require(stats, "metrics").find("cache.hits") != nullptr);
+    EXPECT_EQ(codec::u64_field(stats, "queued"), 0u);
+    EXPECT_TRUE(codec::require(stats, "metrics").find("cache.hits") != nullptr);
 
     d.stop();
 }
@@ -439,7 +448,7 @@ TEST(service_test, daemon_cancels_a_queued_job_before_it_runs) {
     // ...and a cancel from a third connection withdraws it without running.
     service::client canceller(d.config().socket_path);
     const service::json_value response = canceller.cancel(queued_job);
-    EXPECT_TRUE(service::bool_field(response, "ok"));
+    EXPECT_TRUE(codec::bool_field(response, "ok"));
     waiter.join();
     EXPECT_TRUE(queued_outcome.cancelled);
 

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -373,7 +374,7 @@ TEST(telemetry_determinism_test, sweep_csv_byte_identical_with_observability_on)
     const std::string plain = run_csv({.threads = 2});
 
     const telemetry::scoped_enable enable;
-    engine::trace_sink trace(temp_path("csv"), 64);
+    engine::trace_sink trace(temp_path("csv"));
     std::ostringstream progress_out;
     engine::progress_reporter progress(
         2, 4, {.min_interval_seconds = 0.0, .out = &progress_out});
@@ -396,22 +397,24 @@ TEST(trace_sink_test, unwritable_path_throws_before_any_work) {
                  std::invalid_argument);
 }
 
-TEST(trace_sink_test, publishes_complete_lines_per_cadence) {
-    const std::string path = temp_path("cadence");
+TEST(trace_sink_test, publishes_complete_lines_per_event) {
+    const std::string path = temp_path("per_event");
     {
-        engine::trace_sink sink(path, 3);
+        engine::trace_sink sink(path);
         EXPECT_EQ(slurp(path), "");  // constructor publishes an empty file
         sink.emit("a", {engine::trace_field::num("k", std::uint64_t{1})});
+        // On disk as one whole line when emit() returns, so a kill here
+        // loses nothing emitted.
+        const std::string at1 = slurp(path);
+        EXPECT_EQ(at1.find("\"event\": \"a\""), at1.find("{") + 1);
+        EXPECT_EQ(at1.find('\n'), at1.size() - 1);
         sink.emit("b", {});
-        // Below the cadence: the disk copy is still the empty publish, so a
-        // kill here loses only unpublished events, never partial lines.
-        EXPECT_EQ(slurp(path), "");
         sink.emit("c", {});
         const std::string at3 = slurp(path);
-        EXPECT_EQ(at3.find("\"event\": \"a\""), at3.find("{") + 1);
+        EXPECT_EQ(at3.rfind(at1, 0), 0u);  // appended after, never rewritten
         EXPECT_NE(at3.find("\"event\": \"c\""), std::string::npos);
         sink.emit("d", {});
-        EXPECT_EQ(slurp(path), at3);  // buffered again
+        EXPECT_NE(slurp(path).find("\"event\": \"d\""), std::string::npos);
     }  // destructor flush
     const std::string final_text = slurp(path);
     EXPECT_NE(final_text.find("\"event\": \"d\""), std::string::npos);
@@ -455,7 +458,7 @@ TEST(trace_sink_test, publish_faults_never_fail_the_sweep) {
     // publish carries them.
     for (const char* plan : {"trace.publish:fail:2", "trace.publish:fail:7"}) {
         const std::string path = temp_path("fault");
-        engine::trace_sink trace(path, 1);
+        engine::trace_sink trace(path);
         fault::configure(plan);
         EXPECT_EQ(run_csv(&trace), plain) << plan;
         EXPECT_NO_THROW(trace.flush()) << plan;
@@ -475,7 +478,7 @@ TEST(trace_sink_test, publish_faults_never_fail_the_sweep) {
 TEST(trace_sink_test, persistent_publish_failure_surfaces_only_from_flush) {
     const fault_guard guard;
     const std::string path = temp_path("persistent");
-    engine::trace_sink sink(path, 1);
+    engine::trace_sink sink(path);
     fault::configure("trace.publish:fail:100");
     EXPECT_NO_THROW(sink.emit("a", {}));  // reported, kept buffered
     EXPECT_EQ(slurp(path), "");
@@ -488,6 +491,16 @@ TEST(trace_sink_test, persistent_publish_failure_surfaces_only_from_flush) {
 
 TEST(trace_sink_test, field_builders_render_json_values) {
     EXPECT_EQ(engine::trace_field::num("k", 1.5).rendered, "1.5");
+    // 17 significant digits: the bytes %.17g prints.
+    EXPECT_EQ(engine::trace_field::num("k", 0.1).rendered, "0.10000000000000001");
+    EXPECT_EQ(engine::trace_field::num("k", -0.0).rendered, "-0");
+    using lim = std::numeric_limits<double>;
+    for (const double v : {0.1, -0.0, lim::denorm_min(), lim::max(), lim::infinity(),
+                           -lim::infinity(), lim::quiet_NaN(), -lim::quiet_NaN()}) {
+        char expected[32];
+        std::snprintf(expected, sizeof expected, "%.17g", v);
+        EXPECT_EQ(engine::trace_field::num("k", v).rendered, expected);
+    }
     EXPECT_EQ(engine::trace_field::num("k", std::uint64_t{7}).rendered, "7");
     EXPECT_EQ(engine::trace_field::boolean("k", true).rendered, "true");
     EXPECT_EQ(engine::trace_field::str("k", "a\"b\\c\nd").rendered,
@@ -503,7 +516,7 @@ TEST(trace_sink_test, sweep_events_bracket_points_and_replicas) {
     spec.repetitions = 2;
 
     const std::string path = temp_path("sweep");
-    engine::trace_sink trace(path, 1);
+    engine::trace_sink trace(path);
     engine::run_options opts;
     opts.threads = 2;
     opts.trace = &trace;

@@ -8,18 +8,22 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "codec/number.h"
 #include "engine/manifest.h"
 #include "geom/street_graph.h"
 #include "service/wire.h"
 
 namespace {
 
+namespace codec = manhattan::codec;
 namespace core = manhattan::core;
 namespace engine = manhattan::engine;
 namespace geom = manhattan::geom;
@@ -29,6 +33,20 @@ namespace service = manhattan::service;
 using service::json_value;
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+std::string printf_17g(double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
+}
+
+/// The doubles whose rendering is pinned: an inexact decimal, signed zero,
+/// the extremes, and the non-finite values.
+std::vector<double> pinned_doubles() {
+    using lim = std::numeric_limits<double>;
+    return {0.1, -0.0, lim::denorm_min(), lim::max(), lim::infinity(), -lim::infinity(),
+            lim::quiet_NaN(), -lim::quiet_NaN()};
+}
 
 // ------------------------------------------------------------- JSON model --
 
@@ -52,19 +70,19 @@ TEST(Wire, ParseRoundTripsDump) {
 
 TEST(Wire, IntegersAreExactUint64) {
     const json_value v = service::parse_json("{\"big\":18446744073709551615}");
-    EXPECT_EQ(service::u64_field(v, "big"), 18446744073709551615ULL);
+    EXPECT_EQ(codec::u64_field(v, "big"), 18446744073709551615ULL);
 }
 
 TEST(Wire, StringEscapesRoundTrip) {
     json_value v = json_value::object();
     v.set("s", json_value::string("a\"b\\c\nd\te\x01f"));
     const json_value back = service::parse_json(service::dump(v));
-    EXPECT_EQ(service::str_field(back, "s"), "a\"b\\c\nd\te\x01f");
+    EXPECT_EQ(codec::str_field(back, "s"), "a\"b\\c\nd\te\x01f");
 }
 
 TEST(Wire, UnicodeEscapesDecodeToUtf8) {
     const json_value v = service::parse_json(R"({"s":"\u00e9\ud83d\ude00"})");
-    EXPECT_EQ(service::str_field(v, "s"), "\xc3\xa9\xf0\x9f\x98\x80");
+    EXPECT_EQ(codec::str_field(v, "s"), "\xc3\xa9\xf0\x9f\x98\x80");
 }
 
 TEST(Wire, ForeignFractionalNumbersParse) {
@@ -74,44 +92,72 @@ TEST(Wire, ForeignFractionalNumbersParse) {
     ASSERT_NE(v.find("x"), nullptr);
     EXPECT_EQ(v.find("x")->what, json_value::kind::number);
     EXPECT_DOUBLE_EQ(v.find("x")->real, -1500.0);
+
+    // Such a number dumps at 17 significant digits: the bytes %.17g prints.
+    EXPECT_EQ(service::dump(service::parse_json("0.1")), "0.10000000000000001");
+    EXPECT_EQ(service::dump(service::parse_json("-0.0")), "-0");
+    for (const double x : pinned_doubles()) {
+        json_value number;
+        number.what = json_value::kind::number;
+        number.real = x;
+        EXPECT_EQ(service::dump(number), printf_17g(x));
+    }
+}
+
+TEST(Wire, StrictNumberParsersTakeOnlyTheRenderedForms) {
+    EXPECT_EQ(codec::parse_u64("0"), 0u);
+    EXPECT_EQ(codec::parse_u64("18446744073709551615"), ~0ULL);
+    EXPECT_EQ(codec::parse_hex64("deadbeefcafef00d"), 0xdeadbeefcafef00dULL);
+    EXPECT_EQ(codec::hex64(7), "0000000000000007");
+    EXPECT_EQ(codec::parse_hex64(codec::hex64(~0ULL)), ~0ULL);
+    for (const char* text :
+         {"", "-1", "+1", " 1", "1 ", "0x1", "1a", "18446744073709551616"}) {
+        EXPECT_EQ(codec::parse_u64(text), std::nullopt) << '\'' << text << '\'';
+    }
+    for (const char* text :
+         {"", "-1", "+1", "-000000000000001", "+000000000000001", " 000000000000001",
+          "0x00000000000001", "DEADBEEFCAFEF00D", "deadbeefcafeF00d", "deadbeefcafef00",
+          "deadbeefcafef00d0", "10000000000000000"}) {
+        EXPECT_EQ(codec::parse_hex64(text), std::nullopt) << '\'' << text << '\'';
+    }
 }
 
 TEST(Wire, TruncatedDocumentsThrow) {
     for (const char* text : {"", "{", "{\"a\"", "{\"a\":", "{\"a\":1", "[1,2",
                              "\"abc", "{\"a\":1,", "tru", "{\"s\":\"\\u12\"}"}) {
-        EXPECT_THROW((void)service::parse_json(text), service::wire_error) << text;
+        EXPECT_THROW((void)service::parse_json(text), codec::wire_error) << text;
     }
 }
 
 TEST(Wire, TrailingGarbageThrows) {
-    EXPECT_THROW((void)service::parse_json("{\"a\":1} extra"), service::wire_error);
-    EXPECT_THROW((void)service::parse_json("1 2"), service::wire_error);
+    EXPECT_THROW((void)service::parse_json("{\"a\":1} extra"), codec::wire_error);
+    EXPECT_THROW((void)service::parse_json("1 2"), codec::wire_error);
 }
 
 TEST(Wire, MalformedDocumentsThrow) {
     for (const char* text : {"{a:1}", "{\"a\" 1}", "[1 2]", "{\"a\":01x}",
                              "nul", "{\"s\":\"\x01\"}", "-"}) {
-        EXPECT_THROW((void)service::parse_json(text), service::wire_error) << text;
+        EXPECT_THROW((void)service::parse_json(text), codec::wire_error) << text;
     }
 }
 
 TEST(Wire, DeepNestingIsBounded) {
     std::string text(100, '[');
     text += std::string(100, ']');
-    EXPECT_THROW((void)service::parse_json(text), service::wire_error);
+    EXPECT_THROW((void)service::parse_json(text), codec::wire_error);
 }
 
 TEST(Wire, DuplicateKeysKeepFirst) {
     const json_value v = service::parse_json(R"({"a":1,"a":2})");
-    EXPECT_EQ(service::u64_field(v, "a"), 1u);
+    EXPECT_EQ(codec::u64_field(v, "a"), 1u);
 }
 
 TEST(Wire, FieldAccessorsThrowOnMissingOrMistyped) {
     const json_value v = service::parse_json(R"({"n":3,"s":"x"})");
-    EXPECT_THROW((void)service::u64_field(v, "absent"), service::wire_error);
-    EXPECT_THROW((void)service::u64_field(v, "s"), service::wire_error);
-    EXPECT_THROW((void)service::bool_field(v, "n"), service::wire_error);
-    EXPECT_THROW((void)service::str_field(v, "n"), service::wire_error);
+    EXPECT_THROW((void)codec::u64_field(v, "absent"), codec::wire_error);
+    EXPECT_THROW((void)codec::u64_field(v, "s"), codec::wire_error);
+    EXPECT_THROW((void)codec::bool_field(v, "n"), codec::wire_error);
+    EXPECT_THROW((void)codec::str_field(v, "n"), codec::wire_error);
 }
 
 // ------------------------------------------------------------ f64 framing --
@@ -128,24 +174,24 @@ TEST(Wire, DoublesSurviveBitExactly) {
           std::numeric_limits<double>::max(), std::numeric_limits<double>::min(),
           std::numeric_limits<double>::epsilon()}) {
         json_value obj = json_value::object();
-        obj.set("v", service::encode_f64(v));
+        obj.set("v", codec::encode_f64(v));
         const json_value back = service::parse_json(service::dump(obj));
-        EXPECT_EQ(bits(service::f64_field(back, "v")), bits(v));
+        EXPECT_EQ(bits(codec::f64_field(back, "v")), bits(v));
     }
 }
 
 TEST(Wire, NegativeZeroStaysDistinctFromZero) {
-    EXPECT_NE(service::dump(service::encode_f64(-0.0)),
-              service::dump(service::encode_f64(0.0)));
+    EXPECT_NE(service::dump(codec::encode_f64(-0.0)),
+              service::dump(codec::encode_f64(0.0)));
 }
 
 TEST(Wire, BadF64EncodingsThrow) {
-    EXPECT_THROW((void)service::decode_f64(json_value::string("abc"), "v"),
-                 service::wire_error);
-    EXPECT_THROW((void)service::decode_f64(json_value::string("XYZ0123456789abc"), "v"),
-                 service::wire_error);
-    EXPECT_THROW((void)service::decode_f64(json_value::integer(1), "v"),
-                 service::wire_error);
+    EXPECT_THROW((void)codec::decode_f64(json_value::string("abc"), "v"),
+                 codec::wire_error);
+    EXPECT_THROW((void)codec::decode_f64(json_value::string("XYZ0123456789abc"), "v"),
+                 codec::wire_error);
+    EXPECT_THROW((void)codec::decode_f64(json_value::integer(1), "v"),
+                 codec::wire_error);
 }
 
 // ----------------------------------------------------------------- codecs --
@@ -229,38 +275,38 @@ void expect_same_scenario(const core::scenario& a, const core::scenario& b) {
 
 TEST(Wire, ScenarioRoundTrips) {
     const core::scenario sc = rich_scenario();
-    const std::string text = service::dump(service::encode_scenario(sc));
-    const core::scenario back = service::decode_scenario(service::parse_json(text));
+    const std::string text = service::dump(codec::encode_scenario(sc));
+    const core::scenario back = codec::decode_scenario(service::parse_json(text));
     expect_same_scenario(sc, back);
 }
 
 TEST(Wire, ScenarioToleratesUnknownFields) {
-    json_value v = service::encode_scenario(rich_scenario());
+    json_value v = codec::encode_scenario(rich_scenario());
     v.set("future_knob", json_value::string("ignored"));
     v.set("other", json_value::integer(7));
-    const core::scenario back = service::decode_scenario(v);
+    const core::scenario back = codec::decode_scenario(v);
     expect_same_scenario(rich_scenario(), back);
 }
 
 TEST(Wire, ScenarioRejectsMissingField) {
-    json_value v = service::encode_scenario(rich_scenario());
+    json_value v = codec::encode_scenario(rich_scenario());
     json_value pruned = json_value::object();
     for (auto& [key, member] : v.members) {
         if (key != "seed") {
             pruned.set(key, std::move(member));
         }
     }
-    EXPECT_THROW((void)service::decode_scenario(pruned), service::wire_error);
+    EXPECT_THROW((void)codec::decode_scenario(pruned), codec::wire_error);
 }
 
 TEST(Wire, ScenarioRejectsUnknownEnumName) {
-    json_value v = service::encode_scenario(rich_scenario());
+    json_value v = codec::encode_scenario(rich_scenario());
     for (auto& [key, member] : v.members) {
         if (key == "mode") {
             member = json_value::string("telepathy");
         }
     }
-    EXPECT_THROW((void)service::decode_scenario(v), service::wire_error);
+    EXPECT_THROW((void)codec::decode_scenario(v), codec::wire_error);
 }
 
 engine::sweep_spec rich_spec() {
@@ -325,8 +371,8 @@ core::scenario street_scenario() {
 
 TEST(Wire, ScenarioStreetTopologyRoundTripsExactly) {
     const core::scenario sc = street_scenario();
-    const std::string text = service::dump(service::encode_scenario(sc));
-    const core::scenario back = service::decode_scenario(service::parse_json(text));
+    const std::string text = service::dump(codec::encode_scenario(sc));
+    const core::scenario back = codec::decode_scenario(service::parse_json(text));
     expect_same_scenario(sc, back);
     EXPECT_EQ(back.topology.kind, geom::topology_kind::street_graph);
     EXPECT_EQ(back.topology.street.blocked.size(), 1u);
@@ -339,23 +385,23 @@ TEST(Wire, ScenarioTraceTourRoundTripsExactly) {
     sc.model_opts.trace = std::make_shared<const std::vector<manhattan::geom::vec2>>(
         std::vector<manhattan::geom::vec2>{{1.0, 2.0}, {5.5, 2.0}, {5.5, 9.25}});
     const core::scenario back =
-        service::decode_scenario(service::parse_json(service::dump(service::encode_scenario(sc))));
+        codec::decode_scenario(service::parse_json(service::dump(codec::encode_scenario(sc))));
     expect_same_scenario(sc, back);
 }
 
 TEST(Wire, PureGridScenarioOmitsTopologyMember) {
     // The byte-compat contract: a pure-grid non-trace scenario encodes
     // exactly as before the topology API existed.
-    const std::string text = service::dump(service::encode_scenario(rich_scenario()));
+    const std::string text = service::dump(codec::encode_scenario(rich_scenario()));
     EXPECT_EQ(text.find("topology"), std::string::npos);
     EXPECT_EQ(text.find("\"trace\""), std::string::npos);
-    const core::scenario back = service::decode_scenario(service::parse_json(text));
+    const core::scenario back = codec::decode_scenario(service::parse_json(text));
     EXPECT_TRUE(back.topology.is_grid());
     EXPECT_EQ(back.model_opts.trace, nullptr);
 }
 
 TEST(Wire, TopologyRejectsUnknownKindAndMalformedEdges) {
-    json_value v = service::encode_scenario(street_scenario());
+    json_value v = codec::encode_scenario(street_scenario());
     for (auto& [key, member] : v.members) {
         if (key == "topology") {
             for (auto& [tkey, tmember] : member.members) {
@@ -365,9 +411,9 @@ TEST(Wire, TopologyRejectsUnknownKindAndMalformedEdges) {
             }
         }
     }
-    EXPECT_THROW((void)service::decode_scenario(v), service::wire_error);
+    EXPECT_THROW((void)codec::decode_scenario(v), codec::wire_error);
 
-    json_value w = service::encode_scenario(street_scenario());
+    json_value w = codec::encode_scenario(street_scenario());
     for (auto& [key, member] : w.members) {
         if (key == "topology") {
             for (auto& [tkey, tmember] : member.members) {
@@ -377,20 +423,20 @@ TEST(Wire, TopologyRejectsUnknownKindAndMalformedEdges) {
             }
         }
     }
-    EXPECT_THROW((void)service::decode_scenario(w), service::wire_error);
+    EXPECT_THROW((void)codec::decode_scenario(w), codec::wire_error);
 }
 
 TEST(Wire, DecodersRejectIntegersThatDoNotFitTheirField) {
     // An edge index past int32 must not wrap to an honest-looking index:
     // [4294967297,1,2,1] would otherwise decode (and fingerprint, and hit the
     // daemon's cache) as [1,1,2,1].
-    const std::string street = service::dump(service::encode_scenario(street_scenario()));
+    const std::string street = service::dump(codec::encode_scenario(street_scenario()));
     std::string wrapped = street;
     const std::size_t edge = wrapped.find("[[1,1,2,1]]");
     ASSERT_NE(edge, std::string::npos) << street;
     wrapped.replace(edge, 11, "[[4294967297,1,2,1]]");
-    EXPECT_THROW((void)service::decode_scenario(service::parse_json(wrapped)),
-                 service::wire_error);
+    EXPECT_THROW((void)codec::decode_scenario(service::parse_json(wrapped)),
+                 codec::wire_error);
 
     // street_blocks is an int32 too: 2^32 + 8 is not 8.
     engine::sweep_spec spec;
@@ -402,7 +448,7 @@ TEST(Wire, DecodersRejectIntegersThatDoNotFitTheirField) {
     ASSERT_NE(blocks, std::string::npos) << text;
     text.replace(blocks, 17, "\"street_blocks\":4294967304");
     EXPECT_THROW((void)service::decode_sweep_spec(service::parse_json(text)),
-                 service::wire_error);
+                 codec::wire_error);
 }
 
 TEST(Wire, TraceTourRejectsMalformedArrays) {
@@ -411,7 +457,7 @@ TEST(Wire, TraceTourRejectsMalformedArrays) {
     sc.model_opts.trace = std::make_shared<const std::vector<manhattan::geom::vec2>>(
         std::vector<manhattan::geom::vec2>{{1.0, 2.0}, {5.5, 2.0}, {5.5, 9.25}});
     const auto with_tour = [&](const std::function<void(json_value&)>& edit) {
-        json_value v = service::encode_scenario(sc);
+        json_value v = codec::encode_scenario(sc);
         for (auto& [key, member] : v.members) {
             if (key == "trace") {
                 edit(member);
@@ -420,19 +466,19 @@ TEST(Wire, TraceTourRejectsMalformedArrays) {
         return v;
     };
     // Odd length: a dangling x.
-    EXPECT_THROW((void)service::decode_scenario(
+    EXPECT_THROW((void)codec::decode_scenario(
                      with_tour([](json_value& tour) { tour.items.pop_back(); })),
-                 service::wire_error);
+                 codec::wire_error);
     // Fewer than 2 points.
-    EXPECT_THROW((void)service::decode_scenario(with_tour([](json_value& tour) {
+    EXPECT_THROW((void)codec::decode_scenario(with_tour([](json_value& tour) {
                      tour.items.resize(2);
                  })),
-                 service::wire_error);
+                 codec::wire_error);
     // A non-hex element.
-    EXPECT_THROW((void)service::decode_scenario(with_tour([](json_value& tour) {
+    EXPECT_THROW((void)codec::decode_scenario(with_tour([](json_value& tour) {
                      tour.items[3] = json_value::string("zz00000000000000");
                  })),
-                 service::wire_error);
+                 codec::wire_error);
 }
 
 // ------------------------------------------------------- pinned contracts --
@@ -441,7 +487,7 @@ TEST(Wire, TraceTourRejectsMalformedArrays) {
 
 TEST(Wire, PureGridScenarioAndSpecBytesArePinned) {
     EXPECT_EQ(
-        service::dump(service::encode_scenario(rich_scenario())),
+        service::dump(codec::encode_scenario(rich_scenario())),
         R"({"n":1200,"side":"4041520cd1372feb","radius":"4023000000000000","speed":"3fe8000000000000","model":"random_walk","walk_step_radius":"3ff4000000000000","direction_max_leg":"4012000000000000","mode":"gossip","gossip_p":"3fe4000000000000","source":"corner_ne","seed":16045690984503111693,"stationary_start":false,"warmup_time":"4004000000000000","max_steps":12345,"record_timeline":true,"with_cell_partition":false,"stop":{"how":"informed_fraction","fraction":"3feccccccccccccd","steps":0},"messages":[{"sources":{"how":"placement","placement":"center_most","count":3,"ids":[]},"spawn_step":7,"mode":"per_component","gossip_p":"3ff0000000000000","gossip_seed":1,"source_seed":1},{"sources":{"how":"explicit_ids","placement":"random_agent","count":1,"ids":[5,9,11]},"spawn_step":0,"mode":"gossip","gossip_p":"3fe0000000000000","gossip_seed":77,"source_seed":78}]})");
     EXPECT_EQ(
         service::dump(service::encode_sweep_spec(rich_spec())),
@@ -465,9 +511,9 @@ TEST(Wire, ParentOrderStreetAndTraceJsonDecodeToThePinnedFingerprints) {
         R"({"n":800,"side":"403e000000000000","radius":"401c000000000000","speed":"3ff0000000000000","model":"mrwp","walk_step_radius":"0000000000000000","direction_max_leg":"0000000000000000","mode":"one_hop","gossip_p":"3ff0000000000000","source":"random_agent","seed":99,"stationary_start":true,"warmup_time":"0000000000000000","max_steps":1000000,"record_timeline":false,"with_cell_partition":true,"topology":{"kind":"street_graph","xs":["0000000000000000","400232f514a026d4","4016bfb259c83087","40259c83087e2e1b","40327bc0e8f2a76f","403e000000000000"],"ys":["0000000000000000","400232f514a026d4","4016bfb259c83087","40259c83087e2e1b","40327bc0e8f2a76f","403e000000000000"],"blocked":[[1,1,2,1]],"one_way":[[0,0,0,1]]},"stop":{"how":"all_informed","fraction":"3ff0000000000000","steps":0},"messages":[]})";
     const std::string trace =
         R"({"n":1200,"side":"4041520cd1372feb","radius":"4023000000000000","speed":"3fe8000000000000","model":"trace","walk_step_radius":"3ff4000000000000","direction_max_leg":"4012000000000000","mode":"gossip","gossip_p":"3fe4000000000000","source":"corner_ne","seed":16045690984503111693,"stationary_start":false,"warmup_time":"4004000000000000","max_steps":12345,"record_timeline":true,"with_cell_partition":false,"trace":["3ff0000000000000","4000000000000000","4016000000000000","4000000000000000","4016000000000000","4022800000000000"],"stop":{"how":"informed_fraction","fraction":"3feccccccccccccd","steps":0},"messages":[{"sources":{"how":"placement","placement":"center_most","count":3,"ids":[]},"spawn_step":7,"mode":"per_component","gossip_p":"3ff0000000000000","gossip_seed":1,"source_seed":1},{"sources":{"how":"explicit_ids","placement":"random_agent","count":1,"ids":[5,9,11]},"spawn_step":0,"mode":"gossip","gossip_p":"3fe0000000000000","gossip_seed":77,"source_seed":78}]})";
-    EXPECT_EQ(one_point_fingerprint(service::decode_scenario(service::parse_json(street))),
+    EXPECT_EQ(one_point_fingerprint(codec::decode_scenario(service::parse_json(street))),
               "a635f31b9df384be");
-    EXPECT_EQ(one_point_fingerprint(service::decode_scenario(service::parse_json(trace))),
+    EXPECT_EQ(one_point_fingerprint(codec::decode_scenario(service::parse_json(trace))),
               "7f9e5776a992831a");
 
     // Today's encoding of the same scenarios fingerprints identically.
@@ -476,8 +522,8 @@ TEST(Wire, ParentOrderStreetAndTraceJsonDecodeToThePinnedFingerprints) {
     traced.model = mobility::model_kind::trace_replay;
     traced.model_opts.trace = std::make_shared<const std::vector<manhattan::geom::vec2>>(
         std::vector<manhattan::geom::vec2>{{1.0, 2.0}, {5.5, 2.0}, {5.5, 9.25}});
-    EXPECT_EQ(one_point_fingerprint(service::decode_scenario(
-                  service::parse_json(service::dump(service::encode_scenario(traced))))),
+    EXPECT_EQ(one_point_fingerprint(codec::decode_scenario(
+                  service::parse_json(service::dump(codec::encode_scenario(traced))))),
               "7f9e5776a992831a");
 }
 
@@ -594,7 +640,7 @@ TEST(Wire, SweepRowTruncatedLineRejected) {
     const std::string text = service::dump(service::encode_sweep_row(rich_row()));
     // A partially transmitted line must never decode into a value.
     for (const std::size_t keep : {text.size() / 4, text.size() / 2, text.size() - 1}) {
-        EXPECT_THROW((void)service::parse_json(text.substr(0, keep)), service::wire_error);
+        EXPECT_THROW((void)service::parse_json(text.substr(0, keep)), codec::wire_error);
     }
 }
 
