@@ -36,8 +36,10 @@
 // emitted BENCH_flood.json: a matched (n, engine, threads) row whose
 // steps_per_sec fell by more than --regress-tol (default 25%) fails the
 // binary. The comparison only *enforces* when the baseline was measured on
-// a host with the same hardware concurrency — a 1-core laptop must not fail
-// CI against an 8-core baseline (or vice versa); mismatches warn and pass.
+// a host with the same hardware concurrency and the same CPU model (its
+// host.cpu_model) — two 4-core hosts of different CPUs run the same code
+// up to 2x apart, so a 25% gate between them says nothing; mismatches name
+// the field that differs and pass.
 //
 // --min-speedup= arms the multicore scaling gate (ROADMAP's >= 3x target at
 // n = 1e5): the best pool speedup vs the 1-thread pool at the *largest*
@@ -204,6 +206,7 @@ struct baseline_row {
 
 struct baseline_file {
     std::size_t hardware_concurrency = 0;
+    std::string cpu_model;
     std::vector<baseline_row> rows;
 };
 
@@ -222,6 +225,12 @@ baseline_file parse_baseline(std::istream& in) {
     baseline_file base;
     base.hardware_concurrency =
         static_cast<std::size_t>(field_after(text, "hardware_concurrency", 0));
+    const std::size_t model_at = text.find("\"cpu_model\": \"");
+    if (model_at == std::string::npos) {
+        throw std::invalid_argument("baseline: missing field 'cpu_model'");
+    }
+    const std::size_t model_from = model_at + 14;
+    base.cpu_model = text.substr(model_from, text.find('"', model_from) - model_from);
     std::size_t pos = text.find("\"rows\"");
     if (pos == std::string::npos) {
         throw std::invalid_argument("baseline: no rows array");
@@ -252,12 +261,21 @@ baseline_file parse_baseline(std::istream& in) {
 /// silent.
 bool check_baseline(const baseline_file& base, const std::vector<perf_row>& rows,
                     double tolerance) {
-    const bool host_match = base.hardware_concurrency == engine::default_thread_count();
-    if (!host_match) {
-        bench::note("baseline host has " + util::fmt(base.hardware_concurrency) +
-                    " hardware threads, this host " +
-                    util::fmt(engine::default_thread_count()) +
-                    " — reporting only, not enforcing");
+    bool host_match = true;
+    const auto differs = [&](const std::string& field, const std::string& theirs,
+                             const std::string& ours) {
+        if (theirs != ours) {
+            host_match = false;
+            bench::note("baseline host." + field + " is '" + theirs + "', this host's '" +
+                        ours + "' — reporting only, not enforcing");
+        }
+    };
+    differs("hardware_concurrency", util::fmt(base.hardware_concurrency),
+            util::fmt(engine::default_thread_count()));
+    differs("cpu_model", base.cpu_model, cpu_model());
+    if (host_match) {
+        std::printf("baseline host matches (%zu hardware threads, '%s') — enforcing\n",
+                    base.hardware_concurrency, base.cpu_model.c_str());
     }
     bool ok = true;
     std::size_t matched = 0;

@@ -1,6 +1,7 @@
 #include "codec/json.h"
 
 #include <bit>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -286,6 +287,11 @@ class parser {
         const double v = std::strtod(token.c_str(), &end);
         if (end != token.c_str() + token.size()) {
             bad("bad number '" + token + "'");
+        }
+        // An overflow reads as an infinity, which dump() renders as "inf"
+        // and no parse takes back. An underflow reads as (signed) zero.
+        if (!std::isfinite(v)) {
+            bad("number out of range '" + token + "'");
         }
         json_value out;
         out.what = json_value::kind::number;

@@ -4,6 +4,7 @@
 #include <bit>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string_view>
@@ -396,6 +397,16 @@ run_manifest parse_manifest(const std::string& text) {
     manifest.fingerprint = parse_u64(keyed_value("fingerprint"), "fingerprint", 16);
     manifest.points = parse_u64(keyed_value("points"), "points");
     manifest.repetitions = parse_u64(keyed_value("repetitions"), "repetitions");
+    // by_point() sizes a points x repetitions table from these: refuse a
+    // grid that no vector can hold, not only one whose allocation fails.
+    using column = std::vector<const replica_record*>;
+    if (manifest.points > std::vector<column>().max_size() ||
+        manifest.repetitions > column().max_size() ||
+        (manifest.repetitions != 0 &&
+         manifest.points > std::numeric_limits<std::size_t>::max() / manifest.repetitions)) {
+        corrupt("a " + std::to_string(manifest.points) + " x " +
+                std::to_string(manifest.repetitions) + " grid is too large");
+    }
 
     for (; next < lines.size(); ++next) {
         std::string_view body;

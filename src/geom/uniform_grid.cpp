@@ -7,6 +7,21 @@
 
 namespace manhattan::geom {
 
+namespace {
+
+// A cache hint for the serial scatter (for_write) and gather; a no-op
+// where the GNU builtin is missing.
+template <bool for_write>
+inline void prefetch(const void* p) noexcept {
+#if defined(__GNUC__)
+    __builtin_prefetch(p, for_write ? 1 : 0);
+#else
+    (void)p;
+#endif
+}
+
+}  // namespace
+
 uniform_grid::uniform_grid(double side, double min_bucket_side) : side_(side) {
     if (!(side > 0.0) || !(min_bucket_side > 0.0)) {
         throw std::invalid_argument("uniform_grid: side and bucket side must be positive");
@@ -16,12 +31,20 @@ uniform_grid::uniform_grid(double side, double min_bucket_side) : side_(side) {
     offsets_.assign(static_cast<std::size_t>(m_) * static_cast<std::size_t>(m_) + 1, 0);
 }
 
-std::int32_t uniform_grid::bucket_index(double v) const noexcept {
-    // Clamp in double before the cast, which is undefined outside the int32
-    // range; a NaN lands in bucket 0. On the clamped, non-negative quotient
-    // the cast's truncation equals floor, so every in-range bucket is kept.
-    const double q = v / bucket_side_;
-    return static_cast<std::int32_t>(q > 0.0 ? std::min(q, static_cast<double>(m_ - 1)) : 0.0);
+void uniform_grid::assign_buckets(std::span<const vec2> positions, std::size_t begin,
+                                  std::size_t end) noexcept {
+    // Constants in locals and no store the compiler must assume aliases
+    // them: the loop vectorises (two divides, two clamps, two casts per
+    // agent).
+    const double bucket = bucket_side_;
+    const double top = static_cast<double>(m_ - 1);
+    const std::uint32_t m = static_cast<std::uint32_t>(m_);
+    const vec2* p = positions.data();
+    std::uint32_t* ids = bucket_of_.data();
+    for (std::size_t i = begin; i < end; ++i) {
+        ids[i] = static_cast<std::uint32_t>(axis_bucket(p[i].y, bucket, top)) * m +
+                 static_cast<std::uint32_t>(axis_bucket(p[i].x, bucket, top));
+    }
 }
 
 void uniform_grid::rebuild(std::span<const vec2> positions) {
@@ -33,20 +56,44 @@ void uniform_grid::rebuild(std::span<const vec2> positions) {
     sorted_points_.resize(n);
     bucket_of_.resize(n);
 
-    // Counting sort: count, prefix-sum, scatter.
+    // Pass 1: bucket ids. Pass 2: histogram and prefix sum.
+    assign_buckets(positions, 0, n);
+    const std::uint32_t* ids = bucket_of_.data();
+    std::size_t* counts = offsets_.data() + 1;
     for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t b = bucket_of(positions[i]);
-        bucket_of_[i] = static_cast<std::uint32_t>(b);
-        ++offsets_[b + 1];
+        ++counts[ids[i]];
     }
     for (std::size_t b = 0; b < bucket_count; ++b) {
         offsets_[b + 1] += offsets_[b];
     }
     cursor_.assign(offsets_.begin(), offsets_.end() - 1);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t slot = cursor_[bucket_of_[i]]++;
-        items_[slot] = static_cast<std::uint32_t>(i);
-        sorted_points_[slot] = positions[i];
+
+    // Pass 3: scatter the ids alone in ascending i, so every bucket fills
+    // in ascending index order. A cursor read early may still move before
+    // agent i + ahead is placed, but only within its bucket's range, so the
+    // prefetched line is the one written or a neighbour of it.
+    constexpr std::size_t ahead = prefetch_ahead;
+    std::size_t* cursor = cursor_.data();
+    std::uint32_t* items = items_.data();
+    std::size_t i = 0;
+    for (; i + ahead < n; ++i) {
+        prefetch<true>(items + cursor[ids[i + ahead]]);
+        items[cursor[ids[i]]++] = static_cast<std::uint32_t>(i);
+    }
+    for (; i < n; ++i) {
+        items[cursor[ids[i]]++] = static_cast<std::uint32_t>(i);
+    }
+
+    // Pass 4: gather the positions in slot order.
+    const vec2* from = positions.data();
+    vec2* to = sorted_points_.data();
+    std::size_t s = 0;
+    for (; s + ahead < n; ++s) {
+        prefetch<false>(from + items[s + ahead]);
+        to[s] = from[items[s]];
+    }
+    for (; s < n; ++s) {
+        to[s] = from[items[s]];
     }
 }
 
@@ -65,15 +112,14 @@ void uniform_grid::rebuild(std::span<const vec2> positions, util::parallel_execu
     cursor_.resize(bucket_count);
     lane_hist_.resize(lanes * bucket_count);
 
-    // Per-lane histograms over contiguous index slices. n >= 2 * lanes, so
-    // every lane runs and zeroes its own histogram.
+    // Per-lane bucket ids and histograms over contiguous index slices.
+    // n >= 2 * lanes, so every lane runs and zeroes its own histogram.
     ex.run(n, [&](std::size_t lane, std::size_t begin, std::size_t end) {
         std::size_t* hist = lane_hist_.data() + lane * bucket_count;
         std::fill_n(hist, bucket_count, std::size_t{0});
+        assign_buckets(positions, begin, end);
         for (std::size_t i = begin; i < end; ++i) {
-            const std::size_t b = bucket_of(positions[i]);
-            bucket_of_[i] = static_cast<std::uint32_t>(b);
-            ++hist[b];
+            ++hist[bucket_of_[i]];
         }
     });
 

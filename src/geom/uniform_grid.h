@@ -8,6 +8,8 @@
 /// indirecting through the item ids.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -25,19 +27,38 @@ class uniform_grid {
     /// touches at most 3x3 buckets). Throws if arguments are not positive.
     uniform_grid(double side, double min_bucket_side);
 
-    /// Re-bin all positions (serial counting sort; scratch buffers are
-    /// reused, so steady-state rebuilds allocate nothing). Indices reported
-    /// by queries refer to positions in this span. Positions are copied so
-    /// the caller may mutate theirs.
+    /// How many agents ahead the serial scatter and gather prefetch: far
+    /// enough that a line fetched from DRAM arrives before its store or
+    /// load, near enough that it is still in L1 then. 8 to 64 ahead read
+    /// the same at n = 1e5 on a 4-core Xeon VM (2 MB L2), 0.74-0.97 ms per
+    /// rebuild, against 1.10-1.23 ms without the prefetch.
+    static constexpr std::size_t prefetch_ahead = 16;
+
+    /// Re-bin all positions: a serial counting sort in four streaming
+    /// passes, each a loop the compiler keeps simple.
+    ///  1. The bucket id of every agent, in a loop free of stores to shared
+    ///     state, so its divides and clamps vectorise.
+    ///  2. The histogram of those ids, prefix-summed into the CSR offsets.
+    ///  3. An id-only scatter in ascending agent id: one 4-byte random write
+    ///     per agent, not 20 (id and position), with the slot of the agent
+    ///     prefetch_ahead places later prefetched for write.
+    ///  4. A gather of the positions in slot order: sequential writes and
+    ///     random reads, with the read prefetch_ahead slots later prefetched.
+    /// Within every bucket, items stay in ascending index order. Scratch
+    /// buffers are reused, so steady-state rebuilds allocate nothing.
+    /// Indices reported by queries refer to positions in this span.
+    /// Positions are copied so the caller may mutate theirs.
     void rebuild(std::span<const vec2> positions);
 
-    /// Parallel rebuild, an owner-computes counting sort: per-lane histograms
-    /// summed into the CSR offsets, then each lane owns the buckets of one
-    /// contiguous span of about n / lanes slots and scatters only into them,
+    /// Parallel rebuild, an owner-computes counting sort: per-lane bucket
+    /// ids and histograms over contiguous index slices, summed into the CSR
+    /// offsets, then each lane owns the buckets of one contiguous span of
+    /// about n / lanes slots and scatters ids and positions only into them,
     /// visiting input indices in ascending order. Every bucket has exactly
     /// one writer, so the arrays are bit-identical to the serial rebuild at
     /// any lane count (within every bucket, items stay in ascending index
-    /// order).
+    /// order). With one lane, or fewer than two agents per lane, this is the
+    /// serial rebuild.
     void rebuild(std::span<const vec2> positions, util::parallel_executor& ex);
 
     [[nodiscard]] double side() const noexcept { return side_; }
@@ -124,11 +145,24 @@ class uniform_grid {
     }
 
  private:
-    [[nodiscard]] std::int32_t bucket_index(double v) const noexcept;
-    [[nodiscard]] std::size_t bucket_of(vec2 p) const noexcept {
-        return static_cast<std::size_t>(bucket_index(p.y)) * static_cast<std::size_t>(m_) +
-               static_cast<std::size_t>(bucket_index(p.x));
+    /// Bucket along one axis of coordinate \p v, for buckets of side \p bucket
+    /// and \p top = buckets per side - 1. The one definition of the clamp,
+    /// shared by the rebuild's id pass and by the queries. It clamps in
+    /// double before the cast, which is undefined outside the int32 range; a
+    /// NaN lands in bucket 0. On the clamped, non-negative quotient the
+    /// cast's truncation equals floor, so every in-range bucket is kept.
+    [[nodiscard]] static std::int32_t axis_bucket(double v, double bucket,
+                                                  double top) noexcept {
+        const double q = v / bucket;
+        return static_cast<std::int32_t>(q > 0.0 ? std::min(q, top) : 0.0);
     }
+    [[nodiscard]] std::int32_t bucket_index(double v) const noexcept {
+        return axis_bucket(v, bucket_side_, static_cast<double>(m_ - 1));
+    }
+
+    /// Pass 1 of both rebuilds: bucket_of_[i] for every i in [begin, end).
+    void assign_buckets(std::span<const vec2> positions, std::size_t begin,
+                        std::size_t end) noexcept;
 
     template <typename Fn>
     void visit_buckets(vec2 p, double r, Fn&& fn) const {

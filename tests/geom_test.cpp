@@ -7,6 +7,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <numeric>
 #include <set>
 #include <string>
 #include <utility>
@@ -276,6 +278,117 @@ TEST(uniform_grid_test, serial_executor_rebuild_matches_plain_rebuild) {
     b.rebuild(pts, ex);
     for (const auto& p : pts) {
         EXPECT_EQ(a.query(p, 2.5), b.query(p, 2.5));
+    }
+}
+
+/// The bucket a rebuild must give \p p, from the definition: per axis,
+/// floor(coordinate / bucket side) clamped to [0, m - 1], a NaN in bucket
+/// 0, and rows of m buckets.
+std::uint32_t oracle_bucket(const uniform_grid& g, vec2 p) {
+    const double top = g.buckets_per_side() - 1;
+    const auto axis = [&](double v) {
+        const double q = std::floor(v / g.bucket_side());
+        return std::isnan(q) || q < 0.0 ? 0.0 : std::min(q, top);
+    };
+    return static_cast<std::uint32_t>(axis(p.y)) *
+               static_cast<std::uint32_t>(g.buckets_per_side()) +
+           static_cast<std::uint32_t>(axis(p.x));
+}
+
+/// Every array of \p g after rebuild(pts), against a stable sort of the
+/// indices by oracle_bucket.
+void expect_oracle_arrays(const uniform_grid& g, const std::vector<vec2>& pts) {
+    ASSERT_EQ(g.size(), pts.size());
+    std::vector<std::uint32_t> bucket(pts.size());
+    std::vector<std::size_t> count(g.bucket_count(), 0);
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+        bucket[i] = oracle_bucket(g, pts[i]);
+        ASSERT_LT(bucket[i], g.bucket_count());
+        ++count[bucket[i]];
+        ASSERT_EQ(g.bucket_of_item(i), bucket[i]) << "point " << i;
+    }
+    std::vector<std::uint32_t> items(pts.size());
+    std::iota(items.begin(), items.end(), 0u);
+    std::stable_sort(items.begin(), items.end(),
+                     [&](std::uint32_t a, std::uint32_t b) { return bucket[a] < bucket[b]; });
+    for (std::size_t k = 0; k < items.size(); ++k) {
+        ASSERT_EQ(g.items()[k], items[k]) << "slot " << k;
+        ASSERT_EQ(bits(g.sorted_points()[k]), bits(pts[items[k]])) << "slot " << k;
+    }
+    std::size_t begin = 0;
+    for (std::size_t b = 0; b < g.bucket_count(); ++b) {
+        ASSERT_EQ(g.bucket_begin(b), begin) << "bucket " << b;
+        begin += count[b];
+        ASSERT_EQ(g.bucket_end(b), begin) << "bucket " << b;
+    }
+}
+
+TEST(uniform_grid_test, serial_rebuild_matches_a_stable_sort_oracle) {
+    constexpr double side = 50.0;
+    constexpr std::size_t ahead = uniform_grid::prefetch_ahead;
+    const double bucket = uniform_grid(side, 4.0).bucket_side();
+    const double inf = std::numeric_limits<double>::infinity();
+
+    // First the right edge and just past it, below the top row: without
+    // the upper clamp these points would land in the next row's first
+    // bucket, a wrong bucket but a valid index.
+    std::vector<vec2> right_edge;
+    for (const double y : {0.0, 10.0, 25.0}) {
+        for (const double x : {side, std::nextafter(side, inf), side + 1.0}) {
+            right_edge.push_back({x, y});
+        }
+    }
+    std::vector<rebuild_input> inputs = {{"on the right edge", 4.0, right_edge}};
+
+    // The clamp's edges on either axis: first 0, the side, every multiple
+    // of the bucket side and one ulp below it; then also points outside
+    // the square, NaN and the infinities.
+    std::vector<double> coords = {0.0, -0.0, side};
+    for (int k = 0; k <= 12; ++k) {
+        coords.push_back(k * bucket);
+        coords.push_back(std::nextafter(k * bucket, -inf));
+    }
+    const auto product = [&] {
+        std::vector<vec2> pts;
+        for (const double x : coords) {
+            for (const double y : coords) {
+                pts.push_back({x, y});
+            }
+        }
+        return pts;
+    };
+    inputs.push_back({"on the bucket lines", 4.0, product()});
+    coords.insert(coords.end(), {-1.0, -1e-300, std::nextafter(side, inf), side + 1.0,
+                                 13 * bucket, 1e300, -1e300, std::nan(""), inf, -inf});
+    inputs.push_back({"outside the square", 4.0, product()});
+    for (rebuild_input& in : rebuild_inputs(4)) {
+        inputs.push_back(std::move(in));
+    }
+
+    // Sizes around the prefetch distance: the passes' main loops run for
+    // none, some or all but the tail.
+    manhattan::rng::rng gen(405);
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, ahead - 1, ahead, ahead + 1,
+                                2 * ahead + 1}) {
+        std::vector<vec2> pts(n);
+        for (auto& p : pts) {
+            p = {gen.uniform(0.0, side), gen.uniform(0.0, side)};
+        }
+        inputs.push_back({"n = " + std::to_string(n), 4.0, pts});
+    }
+    inputs.push_back({"one spot", 4.0, std::vector<vec2>(3 * ahead + 5, vec2{21.0, 37.5})});
+
+    for (const rebuild_input& in : inputs) {
+        SCOPED_TRACE(in.name);
+        uniform_grid g(side, in.bucket);
+        // A longer, reversed input first, so stale scratch would show.
+        std::vector<vec2> longer(in.pts.rbegin(), in.pts.rend());
+        for (std::size_t k = 0; k < 2 * ahead + 3; ++k) {
+            longer.push_back({gen.uniform(0.0, side), gen.uniform(0.0, side)});
+        }
+        g.rebuild(longer);
+        g.rebuild(in.pts);
+        ASSERT_NO_FATAL_FAILURE(expect_oracle_arrays(g, in.pts));
     }
 }
 

@@ -169,6 +169,20 @@ TEST(manifest_test, corrupt_manifest_fails) {
             << key << ' ' << value;
     }
 
+    // Well-formed counts whose points x repetitions table by_point() could
+    // not hold: past a vector's max_size, or a product past 64 bits.
+    const std::pair<std::string, std::string> too_large[] = {
+        {"points", "18446744073709551615"}, {"repetitions", "18446744073709551615"}};
+    for (const auto& [key, value] : too_large) {
+        EXPECT_THROW((void)engine::parse_manifest(with_header(key, value)),
+                     engine::manifest_error)
+            << key << ' ' << value;
+    }
+    std::string overflow = with_header("points", "4294967296");
+    const std::size_t at = overflow.find("repetitions ") + 12;
+    overflow.replace(at, overflow.find('\n', at) - at, "4294967296");
+    EXPECT_THROW((void)engine::parse_manifest(overflow), engine::manifest_error);
+
     // A damaged record that is not the final line: its digest fails.
     bad = text;
     bad[text.find("record ") + 9] ^= 0x01;

@@ -104,6 +104,23 @@ TEST(Wire, ForeignFractionalNumbersParse) {
     }
 }
 
+TEST(Wire, NumbersADoubleCannotHoldAreRefused) {
+    // strtod reads these as infinities, which dump() would render as "inf".
+    for (const char* text : {"1e999", "-1e999", "[1e999,-1e999]", R"({"x":1.5e309})"}) {
+        EXPECT_THROW((void)service::parse_json(text), codec::wire_error) << text;
+    }
+    // An underflow reads as zero of its sign. Every accepted number
+    // survives a dump and a second parse.
+    EXPECT_EQ(bits(service::parse_json("1e-999").real), bits(0.0));
+    EXPECT_EQ(bits(service::parse_json("-1e-999").real), bits(-0.0));
+    for (const char* text :
+         {"1e-999", "-1e-999", "1.7976931348623157e308", "-1.7976931348623157e308",
+          "4.9406564584124654e-324", "-1.5e3", "0.25", "[1e-999,-0.0,2.5E+2]"}) {
+        const std::string once = service::dump(service::parse_json(text));
+        EXPECT_EQ(service::dump(service::parse_json(once)), once) << text;
+    }
+}
+
 TEST(Wire, StrictNumberParsersTakeOnlyTheRenderedForms) {
     EXPECT_EQ(codec::parse_u64("0"), 0u);
     EXPECT_EQ(codec::parse_u64("18446744073709551615"), ~0ULL);
