@@ -19,7 +19,9 @@
 /// Exit codes: the shared bench taxonomy (docs/WORKLOADS.md). SIGTERM /
 /// SIGINT shut down gracefully: running jobs finish and publish their
 /// ledgers; a SIGKILLed daemon leaves resumable ledgers in --work-dir and
-/// the next daemon finishes the job on resubmission.
+/// the next daemon finishes the job on resubmission. A full descriptor
+/// table only delays new connections; a listener that fails otherwise
+/// exits 4 (io).
 #include <csignal>
 
 #include "bench_common.h"
@@ -60,14 +62,16 @@ int main(int argc, char** argv) {
 
         service::daemon d(config);
         live_daemon = &d;
+        struct unpublish {  // before d goes, also when wait() throws
+            ~unpublish() { live_daemon = nullptr; }
+        } guard;
         std::signal(SIGTERM, on_terminate);
         std::signal(SIGINT, on_terminate);
         d.start();
         bench::note("manhattand: serving on " + socket +
                     " (cache " + config.cache_dir + ", work " + config.work_dir + ")");
-        d.wait();
+        d.wait();  // a failed listener throws: exit 4
         d.stop();
-        live_daemon = nullptr;
         bench::note("manhattand: stopped");
         return 0;
     });

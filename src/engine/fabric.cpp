@@ -566,6 +566,9 @@ fabric_report run_fabric_worker(const fabric_options& opts, const run_options& r
 
     fabric_report report;
     std::mutex report_mutex;
+    // Each point's replica seeds, drawn once on this thread when a batch
+    // first reaches the point.
+    std::vector<std::vector<std::uint64_t>> seeds(spec.points.size());
 
     while (true) {
         if (stop_requested()) {
@@ -649,7 +652,10 @@ fabric_report run_fabric_worker(const fabric_options& opts, const run_options& r
                     continue;
                 }
                 const auto [p, r] = spec.pair(flat);
-                pending.push_back(pool.submit([&, flat, p, r] {
+                if (seeds[p].empty()) {
+                    seeds[p] = replica_seeds(spec.points[p].sc.seed, reps);
+                }
+                pending.push_back(pool.submit([&, flat, p, r, seed = seeds[p][r]] {
                     registry.begin(p, r);
                     struct dereg {  // also on the exception path
                         running_registry* reg;
@@ -662,7 +668,7 @@ fabric_report run_fabric_worker(const fabric_options& opts, const run_options& r
                         try {
                             fault::inject("replica.run");
                             core::scenario sc = spec.points[p].sc;
-                            sc.seed = replica_seeds(spec.points[p].sc.seed, reps)[r];
+                            sc.seed = seed;
                             replica_stat stat =
                                 reduce_outcome(core::run_scenario(sc));
                             ledger.record(p, r, std::move(stat));

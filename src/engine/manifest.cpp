@@ -131,21 +131,35 @@ double parse_f64_bits(const std::string& token, const std::string& what) {
     return std::bit_cast<double>(parse_u64(token, what, 16));
 }
 
+/// Throws manifest_error on a record outside the grid or a second record
+/// for one pair. Sorting the records' flat indices costs what the file
+/// holds, where a points x repetitions table would cost what its header
+/// claims.
+void check_records(const run_manifest& m) {
+    std::vector<std::size_t> flat;
+    flat.reserve(m.records.size());
+    for (const auto& rec : m.records) {
+        if (rec.point >= m.points || rec.replica >= m.repetitions) {
+            corrupt("record (" + std::to_string(rec.point) + ", " +
+                    std::to_string(rec.replica) + ") outside the " + std::to_string(m.points) +
+                    " x " + std::to_string(m.repetitions) + " grid");
+        }
+        flat.push_back(rec.point * m.repetitions + rec.replica);
+    }
+    std::sort(flat.begin(), flat.end());
+    if (const auto dup = std::adjacent_find(flat.begin(), flat.end()); dup != flat.end()) {
+        corrupt("duplicate record for point " + std::to_string(*dup / m.repetitions) +
+                " replica " + std::to_string(*dup % m.repetitions));
+    }
+}
+
 }  // namespace
 
 std::vector<std::vector<const replica_record*>> run_manifest::by_point() const {
+    check_records(*this);
     std::vector<std::vector<const replica_record*>> table(
         points, std::vector<const replica_record*>(repetitions, nullptr));
     for (const auto& rec : records) {
-        if (rec.point >= points || rec.replica >= repetitions) {
-            corrupt("record (" + std::to_string(rec.point) + ", " +
-                    std::to_string(rec.replica) + ") outside the " + std::to_string(points) +
-                    " x " + std::to_string(repetitions) + " grid");
-        }
-        if (table[rec.point][rec.replica] != nullptr) {
-            corrupt("duplicate record for point " + std::to_string(rec.point) + " replica " +
-                    std::to_string(rec.replica));
-        }
         table[rec.point][rec.replica] = &rec;
     }
     return table;
@@ -398,7 +412,8 @@ run_manifest parse_manifest(const std::string& text) {
     manifest.points = parse_u64(keyed_value("points"), "points");
     manifest.repetitions = parse_u64(keyed_value("repetitions"), "repetitions");
     // by_point() sizes a points x repetitions table from these: refuse a
-    // grid that no vector can hold, not only one whose allocation fails.
+    // grid that no vector can hold, not only one whose allocation fails
+    // (and keep the flat indices below in range).
     using column = std::vector<const replica_record*>;
     if (manifest.points > std::vector<column>().max_size() ||
         manifest.repetitions > column().max_size() ||
@@ -419,7 +434,7 @@ run_manifest parse_manifest(const std::string& text) {
         }
         manifest.records.push_back(parse_record(std::string{body}));
     }
-    (void)manifest.by_point();  // range/duplicate validation
+    check_records(manifest);
     return manifest;
 }
 

@@ -28,7 +28,8 @@ struct submit_outcome {
 /// One connection. Requests are synchronous: send a line, read the
 /// response line(s). Throws engine::error (class io) on connect/transport
 /// failure, busy_error on an admission-shed submit, codec::wire_error on a
-/// malformed peer, and rebuilds the daemon's typed error for failed ops.
+/// malformed peer, and rebuilds the daemon's typed error for failed ops
+/// (rethrow in wire.h).
 class client {
  public:
     explicit client(const std::string& socket_path);
@@ -37,7 +38,7 @@ class client {
     client& operator=(const client&) = delete;
 
     /// One request / one response op (ping, status, cancel, stats,
-    /// shutdown). Throws on an {"ok":false} response.
+    /// shutdown; and a submit's header). Throws on an {"ok":false} response.
     json_value request(const json_value& req);
 
     /// Submit a sweep and stream its rows into \p sinks (on_row only —
@@ -52,12 +53,9 @@ class client {
     void shutdown_daemon();
 
  private:
-    void send(const json_value& v);
-    [[nodiscard]] json_value read_response();
-    [[noreturn]] static void raise(const json_value& response);
+    [[nodiscard]] json_value next();
 
-    int fd_ = -1;
-    std::string buffer_;
+    line_channel channel_;
 };
 
 }  // namespace manhattan::service

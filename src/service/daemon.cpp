@@ -1,7 +1,6 @@
 #include "service/daemon.h"
 
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -11,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <system_error>
 
 #include "codec/number.h"
 #include "engine/fabric.h"
@@ -23,101 +23,45 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Write one protocol line (dump + '\n'). Returns false on a dead peer —
-/// the caller decides whether that aborts anything (it never aborts a job:
-/// computed work is cached even when nobody is left listening).
-bool send_line(int fd, const json_value& v) {
-    std::string line = dump(v);
-    line += '\n';
-    std::size_t sent = 0;
-    while (sent < line.size()) {
-        const ssize_t n = ::send(fd, line.data() + sent, line.size() - sent, MSG_NOSIGNAL);
-        if (n <= 0) {
-            if (n < 0 && errno == EINTR) {
-                continue;
-            }
-            return false;
-        }
-        sent += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-/// Newline-framed reader. Returns std::nullopt on EOF / reset.
-class line_reader {
- public:
-    explicit line_reader(int fd) : fd_(fd) {}
-
-    std::optional<std::string> next() {
-        while (true) {
-            const std::size_t pos = buffer_.find('\n');
-            if (pos != std::string::npos) {
-                std::string line = buffer_.substr(0, pos);
-                buffer_.erase(0, pos + 1);
-                return line;
-            }
-            char chunk[4096];
-            const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-            if (n < 0 && errno == EINTR) {
-                continue;
-            }
-            if (n <= 0) {
-                return std::nullopt;
-            }
-            buffer_.append(chunk, static_cast<std::size_t>(n));
-        }
-    }
-
- private:
-    int fd_;
-    std::string buffer_;
-};
-
-json_value error_response(const std::string& op, const char* cls,
-                          const std::string& message) {
-    json_value v = json_value::object();
-    v.set("ok", json_value::boolean(false));
-    v.set("op", json_value::string(op));
-    v.set("error", json_value::string(cls));
-    v.set("message", json_value::string(message));
-    return v;
-}
-
 /// Streams each aggregated row to the peer as it completes. Driver-thread
 /// only (the connection thread runs the sweep), like every sink. A dead
-/// peer stops the streaming but never the job.
+/// peer stops the streaming but never the job: computed work is cached
+/// even when nobody is left listening.
 class stream_sink final : public engine::result_sink {
  public:
-    stream_sink(int fd, std::string job) : fd_(fd), job_(std::move(job)) {}
+    stream_sink(line_channel& peer, std::string job) : peer_(peer), job_(std::move(job)) {}
 
     void on_row(const engine::sweep_row& row) override {
         ++rows_;
         if (broken_) {
             return;
         }
-        json_value event = json_value::object();
-        event.set("event", json_value::string("row"));
-        event.set("job", json_value::string(job_));
-        event.set("row", encode_sweep_row(row));
-        broken_ = !send_line(fd_, event);
+        json_value v = event("row", job_);
+        v.set("row", encode_sweep_row(row));
+        broken_ = !peer_.send(v);
     }
 
     [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
-    [[nodiscard]] bool broken() const noexcept { return broken_; }
 
  private:
-    int fd_;
+    line_channel& peer_;
     std::string job_;
     std::size_t rows_ = 0;
     bool broken_ = false;
 };
 
+json_value done_event(const std::string& job, std::size_t rows, bool cached,
+                      std::uint64_t fresh) {
+    json_value v = event("done", job);
+    v.set("rows", json_value::integer(rows));
+    v.set("cached", json_value::boolean(cached));
+    v.set("fresh_replicas", json_value::integer(fresh));
+    return v;
+}
+
 }  // namespace
 
 struct daemon::job_state {
-    std::string id;
-    std::uint64_t fingerprint = 0;
-
     std::mutex m;
     std::condition_variable cv;
     admission_ticket* ticket = nullptr;  ///< guarded by m; null once released
@@ -152,28 +96,7 @@ daemon::daemon(daemon_config config)
 daemon::~daemon() { stop(); }
 
 void daemon::start() {
-    listener_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (listener_ < 0) {
-        throw engine::error(engine::errc::io, "daemon: socket() failed", true);
-    }
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (config_.socket_path.size() >= sizeof(addr.sun_path)) {
-        throw std::invalid_argument("daemon: socket path '" + config_.socket_path +
-                                    "' exceeds the AF_UNIX limit");
-    }
-    std::strncpy(addr.sun_path, config_.socket_path.c_str(), sizeof(addr.sun_path) - 1);
-    ::unlink(config_.socket_path.c_str());  // stale socket from a killed daemon
-    if (::bind(listener_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 ||
-        ::listen(listener_, 64) != 0) {
-        const std::string what = std::strerror(errno);
-        ::close(listener_);
-        listener_ = -1;
-        throw engine::error(engine::errc::io,
-                            "daemon: cannot listen on '" + config_.socket_path +
-                                "': " + what,
-                            true);
-    }
+    listener_ = listen_unix(config_.socket_path);
     accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
@@ -192,57 +115,85 @@ void daemon::wait() {
     while (!stopping_.load(std::memory_order_relaxed)) {
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
+    std::lock_guard lock(connections_mutex_);
+    if (!listener_failure_.empty()) {
+        throw engine::error(engine::errc::io, "daemon: listener on '" + config_.socket_path +
+                                                  "' failed: " + listener_failure_);
+    }
 }
 
 void daemon::stop() {
-    {
-        std::lock_guard lock(stopped_mutex_);
-        if (stopped_) {
-            return;
-        }
-        stopped_ = true;
-    }
     request_stop();
     if (accept_thread_.joinable()) {
         accept_thread_.join();
     }
+    std::vector<std::thread> finished;
+    {
+        std::unique_lock lock(connections_mutex_);
+        for (const auto& [fd, thread] : live_) {
+            ::shutdown(fd, SHUT_RDWR);  // its thread sees EOF, closes it and leaves
+        }
+        connections_cv_.wait(lock, [&] { return live_.empty(); });
+        finished.swap(finished_);
+    }
+    for (std::thread& thread : finished) {
+        thread.join();
+    }
+    // Closed last: request_stop() on a connection thread (the shutdown op)
+    // reads listener_, and every connection thread has ended by now.
     if (listener_ >= 0) {
         ::close(listener_);
         listener_ = -1;
         ::unlink(config_.socket_path.c_str());
     }
-    std::vector<std::pair<int, std::thread>> connections;
-    {
-        std::lock_guard lock(connections_mutex_);
-        connections.swap(connections_);
-    }
-    for (auto& [fd, thread] : connections) {
-        ::shutdown(fd, SHUT_RDWR);
-    }
-    for (auto& [fd, thread] : connections) {
-        if (thread.joinable()) {
-            thread.join();
-        }
-        ::close(fd);
-    }
-    stopped_cv_.notify_all();
 }
 
 void daemon::accept_loop() {
     while (!stopping_.load(std::memory_order_relaxed)) {
         const int fd = ::accept(listener_, nullptr, nullptr);
         if (fd < 0) {
-            if (errno == EINTR) {
+            const int err = errno;
+            if (err == EINTR || err == ECONNABORTED) {
                 continue;
+            }
+            if (err == EMFILE || err == ENFILE || err == ENOBUFS || err == ENOMEM) {
+                // Out of descriptors or memory: connections that end give
+                // them back, so back off and retry.
+                std::this_thread::sleep_for(std::chrono::milliseconds(10));
+                continue;
+            }
+            if (!stopping_.load(std::memory_order_relaxed)) {
+                std::lock_guard lock(connections_mutex_);
+                listener_failure_ = std::string("accept(): ") + std::strerror(err);
             }
             break;  // listener shut down (or broken): stop accepting
         }
-        std::lock_guard lock(connections_mutex_);
-        if (stopping_.load(std::memory_order_relaxed)) {
-            ::close(fd);
-            break;
+        std::vector<std::thread> finished;
+        {
+            std::lock_guard lock(connections_mutex_);
+            if (stopping_.load(std::memory_order_relaxed)) {
+                ::close(fd);
+                break;
+            }
+            finished.swap(finished_);
+            try {
+                live_.emplace(fd, std::thread([this, fd] {
+                    handle_connection(fd);
+                    // The only owner of fd closes it, under the lock stop()
+                    // shuts fds down under, and hands its thread over to be
+                    // joined.
+                    std::lock_guard owner_lock(connections_mutex_);
+                    ::close(fd);
+                    finished_.push_back(std::move(live_.extract(fd).mapped()));
+                    connections_cv_.notify_all();
+                }));
+            } catch (const std::system_error&) {
+                ::close(fd);  // no thread to serve it: drop this connection
+            }
         }
-        connections_.emplace_back(fd, std::thread([this, fd] { handle_connection(fd); }));
+        for (std::thread& thread : finished) {
+            thread.join();  // it has left live_: only its exit remains
+        }
     }
     stopping_.store(true, std::memory_order_relaxed);
 }
@@ -274,12 +225,8 @@ std::size_t recorded_replicas(const std::string& path, std::uint64_t fingerprint
 }  // namespace
 
 void daemon::handle_connection(int fd) {
-    line_reader reader(fd);
-    while (true) {
-        const std::optional<std::string> line = reader.next();
-        if (!line) {
-            return;
-        }
+    line_channel peer(fd);
+    while (const std::optional<std::string> line = peer.next_line()) {
         if (line->empty()) {
             continue;
         }
@@ -288,58 +235,47 @@ void daemon::handle_connection(int fd) {
             const json_value request = parse_json(*line);
             op = codec::str_field(request, "op");
             if (op == "ping") {
-                json_value v = json_value::object();
-                v.set("ok", json_value::boolean(true));
-                v.set("op", json_value::string("ping"));
-                send_line(fd, v);
+                peer.send(reply(op));
             } else if (op == "submit") {
-                handle_submit(fd, request);
+                handle_submit(peer, request);
             } else if (op == "status") {
-                handle_status(fd, request);
+                peer.send(handle_status(request));
             } else if (op == "cancel") {
-                handle_cancel(fd, request);
+                peer.send(handle_cancel(request));
             } else if (op == "stats") {
-                handle_stats(fd);
+                peer.send(handle_stats());
             } else if (op == "shutdown") {
-                json_value v = json_value::object();
-                v.set("ok", json_value::boolean(true));
-                v.set("op", json_value::string("shutdown"));
-                send_line(fd, v);
+                peer.send(reply(op));
                 request_stop();
                 return;
             } else {
-                send_line(fd, error_response(op, "spec", "unknown op '" + op + "'"));
+                throw std::invalid_argument("unknown op '" + op + "'");  // a spec error
             }
-        } catch (const busy_error& e) {
-            send_line(fd, error_response(op, "busy", e.what()));
-        } catch (const engine::error& e) {
-            send_line(fd, error_response(op, engine::errc_name(e.cls()), e.what()));
         } catch (const std::exception& e) {
-            send_line(fd, error_response(op, engine::errc_name(engine::classify(e)),
-                                         e.what()));
+            peer.send(with_failure(reply(op, false), e));
         }
     }
 }
 
-void daemon::serve_manifest(int fd, const std::string& job,
+std::shared_ptr<daemon::job_state> daemon::live_job(std::uint64_t fp) {
+    std::lock_guard lock(jobs_mutex_);
+    const auto it = jobs_.find(fp);
+    return it != jobs_.end() ? it->second : nullptr;
+}
+
+void daemon::serve_manifest(line_channel& peer, const std::string& job,
                             const std::vector<engine::sweep_point>& points,
                             const engine::run_manifest& manifest, bool cached) {
     // Re-derive the rows through the fabric replay path: the exact
     // aggregate_sweep_row reduction run_sweep performs, with zero pool tasks
     // by construction.
-    stream_sink rows(fd, job);
+    stream_sink rows(peer, job);
     engine::result_sink* sink = &rows;
     engine::replay_rows(points, manifest, {&sink, 1});
-    json_value done = json_value::object();
-    done.set("event", json_value::string("done"));
-    done.set("job", json_value::string(job));
-    done.set("rows", json_value::integer(rows.rows()));
-    done.set("cached", json_value::boolean(cached));
-    done.set("fresh_replicas", json_value::integer(0));
-    send_line(fd, done);
+    peer.send(done_event(job, rows.rows(), cached, 0));
 }
 
-void daemon::handle_submit(int fd, const json_value& request) {
+void daemon::handle_submit(line_channel& peer, const json_value& request) {
     const engine::sweep_spec spec = decode_sweep_spec(codec::require(request, "spec"));
     const std::string client = [&] {
         const json_value* c = request.find("client");
@@ -351,38 +287,32 @@ void daemon::handle_submit(int fd, const json_value& request) {
     const std::string job = engine::fingerprint_hex(fp);
 
     const auto send_header = [&](bool cached) {
-        json_value v = json_value::object();
-        v.set("ok", json_value::boolean(true));
-        v.set("op", json_value::string("submit"));
+        json_value v = reply("submit");
         v.set("job", json_value::string(job));
         v.set("cached", json_value::boolean(cached));
         v.set("points", json_value::integer(points.size()));
         v.set("reps", json_value::integer(spec.repetitions));
-        send_line(fd, v);
+        peer.send(v);
     };
 
     // Fast path: already memoized — serve without consuming admission.
     if (std::optional<engine::run_manifest> hit = cache_.load(fp)) {
         send_header(true);
-        serve_manifest(fd, job, points, *hit, true);
+        serve_manifest(peer, job, points, *hit, true);
         return;
     }
 
     // Duplicate-submission rendezvous: an identical job already in flight
     // finishes exactly once; this submission waits for it and serves the
     // cache instead of competing for a run slot.
-    if (std::shared_ptr<job_state> live = [&] {
-            std::lock_guard lock(jobs_mutex_);
-            const auto it = jobs_.find(fp);
-            return it != jobs_.end() ? it->second : nullptr;
-        }()) {
+    if (const std::shared_ptr<job_state> live = live_job(fp)) {
         {
             std::unique_lock lock(live->m);
             live->cv.wait(lock, [&] { return live->finished; });
         }
         if (std::optional<engine::run_manifest> hit = cache_.load(fp)) {
             send_header(true);
-            serve_manifest(fd, job, points, *hit, true);
+            serve_manifest(peer, job, points, *hit, true);
             return;
         }
         // The in-flight twin was cancelled or failed: fall through and run.
@@ -390,8 +320,6 @@ void daemon::handle_submit(int fd, const json_value& request) {
 
     std::unique_ptr<admission_ticket> ticket = admission_.admit(client);  // throws busy
     auto state = std::make_shared<job_state>();
-    state->id = job;
-    state->fingerprint = fp;
     state->ticket = ticket.get();
     {
         std::lock_guard lock(jobs_mutex_);
@@ -409,10 +337,7 @@ void daemon::handle_submit(int fd, const json_value& request) {
     if (!ticket->acquire_run_slot()) {
         state->transition("cancelled", true);
         unregister();
-        json_value v = json_value::object();
-        v.set("event", json_value::string("cancelled"));
-        v.set("job", json_value::string(job));
-        send_line(fd, v);
+        peer.send(event("cancelled", job));
         return;
     }
     state->transition("running", false);
@@ -422,18 +347,16 @@ void daemon::handle_submit(int fd, const json_value& request) {
     if (std::optional<engine::run_manifest> hit = cache_.load(fp)) {
         state->transition("done", true);
         unregister();
-        serve_manifest(fd, job, points, *hit, true);
+        serve_manifest(peer, job, points, *hit, true);
         return;
     }
 
     try {
         const std::size_t total = points.size() * spec.repetitions;
         std::size_t fresh = total;
-        stream_sink rows(fd, job);
-        engine::run_manifest manifest;
+        stream_sink rows(peer, job);
         if (!config_.fabric_root.empty()) {
-            manifest = run_on_fabric(spec, rows);
-            fresh = total;  // fabric workers share the tally; report the grid
+            run_on_fabric(spec, rows);  // reports the grid: fabric workers share the tally
         } else {
             const std::string work = config_.work_dir + "/" + job + ".manifest";
             fresh = total - recorded_replicas(work, fp);  // crash-resume delta
@@ -443,35 +366,21 @@ void daemon::handle_submit(int fd, const json_value& request) {
             checkpoint.manifest_path = work;
             engine::result_sink* sink = &rows;
             (void)engine::run_sweep(spec, opts, {&sink, 1}, checkpoint);
-            manifest = engine::load_manifest(work);
-            cache_.store(manifest);
+            cache_.store(engine::load_manifest(work));
             std::error_code ec;
             fs::remove(work, ec);  // promoted to the cache; the ledger is spent
         }
         state->transition("done", true);
         unregister();
-        json_value done = json_value::object();
-        done.set("event", json_value::string("done"));
-        done.set("job", json_value::string(job));
-        done.set("rows", json_value::integer(rows.rows()));
-        done.set("cached", json_value::boolean(false));
-        done.set("fresh_replicas", json_value::integer(fresh));
-        send_line(fd, done);
+        peer.send(done_event(job, rows.rows(), false, fresh));
     } catch (const std::exception& e) {
         state->transition("error", true);
         unregister();
-        const engine::errc cls = engine::classify(e);
-        json_value event = json_value::object();
-        event.set("event", json_value::string("error"));
-        event.set("job", json_value::string(job));
-        event.set("error", json_value::string(engine::errc_name(cls)));
-        event.set("message", json_value::string(e.what()));
-        send_line(fd, event);
+        peer.send(with_failure(event("error", job), e));
     }
 }
 
-engine::run_manifest daemon::run_on_fabric(const engine::sweep_spec& spec,
-                                           engine::result_sink& sink) {
+void daemon::run_on_fabric(const engine::sweep_spec& spec, engine::result_sink& sink) {
     const std::uint64_t fp = engine::sweep_fingerprint(spec);
     const std::string dir = config_.fabric_root + "/job-" + engine::fingerprint_hex(fp);
     const auto drain = [&](engine::fabric_spec& fspec) {
@@ -511,66 +420,45 @@ engine::run_manifest daemon::run_on_fabric(const engine::sweep_spec& spec,
     engine::result_sink* sinks[] = {&sink};
     engine::replay_rows(fspec.points, merged.manifest, sinks);
     cache_.store(merged.manifest);
-    return std::move(merged.manifest);
 }
 
-void daemon::handle_status(int fd, const json_value& request) {
+json_value daemon::handle_status(const json_value& request) {
     const std::string job = codec::str_field(request, "job");
+    // Only a job id as fingerprint_hex writes it names a job or a cache entry.
+    const std::optional<std::uint64_t> fp = codec::parse_hex64(job);
     std::string status = "unknown";
-    {
-        std::lock_guard lock(jobs_mutex_);
-        for (const auto& [fp, state] : jobs_) {
-            if (state->id == job) {
-                std::lock_guard state_lock(state->m);
-                status = state->status;
-                break;
-            }
-        }
-    }
-    // Only a job id as fingerprint_hex writes it can name a cache entry.
-    if (const std::optional<std::uint64_t> fp = codec::parse_hex64(job);
-        status == "unknown" && fp && std::ifstream(cache_.entry_path(*fp)).good()) {
+    if (const std::shared_ptr<job_state> state = fp ? live_job(*fp) : nullptr) {
+        std::lock_guard lock(state->m);
+        status = state->status;
+    } else if (fp && std::ifstream(cache_.entry_path(*fp)).good()) {
         status = "cached";
     }
-    json_value v = json_value::object();
-    v.set("ok", json_value::boolean(true));
-    v.set("op", json_value::string("status"));
+    json_value v = reply("status");
     v.set("job", json_value::string(job));
     v.set("status", json_value::string(status));
-    send_line(fd, v);
+    return v;
 }
 
-void daemon::handle_cancel(int fd, const json_value& request) {
+json_value daemon::handle_cancel(const json_value& request) {
     const std::string job = codec::str_field(request, "job");
-    bool found = false;
-    {
-        std::lock_guard lock(jobs_mutex_);
-        for (const auto& [fp, state] : jobs_) {
-            if (state->id == job) {
-                std::lock_guard state_lock(state->m);
-                if (state->ticket != nullptr) {
-                    state->ticket->cancel();
-                }
-                found = true;
-                break;
-            }
+    const std::optional<std::uint64_t> fp = codec::parse_hex64(job);
+    const std::shared_ptr<job_state> state = fp ? live_job(*fp) : nullptr;
+    if (state) {
+        std::lock_guard lock(state->m);
+        if (state->ticket != nullptr) {
+            state->ticket->cancel();
         }
     }
-    json_value v = json_value::object();
-    v.set("ok", json_value::boolean(found));
-    v.set("op", json_value::string("cancel"));
+    json_value v = reply("cancel", state != nullptr);
     v.set("job", json_value::string(job));
-    if (!found) {
-        v.set("error", json_value::string("state"));
-        v.set("message", json_value::string("no live job '" + job + "'"));
+    if (!state) {
+        v = with_failure(std::move(v), engine::errc::state, "no live job '" + job + "'");
     }
-    send_line(fd, v);
+    return v;
 }
 
-void daemon::handle_stats(int fd) {
-    json_value v = json_value::object();
-    v.set("ok", json_value::boolean(true));
-    v.set("op", json_value::string("stats"));
+json_value daemon::handle_stats() {
+    json_value v = reply("stats");
     v.set("queued", json_value::integer(admission_.queued()));
     v.set("running", json_value::integer(admission_.running()));
     json_value metrics = json_value::object();
@@ -588,7 +476,7 @@ void daemon::handle_stats(int fd) {
         }
     }
     v.set("metrics", std::move(metrics));
-    send_line(fd, v);
+    return v;
 }
 
 }  // namespace manhattan::service

@@ -7,12 +7,13 @@
 /// fingerprint-keyed result cache — a repeated query is a replay from disk,
 /// not a re-run.
 ///
-/// Threading model: serve() accepts in its calling thread and spawns one
-/// thread per connection. The connection thread itself executes the jobs it
-/// submits (after waiting for an admission run slot), so every write to a
-/// connection comes from the one thread that owns it — no per-connection
-/// write locks. Cross-connection ops (status / cancel / stats) only touch
-/// the shared job registry.
+/// Threading model: start() spawns the accept thread, which spawns one
+/// thread per connection. That thread owns the connection's fd and executes
+/// the jobs it submits (after waiting for an admission run slot), so every
+/// write to a connection comes from the one thread that owns it — no
+/// per-connection write locks. When the peer goes, it closes the fd and
+/// ends. Cross-connection ops (status / cancel / stats) only touch the
+/// shared job registry.
 ///
 /// Crash tolerance: every running job checkpoints to
 /// `<work_dir>/<fingerprint>.manifest`. A daemon killed mid-job leaves that
@@ -55,8 +56,8 @@ struct daemon_config {
 };
 
 /// One daemon instance. start() binds and spawns the accept loop; stop()
-/// (idempotent, any thread) closes the listener and every connection and
-/// joins the threads. The destructor stops.
+/// (idempotent) ends the accept loop and every connection. The destructor
+/// stops.
 class daemon {
  public:
     explicit daemon(daemon_config config);
@@ -68,18 +69,21 @@ class daemon {
     /// (class io) when the socket cannot be bound.
     void start();
 
-    /// Shut down: close the listener, shut down every live connection,
-    /// join all threads. Safe to call from a connection thread (a deferred
-    /// self-join is handed to the destructor) and from signal-adjacent
-    /// contexts via request_stop().
+    /// Shut down: end the accept loop, shut down every live connection,
+    /// wait for their threads to close them and join them, then close the
+    /// listener and remove the socket file. Must not run on a connection
+    /// thread (it would wait for itself): the `shutdown` op uses
+    /// request_stop().
     void stop();
 
     /// Flag the accept loop to exit without blocking (the SIGTERM path:
-    /// close(2) on the listener is async-signal-safe). stop() still has to
-    /// run afterwards to join.
+    /// shutdown(2) on the listener is async-signal-safe). stop() still has
+    /// to run afterwards.
     void request_stop() noexcept;
 
-    /// Block until stop() ran (the daemon main's final wait).
+    /// Block until the accept loop ends: on request_stop(), or when the
+    /// listener fails, and then throw engine::error (class io) naming the
+    /// failure. A full descriptor table only makes the loop back off.
     void wait();
 
     [[nodiscard]] engine::metrics_registry& metrics() noexcept { return metrics_; }
@@ -91,22 +95,24 @@ class daemon {
 
     void accept_loop();
     void handle_connection(int fd);
-    void handle_submit(int fd, const json_value& request);
-    void handle_status(int fd, const json_value& request);
-    void handle_cancel(int fd, const json_value& request);
-    void handle_stats(int fd);
+    void handle_submit(line_channel& peer, const json_value& request);
+    [[nodiscard]] json_value handle_status(const json_value& request);
+    [[nodiscard]] json_value handle_cancel(const json_value& request);
+    [[nodiscard]] json_value handle_stats();
+
+    /// The live (queued or running) job with fingerprint \p fp, or null.
+    [[nodiscard]] std::shared_ptr<job_state> live_job(std::uint64_t fp);
 
     /// Stream every row of a completed manifest (cache hit / fabric merge)
     /// and the trailing done event. Zero pool tasks by construction.
-    void serve_manifest(int fd, const std::string& job,
+    void serve_manifest(line_channel& peer, const std::string& job,
                         const std::vector<engine::sweep_point>& points,
                         const engine::run_manifest& manifest, bool cached);
 
     /// Run one job through a per-job fabric directory under fabric_root (this
     /// daemon drains it too; external sweepd workers may join). Streams rows
-    /// to \p sink, caches, and returns the merged manifest.
-    engine::run_manifest run_on_fabric(const engine::sweep_spec& spec,
-                                       engine::result_sink& sink);
+    /// to \p sink and caches the merged manifest.
+    void run_on_fabric(const engine::sweep_spec& spec, engine::result_sink& sink);
 
     daemon_config config_;
     engine::metrics_registry metrics_;
@@ -118,17 +124,20 @@ class daemon {
     std::atomic<bool> stopping_{false};
     std::thread accept_thread_;
 
+    /// Each live connection's fd and the thread that owns it. The thread
+    /// closes its fd and moves itself to finished_ under the mutex; stop()
+    /// shuts down the fds still in live_ under the same mutex and waits for
+    /// live_ to empty. Finished threads are joined outside the mutex.
     std::mutex connections_mutex_;
-    std::vector<std::pair<int, std::thread>> connections_;
+    std::condition_variable connections_cv_;
+    std::map<int, std::thread> live_;
+    std::vector<std::thread> finished_;
+    std::string listener_failure_;  ///< why accept() gave up
 
     /// Fingerprint-keyed registry of live (queued or running) jobs — the
     /// status / cancel surface and the duplicate-submission rendezvous.
     std::mutex jobs_mutex_;
     std::map<std::uint64_t, std::shared_ptr<job_state>> jobs_;
-
-    std::mutex stopped_mutex_;
-    std::condition_variable stopped_cv_;
-    bool stopped_ = false;
 };
 
 }  // namespace manhattan::service

@@ -212,6 +212,32 @@ TEST(manifest_test, corrupt_manifest_fails) {
                  engine::manifest_error);
 }
 
+TEST(manifest_test, a_huge_grid_parses_without_a_table_of_its_size) {
+    // 2^40 points x 4 replicas: by_point()'s table would take tens of
+    // terabytes, so the parse checks the records without building it.
+    auto m = tricky_manifest();
+    m.points = 1099511627776;
+    const engine::run_manifest parsed = engine::parse_manifest(engine::serialize_manifest(m));
+    EXPECT_EQ(parsed, m);
+    EXPECT_FALSE(parsed.complete());
+
+    // The range and duplicate checks hold at that size, and name the pair.
+    auto outside = m;
+    outside.records[0].replica = m.repetitions;
+    EXPECT_THROW((void)engine::parse_manifest(engine::serialize_manifest(outside)),
+                 engine::manifest_error);
+    auto duplicated = m;
+    duplicated.records.push_back(m.records[1]);
+    try {
+        (void)engine::parse_manifest(engine::serialize_manifest(duplicated));
+        FAIL() << "a duplicate record must be refused";
+    } catch (const engine::manifest_error& e) {
+        EXPECT_NE(std::string(e.what()).find("duplicate record for point 0 replica 1"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(manifest_test, complete_reflects_the_ledger) {
     engine::run_manifest m;
     m.points = 1;

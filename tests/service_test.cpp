@@ -8,6 +8,8 @@
 // an earlier manifest format left behind. The wire format itself is covered
 // by wire_test.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 
 #include <algorithm>
 #include <atomic>
@@ -587,6 +589,20 @@ TEST(service_test, daemon_rejects_unknown_ops_and_bad_specs_with_typed_errors) {
         FAIL() << "unknown op must be refused";
     } catch (const engine::error& e) {
         EXPECT_EQ(e.cls(), engine::errc::spec);
+        EXPECT_STREQ(e.what(), "spec error: unknown op 'frobnicate'");
+    }
+
+    // A mistyped field: the daemon's message already names its class, and
+    // the rebuilt error names it once.
+    service::json_value mistyped = service::json_value::object();
+    mistyped.set("op", service::json_value::string("status"));
+    mistyped.set("job", service::json_value::integer(5));
+    try {
+        (void)c.request(mistyped);
+        FAIL() << "a non-string job id must be refused";
+    } catch (const engine::error& e) {
+        EXPECT_EQ(e.cls(), engine::errc::spec);
+        EXPECT_STREQ(e.what(), "spec error: wire: field 'job' is not a string");
     }
 
     // A structurally valid submit whose spec fails validation comes back as
@@ -605,6 +621,65 @@ TEST(service_test, daemon_rejects_unknown_ops_and_bad_specs_with_typed_errors) {
         EXPECT_EQ(e.cls(), engine::errc::spec);
     }
     d.stop();
+}
+
+// ------------------------------------------------- connection lifetime ---
+
+/// Open descriptors of this process: the daemon's and the clients'.
+std::size_t open_fds() {
+    return static_cast<std::size_t>(std::distance(fs::directory_iterator("/proc/self/fd"),
+                                                  fs::directory_iterator{}));
+}
+
+TEST(service_test, daemon_closes_each_connection_when_its_peer_goes) {
+    scratch_dir dir("lifetime");
+    service::daemon d(daemon_config_for(dir));
+    d.start();
+    const std::size_t before = open_fds();
+    for (int i = 0; i < 200; ++i) {
+        service::client c(d.config().socket_path);
+        (void)c.ping();
+    }
+    // Each connection thread closes its fd once it reads the EOF; give the
+    // last few a moment.
+    for (int i = 0; i < 500 && open_fds() > before + 2; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds{10});
+    }
+    EXPECT_LE(open_fds(), before + 2);
+    d.stop();
+}
+
+TEST(service_test, daemon_wait_throws_io_when_its_listener_fails) {
+    scratch_dir dir("listener");
+    service::daemon d(daemon_config_for(dir));
+    d.start();
+    // Break the listener behind the daemon's back: find the listening
+    // socket bound to its path and shut it down.
+    const std::string path = d.config().socket_path;
+    bool broken = false;
+    for (const fs::directory_entry& entry : fs::directory_iterator("/proc/self/fd")) {
+        const int fd = std::stoi(entry.path().filename().string());
+        sockaddr_un addr{};
+        socklen_t len = sizeof addr;
+        int listening = 0;
+        socklen_t flag_len = sizeof listening;
+        if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0 &&
+            addr.sun_family == AF_UNIX && path == addr.sun_path &&
+            ::getsockopt(fd, SOL_SOCKET, SO_ACCEPTCONN, &listening, &flag_len) == 0 &&
+            listening != 0) {
+            broken = ::shutdown(fd, SHUT_RDWR) == 0;
+        }
+    }
+    ASSERT_TRUE(broken);
+    try {
+        d.wait();
+        FAIL() << "a failed listener must surface from wait()";
+    } catch (const engine::error& e) {
+        EXPECT_EQ(e.cls(), engine::errc::io);
+        EXPECT_NE(std::string(e.what()).find("accept()"), std::string::npos) << e.what();
+    }
+    d.stop();
+    EXPECT_FALSE(fs::exists(path));
 }
 
 }  // namespace
