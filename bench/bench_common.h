@@ -80,7 +80,7 @@ int guarded_main(int argc, char** argv, Fn&& body) {
         std::fprintf(stderr, "partial: %s\n", e.what());
         return engine::exit_partial;
     } catch (const engine::error& e) {
-        std::fprintf(stderr, "error [%s]: %s\n", engine::errc_name(e.cls()), e.what());
+        std::fprintf(stderr, "error [%s]: %s\n", engine::errc_name(e.cls()), e.message());
         return engine::exit_code(e.cls());
     } catch (const std::exception& e) {
         const engine::errc cls = engine::classify(e);

@@ -66,18 +66,25 @@ inline constexpr int exit_partial = 6;
 /// The engine's exception type: a runtime_error plus a class and a
 /// transiency flag. Only io errors are ever transient (a full queue, an
 /// interrupted syscall, a momentarily unwritable file) — with_retry() below
-/// retries exactly those.
+/// retries exactly those. what() is "<class> error: <message>".
 class error : public std::runtime_error {
  public:
-    error(errc cls, const std::string& what, bool transient = false)
-        : std::runtime_error(std::string{errc_name(cls)} + " error: " + what),
+    error(errc cls, const std::string& message, bool transient = false)
+        : std::runtime_error(std::string{errc_name(cls)} + prefix_tail + message),
           cls_(cls),
           transient_(transient && cls == errc::io) {}
 
     [[nodiscard]] errc cls() const noexcept { return cls_; }
     [[nodiscard]] bool transient() const noexcept { return transient_; }
+    /// what() without its class prefix: the text an error rewrapped from
+    /// this one builds on, so the class is named once.
+    [[nodiscard]] const char* message() const noexcept {
+        return what() + std::char_traits<char>::length(errc_name(cls_)) +
+               std::char_traits<char>::length(prefix_tail);
+    }
 
  private:
+    static constexpr const char* prefix_tail = " error: ";
     errc cls_;
     bool transient_;
 };
@@ -132,7 +139,7 @@ auto with_retry(const backoff_policy& policy, const std::string& what, Fn&& fn) 
                 if (attempt > 1) {
                     throw error(e.cls(),
                                 what + " failed after " + std::to_string(attempt) +
-                                    " attempts: " + e.what(),
+                                    " attempts: " + e.message(),
                                 e.transient());
                 }
                 throw;

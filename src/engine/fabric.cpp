@@ -500,7 +500,7 @@ fabric_spec load_fabric(const std::string& dir) {
     try {
         return parse_fabric_spec(*text);
     } catch (const error& e) {
-        throw error(e.cls(), std::string{e.what()} + " (file '" + spec_path(dir) + "')");
+        throw error(e.cls(), std::string{e.message()} + " (file '" + spec_path(dir) + "')");
     }
 }
 

@@ -452,7 +452,7 @@ run_manifest load_manifest(const std::string& path) {
     try {
         return parse_manifest(text);
     } catch (const manifest_error& e) {
-        throw manifest_error(std::string{e.what()} + " (file '" + path + "')");
+        throw manifest_error(std::string{e.message()} + " (file '" + path + "')");
     }
 }
 

@@ -1,6 +1,6 @@
 /// \file uniform_grid.h
 /// Bucketed spatial index over agent positions. Rebuilt once per simulated
-/// time step (counting sort, O(n), optionally parallel over a lane
+/// time step (counting sort, O(n), optionally split over the lanes of an
 /// executor); answers "all agents within Euclidean distance r of p" by
 /// scanning the covering bucket rectangle. With bucket side ~= R this is the
 /// classic O(1 + local density) disk-graph query. Positions are stored
@@ -27,18 +27,30 @@ class uniform_grid {
     /// touches at most 3x3 buckets). Throws if arguments are not positive.
     uniform_grid(double side, double min_bucket_side);
 
-    /// How many agents ahead the serial scatter and gather prefetch: far
-    /// enough that a line fetched from DRAM arrives before its store or
-    /// load, near enough that it is still in L1 then. 8 to 64 ahead read
-    /// the same at n = 1e5 on a 4-core Xeon VM (2 MB L2), 0.74-0.97 ms per
-    /// rebuild, against 1.10-1.23 ms without the prefetch.
+    /// How many agents ahead the id scatter and the gather prefetch, in
+    /// every lane's slice: far enough that a line fetched from DRAM arrives
+    /// before its store or load, near enough that it is still in L1 then.
+    /// 8 to 64 ahead read the same at n = 1e5 on a 4-core Xeon VM (2 MB
+    /// L2), 0.74-0.97 ms per serial rebuild, against 1.10-1.23 ms without
+    /// the prefetch.
     static constexpr std::size_t prefetch_ahead = 16;
 
-    /// Re-bin all positions: a serial counting sort in four streaming
-    /// passes, each a loop the compiler keeps simple.
+    /// Fewest agents per lane for which rebuild(positions, ex) splits the
+    /// passes over lanes; below it, it runs the one-lane rebuild. Lanes
+    /// scattering small slices write falsely shared lines of the item
+    /// array. A kernel probe on the 4-core Xeon VM (each rebuild right after
+    /// a 4-lane advance, as in a flood step; median of 300) read the 4-lane
+    /// split at 0.92-1.12x the speed of one lane at 12 000 agents per lane,
+    /// 0.91-0.96x at 16 000, 1.06-1.17x at 18 000 and 1.23-1.29x at 20 000.
+    static constexpr std::size_t min_lane_agents = 18000;
+
+    /// Re-bin all positions: a counting sort in four streaming passes, each
+    /// a loop the compiler keeps simple.
     ///  1. The bucket id of every agent, in a loop free of stores to shared
-    ///     state, so its divides and clamps vectorise.
-    ///  2. The histogram of those ids, prefix-summed into the CSR offsets.
+    ///     state, so its divides and clamps vectorise; then the histogram of
+    ///     those ids.
+    ///  2. One prefix sum, bucket-major and lane-minor, into the CSR offsets
+    ///     and every lane's write cursors.
     ///  3. An id-only scatter in ascending agent id: one 4-byte random write
     ///     per agent, not 20 (id and position), with the slot of the agent
     ///     prefetch_ahead places later prefetched for write.
@@ -50,16 +62,20 @@ class uniform_grid {
     /// Positions are copied so the caller may mutate theirs.
     void rebuild(std::span<const vec2> positions);
 
-    /// Parallel rebuild, an owner-computes counting sort: per-lane bucket
-    /// ids and histograms over contiguous index slices, summed into the CSR
-    /// offsets, then each lane owns the buckets of one contiguous span of
-    /// about n / lanes slots and scatters ids and positions only into them,
-    /// visiting input indices in ascending order. Every bucket has exactly
-    /// one writer, so the arrays are bit-identical to the serial rebuild at
-    /// any lane count (within every bucket, items stay in ascending index
-    /// order). With one lane, or fewer than two agents per lane, this is the
-    /// serial rebuild.
+    /// The same four passes split over the lanes of \p ex: passes 1 and 3
+    /// over contiguous index slices, each lane with its own histogram and
+    /// cursors; pass 2 serial; pass 4 over contiguous slot slices. The
+    /// prefix places lane l's items in every bucket after those of lanes
+    /// 0..l-1, and every lane scatters its slice in ascending index, so
+    /// within every bucket items stay in ascending index order and the
+    /// arrays are bit-identical to rebuild(positions) at any lane count.
+    /// With one lane, or fewer than min_lane_agents agents per lane, this
+    /// is rebuild(positions).
     void rebuild(std::span<const vec2> positions, util::parallel_executor& ex);
+
+    /// rebuild(positions, ex) without the min_lane_agents rule: the split
+    /// passes at any n. Exposed for tests and probes.
+    void rebuild_lanes(std::span<const vec2> positions, util::parallel_executor& ex);
 
     [[nodiscard]] double side() const noexcept { return side_; }
     [[nodiscard]] double bucket_side() const noexcept { return bucket_side_; }
@@ -160,9 +176,15 @@ class uniform_grid {
         return axis_bucket(v, bucket_side_, static_cast<double>(m_ - 1));
     }
 
-    /// Pass 1 of both rebuilds: bucket_of_[i] for every i in [begin, end).
-    void assign_buckets(std::span<const vec2> positions, std::size_t begin,
-                        std::size_t end) noexcept;
+    // The four passes (see rebuild). A lane's histogram, then its cursors,
+    // are its row of lane_cursor_.
+    void count_buckets(std::span<const vec2> positions, std::size_t lane, std::size_t begin,
+                       std::size_t end) noexcept;
+    void place_lanes(std::size_t lanes) noexcept;
+    void scatter_ids(std::size_t lane, std::size_t begin, std::size_t end) noexcept;
+    void gather_points(std::span<const vec2> positions, std::size_t begin,
+                       std::size_t end) noexcept;
+    void resize_scratch(std::size_t n, std::size_t lanes);
 
     template <typename Fn>
     void visit_buckets(vec2 p, double r, Fn&& fn) const {
@@ -204,9 +226,8 @@ class uniform_grid {
     std::vector<std::uint32_t> items_;   // point indices grouped by bucket
     // Rebuild scratch, reused across steps (the per-step hot path must not
     // allocate):
-    std::vector<std::uint32_t> bucket_of_;  // bucket of every input point
-    std::vector<std::size_t> cursor_;       // write cursor per bucket
-    std::vector<std::size_t> lane_hist_;    // parallel: lane-major histograms
+    std::vector<std::uint32_t> bucket_of_;    // bucket of every input point
+    std::vector<std::uint32_t> lane_cursor_;  // lane-major histograms, then cursors
 };
 
 }  // namespace manhattan::geom

@@ -741,9 +741,7 @@ TEST(fabric_test, with_retry_retries_transient_errors_only) {
     } catch (const engine::error& e) {
         EXPECT_EQ(calls, 4);
         EXPECT_TRUE(e.transient());
-        EXPECT_NE(std::string(e.what()).find("doomed op failed after 4 attempts"),
-                  std::string::npos)
-            << e.what();
+        EXPECT_STREQ(e.what(), "io error: doomed op failed after 4 attempts: ENOSPC");
     }
 
     // The schedule is capped exponential.

@@ -206,14 +206,14 @@ void expect_same_arrays(const uniform_grid& got, const uniform_grid& want) {
     }
 }
 
-/// One parallel-rebuild input on a 50 x 50 square.
+/// One rebuild input on a 50 x 50 square.
 struct rebuild_input {
     std::string name;
     double bucket;
     std::vector<vec2> pts;
 };
 
-/// The input shapes the owner split must handle at \p lanes lanes.
+/// The input shapes the lane split must handle at \p lanes lanes.
 std::vector<rebuild_input> rebuild_inputs(std::size_t lanes) {
     manhattan::rng::rng gen(404 + lanes);
     const auto uniform = [&](std::size_t n, double lo, double hi) {
@@ -225,7 +225,7 @@ std::vector<rebuild_input> rebuild_inputs(std::size_t lanes) {
     };
     std::vector<rebuild_input> inputs;
     inputs.push_back({"uniform", 4.0, uniform(5000, 0.0, 50.0)});
-    // Bucket (6, 6) of a 12 x 12 grid: every lane but one owns nothing.
+    // Bucket (6, 6) of a 12 x 12 grid: every lane writes into one bucket.
     inputs.push_back({"one bucket", 4.0, uniform(1000, 25.5, 29.0)});
     std::vector<vec2> corner = uniform(1000, 0.0, 4.0);
     const std::vector<vec2> rest = uniform(1000, 0.0, 50.0);
@@ -247,10 +247,11 @@ std::vector<rebuild_input> rebuild_inputs(std::size_t lanes) {
 }
 
 TEST(uniform_grid_test, parallel_rebuild_matches_serial_bit_for_bit) {
-    // The owner-computes rebuild must reproduce the serial counting sort
-    // array for array (same bucket ranges, same item order within every
-    // bucket, same position bits) at any lane count, including inputs that
-    // leave lanes owning no bucket at all.
+    // The lane split must reproduce the serial counting sort array for
+    // array (same bucket ranges, same item order within every bucket, same
+    // position bits) at any lane count, including inputs where every lane
+    // writes into the same bucket. rebuild_lanes runs the split at these
+    // sizes, below min_lane_agents.
     for (const std::size_t threads : {2u, 3u, 4u, 8u}) {
         manhattan::engine::thread_pool pool(threads);
         ASSERT_EQ(pool.executor().lanes(), threads);
@@ -262,8 +263,8 @@ TEST(uniform_grid_test, parallel_rebuild_matches_serial_bit_for_bit) {
             // a previous rebuild would show.
             uniform_grid parallel(50.0, in.bucket);
             const std::vector<vec2> reversed(in.pts.rbegin(), in.pts.rend());
-            parallel.rebuild(reversed, pool.executor());
-            parallel.rebuild(in.pts, pool.executor());
+            parallel.rebuild_lanes(reversed, pool.executor());
+            parallel.rebuild_lanes(in.pts, pool.executor());
             expect_same_arrays(parallel, serial);
         }
     }
@@ -323,8 +324,22 @@ void expect_oracle_arrays(const uniform_grid& g, const std::vector<vec2>& pts) {
     }
 }
 
-TEST(uniform_grid_test, serial_rebuild_matches_a_stable_sort_oracle) {
-    constexpr double side = 50.0;
+constexpr double oracle_side = 50.0;
+
+/// \p n points drawn uniformly over the oracle tests' square.
+std::vector<vec2> uniform_points(manhattan::rng::rng& gen, std::size_t n) {
+    std::vector<vec2> pts(n);
+    for (auto& p : pts) {
+        p = {gen.uniform(0.0, oracle_side), gen.uniform(0.0, oracle_side)};
+    }
+    return pts;
+}
+
+/// The inputs every rebuild must sort like the oracle: the clamp's edges,
+/// points outside the square, the lane-split shapes and the sizes around
+/// the prefetch distance.
+std::vector<rebuild_input> oracle_inputs() {
+    constexpr double side = oracle_side;
     constexpr std::size_t ahead = uniform_grid::prefetch_ahead;
     const double bucket = uniform_grid(side, 4.0).bucket_side();
     const double inf = std::numeric_limits<double>::infinity();
@@ -370,25 +385,63 @@ TEST(uniform_grid_test, serial_rebuild_matches_a_stable_sort_oracle) {
     manhattan::rng::rng gen(405);
     for (const std::size_t n : {std::size_t{0}, std::size_t{1}, ahead - 1, ahead, ahead + 1,
                                 2 * ahead + 1}) {
-        std::vector<vec2> pts(n);
-        for (auto& p : pts) {
-            p = {gen.uniform(0.0, side), gen.uniform(0.0, side)};
-        }
-        inputs.push_back({"n = " + std::to_string(n), 4.0, pts});
+        inputs.push_back({"n = " + std::to_string(n), 4.0, uniform_points(gen, n)});
     }
     inputs.push_back({"one spot", 4.0, std::vector<vec2>(3 * ahead + 5, vec2{21.0, 37.5})});
+    return inputs;
+}
 
-    for (const rebuild_input& in : inputs) {
+/// A longer, reversed copy of \p pts, to rebuild first so that stale
+/// scratch would show.
+std::vector<vec2> longer_reversed(manhattan::rng::rng& gen, const std::vector<vec2>& pts) {
+    std::vector<vec2> longer(pts.rbegin(), pts.rend());
+    const std::vector<vec2> more = uniform_points(gen, 2 * uniform_grid::prefetch_ahead + 3);
+    longer.insert(longer.end(), more.begin(), more.end());
+    return longer;
+}
+
+TEST(uniform_grid_test, serial_rebuild_matches_a_stable_sort_oracle) {
+    manhattan::rng::rng gen(406);
+    for (const rebuild_input& in : oracle_inputs()) {
         SCOPED_TRACE(in.name);
-        uniform_grid g(side, in.bucket);
-        // A longer, reversed input first, so stale scratch would show.
-        std::vector<vec2> longer(in.pts.rbegin(), in.pts.rend());
-        for (std::size_t k = 0; k < 2 * ahead + 3; ++k) {
-            longer.push_back({gen.uniform(0.0, side), gen.uniform(0.0, side)});
-        }
-        g.rebuild(longer);
+        uniform_grid g(oracle_side, in.bucket);
+        g.rebuild(longer_reversed(gen, in.pts));
         g.rebuild(in.pts);
         ASSERT_NO_FATAL_FAILURE(expect_oracle_arrays(g, in.pts));
+    }
+}
+
+TEST(uniform_grid_test, lane_rebuild_matches_a_stable_sort_oracle) {
+    // Every oracle input through the lane split, plus sizes where each
+    // lane's slice sits around the prefetch distance, so each lane's main
+    // loops and tails both run; then rebuild(pts, ex) on both sides of the
+    // one-lane minimum.
+    constexpr std::size_t ahead = uniform_grid::prefetch_ahead;
+    manhattan::rng::rng gen(407);
+    for (const std::size_t lanes : {2u, 3u, 4u, 8u}) {
+        manhattan::engine::thread_pool pool(lanes);
+        manhattan::util::parallel_executor& ex = pool.executor();
+        ASSERT_EQ(ex.lanes(), lanes);
+        std::vector<rebuild_input> inputs = oracle_inputs();
+        for (const std::size_t n : {lanes * ahead - 1, lanes * ahead, lanes * ahead + 1}) {
+            inputs.push_back({"n = " + std::to_string(n), 4.0, uniform_points(gen, n)});
+        }
+        for (const rebuild_input& in : inputs) {
+            SCOPED_TRACE("lanes=" + std::to_string(lanes) + ", " + in.name);
+            uniform_grid g(oracle_side, in.bucket);
+            g.rebuild_lanes(longer_reversed(gen, in.pts), ex);
+            g.rebuild_lanes(in.pts, ex);
+            ASSERT_NO_FATAL_FAILURE(expect_oracle_arrays(g, in.pts));
+        }
+        const std::size_t least = uniform_grid::min_lane_agents * lanes;
+        for (const std::size_t n : {least - 1, least}) {
+            SCOPED_TRACE("lanes=" + std::to_string(lanes) + ", n = " + std::to_string(n));
+            const std::vector<vec2> pts = uniform_points(gen, n);
+            uniform_grid g(oracle_side, 4.0);
+            g.rebuild(longer_reversed(gen, pts), ex);
+            g.rebuild(pts, ex);
+            ASSERT_NO_FATAL_FAILURE(expect_oracle_arrays(g, pts));
+        }
     }
 }
 

@@ -119,6 +119,27 @@ TEST(manifest_test, missing_file_fails) {
                  engine::manifest_error);
 }
 
+TEST(manifest_test, a_v1_file_names_its_class_once) {
+    // load_manifest adds the path to the parse error; the class prefix of
+    // the error it rewraps must not come along.
+    scratch_file file("v1.manifest");
+    std::string text = engine::serialize_manifest(tricky_manifest());
+    text.replace(text.find("v2"), 2, "v1");
+    {
+        std::ofstream out(file.path(), std::ios::binary | std::ios::trunc);
+        out << text;
+    }
+    try {
+        (void)engine::load_manifest(file.path());
+        FAIL() << "a v1 manifest loaded";
+    } catch (const engine::manifest_error& e) {
+        const std::string what = e.what();
+        EXPECT_TRUE(what.starts_with("state error: ")) << what;
+        EXPECT_EQ(what.find("state error", 1), std::string::npos) << what;
+        EXPECT_NE(what.find("(file '" + file.path() + "')"), std::string::npos) << what;
+    }
+}
+
 TEST(manifest_test, torn_tail_is_dropped_and_truncated_header_fails) {
     const auto m = tricky_manifest();
     const std::string text = engine::serialize_manifest(m);
