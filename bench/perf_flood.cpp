@@ -18,6 +18,13 @@
 // --threads= lists pool sizes; 0 resolves to this host's hardware
 // concurrency and repeated sizes are measured once.
 //
+// Beside each row's timed pass the report prints the host's steal share
+// over that pass (/proc/stat) and, on pool rows, two counts of the pool's
+// that count with telemetry off: the multi-lane run() calls of the pass
+// ("team runs") and those in which no worker claimed a lane, so the caller
+// ran every lane at the serial rate ("caller-only runs"). The JSON rows
+// carry the same figures.
+//
 // Per-phase breakdown: every engine row (serial and pool) gets one extra
 // pass with telemetry enabled (util/telemetry.h) after its telemetry-off,
 // baseline-comparable measurement. That pass yields the advance /
@@ -48,6 +55,7 @@
 // --min-speedup-cores (default 8) hardware threads; smaller hosts report
 // without failing.
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -83,6 +91,12 @@ struct perf_row {
     double speedup_vs_1thread = 0.0;  // 0 until the 1-thread row is known
     util::phase_profile phases;       // zeros unless measured with telemetry on
     double telemetry_steps_per_sec = 0.0;  // the enabled pass
+    // The timed pass: the host's steal share over it in percent (negative
+    // when /proc/stat is unreadable), and on pool rows its multi-lane run()
+    // calls and those in which the caller ran every lane.
+    double steal_pct = -1.0;
+    std::uint64_t team_runs = 0;
+    std::uint64_t caller_only_runs = 0;
     // Lane dispatch over the enabled pass (pool rows with more than one
     // lane): multi-lane run() calls, and the p50/p90 of lane start skew
     // (seconds) and lane-time imbalance (slowest / fastest lane), each the
@@ -124,6 +138,57 @@ void read_lane_metrics(perf_row& row, const engine::thread_pool& pool) {
             row.imbalance_p90 = bucket_quantile(m, 0.9);
         }
     }
+}
+
+/// The count of \p pool's counter \p name (0 when it is not registered).
+std::uint64_t pool_counter(const engine::thread_pool& pool, const std::string& name) {
+    for (const engine::metric_snapshot& m : pool.metrics().snapshot()) {
+        if (m.name == name) {
+            return static_cast<std::uint64_t>(m.value);
+        }
+    }
+    return 0;
+}
+
+/// The host's CPU time so far, from /proc/stat's aggregate "cpu" line: the
+/// steal ticks and the sum of user .. steal (guest time is inside user).
+struct cpu_ticks {
+    bool ok = false;
+    std::uint64_t steal = 0;
+    std::uint64_t total = 0;
+};
+
+cpu_ticks read_cpu_ticks() {
+    std::ifstream in("/proc/stat");
+    std::string label;
+    cpu_ticks t;
+    if (!(in >> label) || label != "cpu") {
+        return t;
+    }
+    std::array<std::uint64_t, 8> fields{};  // user nice system idle iowait irq softirq steal
+    for (std::uint64_t& ticks : fields) {
+        if (!(in >> ticks)) {
+            return t;
+        }
+        t.total += ticks;
+    }
+    t.steal = fields[7];
+    t.ok = true;
+    return t;
+}
+
+/// The steal share in percent between two readings (-1 if unknown).
+double steal_pct(const cpu_ticks& from, const cpu_ticks& to) {
+    if (!from.ok || !to.ok || to.total <= from.total) {
+        return -1.0;
+    }
+    return 100.0 * static_cast<double>(to.steal - from.steal) /
+           static_cast<double>(to.total - from.total);
+}
+
+/// A steal share for the report and the JSON ("-" / null when unknown).
+std::string steal_text(double pct, const char* unknown) {
+    return pct < 0.0 ? std::string{unknown} : util::fmt(pct, 3);
 }
 
 /// A bucket bound from bucket_quantile for the report, scaled.
@@ -330,7 +395,12 @@ void write_json(std::ostream& out, const std::vector<perf_row>& rows, double c1,
             << "\", \"threads\": " << r.threads << ", \"steps\": " << r.steps
             << ", \"seconds\": " << r.seconds << ", \"steps_per_sec\": " << r.steps_per_sec
             << ", \"flooding_time\": " << r.flooding_time
-            << ", \"speedup_vs_1thread\": " << r.speedup_vs_1thread;
+            << ", \"speedup_vs_1thread\": " << r.speedup_vs_1thread
+            << ", \"steal_pct\": " << steal_text(r.steal_pct, "null");
+        if (r.engine == "pool") {
+            out << ", \"team_runs\": " << r.team_runs
+                << ", \"caller_only_runs\": " << r.caller_only_runs;
+        }
         if (r.telemetry_steps_per_sec > 0.0) {
             // The telemetry pass: per-phase split of the step loop plus the
             // enabled-instrumentation throughput.
@@ -376,7 +446,8 @@ int run(const util::cli_args& args) {
     bench::banner("PERF", "intra-replica step-loop throughput (steps/sec vs n and threads)");
 
     std::vector<perf_row> rows;
-    util::table t({"n", "engine", "threads", "steps/sec", "flood time", "speedup vs 1t"});
+    util::table t({"n", "engine", "threads", "steps/sec", "flood time", "speedup vs 1t",
+                   "steal %", "team runs", "caller-only runs"});
     bool identical = true;
     bool speedup_seen = false;
     double best_speedup = 0.0;
@@ -393,7 +464,16 @@ int run(const util::cli_args& args) {
         // phase split, throughput and lane figures attach to the row.
         std::vector<perf_row> group;
         const auto measure_engine = [&](engine::thread_pool* pool) {
+            const auto counted = [&](const char* name) {
+                return pool != nullptr ? pool_counter(*pool, name) : 0;
+            };
+            const std::uint64_t team_before = counted("pool.team_runs");
+            const std::uint64_t caller_before = counted("pool.caller_only_runs");
+            const cpu_ticks ticks_before = read_cpu_ticks();
             perf_row row = measure(n, c1, seed, reps, max_steps, pool);
+            row.steal_pct = steal_pct(ticks_before, read_cpu_ticks());
+            row.team_runs = counted("pool.team_runs") - team_before;
+            row.caller_only_runs = counted("pool.caller_only_runs") - caller_before;
             const util::telemetry::scoped_enable on;
             const perf_row enabled = measure(n, c1, seed, reps, max_steps, pool);
             identical = identical && enabled.flooding_time == row.flooding_time;
@@ -431,9 +511,12 @@ int run(const util::cli_args& args) {
                 }
                 speedup_seen = true;
             }
+            const bool pooled = r.engine == "pool";
             t.add_row({util::fmt(r.n), r.engine, util::fmt(r.threads),
                        util::fmt(r.steps_per_sec), util::fmt(r.flooding_time),
-                       r.speedup_vs_1thread > 0.0 ? util::fmt(r.speedup_vs_1thread) : "-"});
+                       r.speedup_vs_1thread > 0.0 ? util::fmt(r.speedup_vs_1thread) : "-",
+                       steal_text(r.steal_pct, "-"), pooled ? util::fmt(r.team_runs) : "-",
+                       pooled ? util::fmt(r.caller_only_runs) : "-"});
             rows.push_back(r);
         }
     }

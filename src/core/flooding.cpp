@@ -160,6 +160,45 @@ void flooding_sim::sum_bucket_neighborhoods() {
     }
 }
 
+/// One transmitter's radius query around \p p: appends to \p out the ids
+/// within the radius that \p fresh accepts, in row-major bucket order and
+/// ascending slot within a bucket, and passes each to \p mark. The filter
+/// is branch-free: every candidate of a bucket that passes the skip test is
+/// written to out's tail, and the write index advances by the test's 0/1
+/// outcome. out grows by the bucket's size (it keeps its capacity across
+/// steps) and is trimmed to the kept ids. Each agent lies in one bucket and
+/// a query visits a bucket once, so marking the kept ids after their bucket
+/// instead of on sight keeps the discovery order.
+template <typename Fresh, typename Mark>
+void flooding_sim::collect_in_radius(geom::vec2 p, bool use_skip,
+                                     std::vector<std::uint32_t>& out, Fresh fresh,
+                                     Mark mark) const {
+    const auto items = grid_.items();
+    const auto sorted = grid_.sorted_points();
+    const double r2 = radius_ * radius_;
+    grid_.visit_covering_buckets(
+        p, radius_, [&](std::size_t bucket, std::size_t begin, std::size_t end) {
+            if (use_skip && bucket_counts_[bucket] == 0) {
+                return false;
+            }
+            const std::size_t first = out.size();
+            out.resize(first + (end - begin));
+            std::uint32_t* const dst = out.data();
+            std::size_t kept = first;
+            for (std::size_t s = begin; s < end; ++s) {
+                const std::uint32_t a = items[s];
+                dst[kept] = a;
+                kept += static_cast<std::size_t>(geom::dist2(sorted[s], p) <= r2) &
+                        static_cast<std::size_t>(fresh(a));
+            }
+            out.resize(kept);
+            for (std::size_t k = first; k < kept; ++k) {
+                mark(dst[k]);
+            }
+            return false;
+        });
+}
+
 /// Neighbourhood scan over informed-list slots [0, informed_before) whose
 /// transmit flag is set (null = every slot transmits), appending the newly
 /// informed to newly_ in the serial discovery order: ascending slot k, grid
@@ -172,9 +211,6 @@ void flooding_sim::sum_bucket_neighborhoods() {
 void flooding_sim::scan_transmitters(message_state& msg, std::size_t informed_before,
                                      const std::uint8_t* transmit) {
     const auto positions = walker_.positions();
-    const auto items = grid_.items();
-    const auto sorted = grid_.sorted_points();
-    const double r2 = radius_ * radius_;
     // Skip tables over the *uninformed* side: a transmitter whose 3x3 bucket
     // neighbourhood holds no uninformed agent cannot discover anyone, so its
     // whole radius query is skipped; within a query, buckets with no
@@ -188,22 +224,13 @@ void flooding_sim::scan_transmitters(message_state& msg, std::size_t informed_be
                 continue;
             }
             const std::uint32_t b = msg.informed_list[k];
-            const geom::vec2 p = positions[b];
             if (use_skip && nb_counts_[grid_.bucket_of_item(b)] == 0) {
                 continue;
             }
-            grid_.visit_covering_buckets(
-                p, radius_, [&](std::size_t bucket, std::size_t begin, std::size_t end) {
-                    if (!use_skip || bucket_counts_[bucket] != 0) {
-                        for (std::size_t s = begin; s < end; ++s) {
-                            if (geom::dist2(sorted[s], p) <= r2 && !msg.touched.test(items[s])) {
-                                msg.touched.set(items[s]);  // don't re-add this step
-                                newly_.push_back(items[s]);
-                            }
-                        }
-                    }
-                    return false;
-                });
+            collect_in_radius(
+                positions[b], use_skip, newly_,
+                [&](std::uint32_t a) { return !msg.touched.test(a); },
+                [&](std::uint32_t a) { msg.touched.set(a); });  // don't re-add this step
         }
         return;
     }
@@ -264,21 +291,13 @@ void flooding_sim::scan_transmitters(message_state& msg, std::size_t informed_be
         auto& seen = lane_seen_[lane];
         seen.resize(n, 0);
         for (std::size_t i = begin; i < end; ++i) {
-            const geom::vec2 p = positions[live_[i]];
-            grid_.visit_covering_buckets(
-                p, radius_, [&](std::size_t bucket, std::size_t bkt_begin, std::size_t bkt_end) {
-                    if (!use_skip || bucket_counts_[bucket] != 0) {
-                        for (std::size_t s = bkt_begin; s < bkt_end; ++s) {
-                            const std::uint32_t a = items[s];
-                            if (geom::dist2(sorted[s], p) <= r2 && !msg.touched.test(a) &&
-                                seen[a] != epoch) {
-                                seen[a] = epoch;
-                                out.push_back(a);
-                            }
-                        }
-                    }
-                    return false;
-                });
+            collect_in_radius(
+                positions[live_[i]], use_skip, out,
+                [&](std::uint32_t a) {  // both tests, without a branch between them
+                    return static_cast<unsigned>(!msg.touched.test(a)) &
+                           static_cast<unsigned>(seen[a] != epoch);
+                },
+                [&](std::uint32_t a) { seen[a] = epoch; });
         }
     });
 

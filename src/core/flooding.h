@@ -151,6 +151,12 @@ class flooding_sim {
     void propagate_gossip(message_state& msg);
     void scan_transmitters(message_state& msg, std::size_t informed_before,
                            const std::uint8_t* transmit);
+    /// The radius query both transmitter scan bodies run per transmitter:
+    /// the ids near \p p that \p fresh accepts are appended to \p out and
+    /// passed to \p mark (flooding.cpp).
+    template <typename Fresh, typename Mark>
+    void collect_in_radius(geom::vec2 p, bool use_skip, std::vector<std::uint32_t>& out,
+                           Fresh fresh, Mark mark) const;
     void scan_uninformed(message_state& msg);
     /// Build the per-bucket / 3x3-neighbourhood occupancy skip tables for a
     /// scan over the ids \p scanned (bucket_counts_ / nb_counts_). The

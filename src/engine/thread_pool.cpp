@@ -71,6 +71,8 @@ double pool_stats::busy_fraction() const noexcept {
 
 thread_pool::thread_pool(std::size_t threads)
     : tasks_run_(metrics_.get_counter("pool.tasks_run")),
+      team_runs_(metrics_.get_counter("pool.team_runs")),
+      caller_only_runs_(metrics_.get_counter("pool.caller_only_runs")),
       queue_wait_seconds_(metrics_.get_gauge("pool.queue_wait_seconds")),
       queue_wait_hist_(metrics_.get_histogram("pool.queue_wait_s", queue_wait_bounds())),
       lane_runs_(metrics_.get_counter("pool.lane_runs")),
@@ -263,14 +265,14 @@ void thread_pool::run_lane(std::size_t lane, busy_slot* busy) {
     lanes_unfinished_.fetch_sub(1, std::memory_order_release);
 }
 
-bool thread_pool::claim_lanes(busy_slot* busy) {
-    bool ran = false;
+std::size_t thread_pool::claim_lanes(busy_slot* busy) {
+    std::size_t ran = 0;
     std::uint64_t ticket = ticket_.load(std::memory_order_acquire);
     while ((ticket & lane_mask) < lane_slots_.size()) {
         if (ticket_.compare_exchange_weak(ticket, ticket + 1, std::memory_order_acq_rel,
                                           std::memory_order_acquire)) {
             run_lane(static_cast<std::size_t>(ticket & lane_mask), busy);
-            ran = true;
+            ++ran;
             ticket = ticket_.load(std::memory_order_acquire);
         }
     }
@@ -278,12 +280,12 @@ bool thread_pool::claim_lanes(busy_slot* busy) {
 }
 
 void thread_pool::help_lanes(busy_slot& busy) {
-    if (!claim_lanes(&busy)) {
+    if (claim_lanes(&busy) == 0) {
         return;
     }
     auto deadline = clock_type::now() + lane_spin;
     for (unsigned polls = 1; !stopping_.load(std::memory_order_relaxed); ++polls) {
-        if (claim_lanes(&busy)) {
+        if (claim_lanes(&busy) != 0) {
             deadline = clock_type::now() + lane_spin;
         } else if (clock_type::now() >= deadline) {
             return;
@@ -322,7 +324,13 @@ void thread_pool::run_lanes(std::size_t count, const lane_body& body) {
         wake_.notify_all();
     }
 
-    claim_lanes(nullptr);
+    // Counted whether or not telemetry is on: a run() in which no helper
+    // claimed a lane ran at the serial rate, and perf_flood reports how
+    // many of a timed pass's run()s did.
+    team_runs_.add(1);
+    if (claim_lanes(nullptr) == lanes) {
+        caller_only_runs_.add(1);
+    }
     // Every lane is claimed; wait for the helpers still inside theirs.
     for (unsigned polls = 1; lanes_unfinished_.load(std::memory_order_acquire) != 0; ++polls) {
         backoff(polls);

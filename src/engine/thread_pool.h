@@ -12,11 +12,12 @@
 /// per run (docs/PERF.md, "Lane dispatch").
 ///
 /// Metrics: the pool counts every task it runs into its own
-/// metrics_registry. With the process-wide telemetry switch on
-/// (util/telemetry.h, off by default) it also reads the clock for queue
-/// wait (a fixed-bucket histogram plus a summed gauge) and per-worker busy
-/// seconds, and per multi-lane run() records a lane-run count plus lane
-/// start skew and lane-time imbalance histograms. stats() snapshots the
+/// metrics_registry, and every multi-lane run() together with those in
+/// which the caller ran every lane itself. With the process-wide telemetry
+/// switch on (util/telemetry.h, off by default) it also reads the clock for
+/// queue wait (a fixed-bucket histogram plus a summed gauge) and per-worker
+/// busy seconds, and per multi-lane run() records a lane-run count plus
+/// lane start skew and lane-time imbalance histograms. stats() snapshots the
 /// task side; the trace sink's sweep_end event renders it. Measuring never
 /// changes scheduling or task outputs.
 #pragma once
@@ -108,7 +109,8 @@ class thread_pool {
     /// work happened; tasks_run counts every task.
     [[nodiscard]] pool_stats stats() const;
 
-    /// The pool's instruments ("pool.tasks_run", "pool.queue_wait_seconds",
+    /// The pool's instruments ("pool.tasks_run", "pool.team_runs",
+    /// "pool.caller_only_runs", "pool.queue_wait_seconds",
     /// "pool.queue_wait_s" histogram, "pool.lane_runs",
     /// "pool.lane_start_skew_s" and "pool.lane_imbalance_ratio" histograms)
     /// for snapshot-level aggregation.
@@ -156,9 +158,9 @@ class thread_pool {
 
     void run_lanes(std::size_t count, const lane_body& body);
     /// Claim and run lanes of the current run() until none is left; returns
-    /// whether any ran. \p busy is the claiming worker's slot (null for the
+    /// how many ran. \p busy is the claiming worker's slot (null for the
     /// run() caller, whose time is its own).
-    bool claim_lanes(busy_slot* busy);
+    std::size_t claim_lanes(busy_slot* busy);
     void run_lane(std::size_t lane, busy_slot* busy);
     /// A worker's lane duty: claim lanes, and after running one keep polling
     /// for the next run() for lane_spin before returning to park.
@@ -175,6 +177,8 @@ class thread_pool {
 
     metrics_registry metrics_;
     counter& tasks_run_;
+    counter& team_runs_;         ///< multi-lane run()s, telemetry on or off
+    counter& caller_only_runs_;  ///< those in which no helper claimed a lane
     gauge& queue_wait_seconds_;
     fixed_histogram& queue_wait_hist_;
     counter& lane_runs_;

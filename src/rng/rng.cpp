@@ -10,35 +10,6 @@ rng rng::split() noexcept {
     return child;
 }
 
-double rng::uniform01() noexcept {
-    // 53 high bits -> double in [0,1) with full mantissa resolution.
-    return static_cast<double>(engine_() >> 11) * 0x1.0p-53;
-}
-
-double rng::uniform(double lo, double hi) noexcept {
-    return lo + (hi - lo) * uniform01();
-}
-
-std::uint64_t rng::uniform_index(std::uint64_t n) noexcept {
-    // Lemire 2019: unbiased bounded integers without division in the hot path.
-    std::uint64_t x = engine_();
-    __uint128_t m = static_cast<__uint128_t>(x) * n;
-    auto lo = static_cast<std::uint64_t>(m);
-    if (lo < n) {
-        const std::uint64_t threshold = (0 - n) % n;
-        while (lo < threshold) {
-            x = engine_();
-            m = static_cast<__uint128_t>(x) * n;
-            lo = static_cast<std::uint64_t>(m);
-        }
-    }
-    return static_cast<std::uint64_t>(m >> 64);
-}
-
-bool rng::bernoulli(double p) noexcept {
-    return uniform01() < p;
-}
-
 double rng::beta22() noexcept {
     const double a = uniform01();
     const double b = uniform01();

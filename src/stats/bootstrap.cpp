@@ -27,13 +27,17 @@ interval bootstrap_mean_ci(std::span<const double> sample, double confidence,
         }
         means.push_back(acc / static_cast<double>(sample.size()));
     }
-    std::sort(means.begin(), means.end());
     const double alpha = (1.0 - confidence) / 2.0;
-    auto pick = [&](double q) {
-        const auto idx = static_cast<std::size_t>(q * static_cast<double>(means.size() - 1));
-        return means[idx];
+    const auto rank = [&](double q) {
+        return static_cast<std::size_t>(q * static_cast<double>(means.size() - 1));
     };
-    return {pick(alpha), pick(1.0 - alpha)};
+    const std::size_t lo = rank(alpha);
+    const std::size_t hi = rank(1.0 - alpha);  // >= lo: alpha < 1/2
+    // The two order statistics a full sort would leave at lo and hi: select
+    // hi over all the means, then lo among the hi means below it.
+    std::nth_element(means.begin(), means.begin() + hi, means.end());
+    std::nth_element(means.begin(), means.begin() + lo, means.begin() + hi);
+    return {means[lo], means[hi]};
 }
 
 double two_sample_ks(std::span<const double> a, std::span<const double> b) {

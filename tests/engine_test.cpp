@@ -26,6 +26,7 @@
 #include "engine/sweep.h"
 #include "engine/thread_pool.h"
 #include "rng/splitmix64.h"
+#include "util/telemetry.h"
 
 namespace {
 
@@ -279,6 +280,60 @@ TEST(pool_executor_test, every_worker_in_a_task_runs_the_same_pool_executor) {
     for (auto& task : tasks) {
         await_or_exit(task, "a task calling executor().run() on its own pool");
     }
+}
+
+/// The pool registry's count for counter \p name.
+std::uint64_t pool_counter(const engine::thread_pool& pool, const std::string& name) {
+    for (const engine::metric_snapshot& m : pool.metrics().snapshot()) {
+        if (m.name == name) {
+            return static_cast<std::uint64_t>(m.value);
+        }
+    }
+    ADD_FAILURE() << "no pool counter " << name;
+    return 0;
+}
+
+TEST(pool_executor_test, caller_only_runs_are_counted_with_telemetry_off) {
+    ASSERT_FALSE(manhattan::util::telemetry::enabled());
+    constexpr std::size_t kWorkers = 4;
+    constexpr std::uint64_t kRuns = 7;
+    engine::thread_pool pool(kWorkers);
+    // Hold every worker inside a task, so no helper is left to claim a lane
+    // and the test thread runs every lane of its run()s.
+    std::atomic<std::size_t> started{0};
+    std::atomic<bool> release{false};
+    std::vector<std::future<void>> tasks;
+    for (std::size_t w = 0; w < kWorkers; ++w) {
+        tasks.push_back(pool.submit([&] {
+            started.fetch_add(1);
+            const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (!release.load() && std::chrono::steady_clock::now() < give_up) {
+                std::this_thread::yield();
+            }
+        }));
+    }
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (started.load() < kWorkers && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+    }
+    ASSERT_EQ(started.load(), kWorkers);
+    std::vector<std::atomic<int>> hits(40);
+    for (std::uint64_t r = 0; r < kRuns; ++r) {
+        expect_exact_cover(pool.executor(), hits.size(), hits);
+    }
+    release = true;
+    for (auto& task : tasks) {
+        await_or_exit(task, "a task holding its worker");
+    }
+    EXPECT_EQ(pool_counter(pool, "pool.team_runs"), kRuns);
+    EXPECT_EQ(pool_counter(pool, "pool.caller_only_runs"), kRuns);
+    EXPECT_EQ(pool_counter(pool, "pool.lane_runs"), 0u);  // telemetry-gated
+
+    // A one-worker pool's run() is the caller's inline call: neither counts.
+    engine::thread_pool one(1);
+    expect_exact_cover(one.executor(), hits.size(), hits);
+    EXPECT_EQ(pool_counter(one, "pool.team_runs"), 0u);
+    EXPECT_EQ(pool_counter(one, "pool.caller_only_runs"), 0u);
 }
 
 TEST(serial_executor_test, runs_inline_as_one_lane) {

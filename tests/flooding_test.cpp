@@ -79,6 +79,45 @@ TEST(flooding_test, chain_floods_one_hop_per_step) {
     }
 }
 
+TEST(flooding_test, lattice_neighbours_at_exactly_the_radius_are_reached_on_every_path) {
+    // A 20x20 lattice at spacing 1 with R = 1: every neighbour sits at
+    // dist2 == r2 exactly, so the radius test must be <=. Flooded from a
+    // corner, agent (i, j) is informed at step i + j, serially and on 2
+    // and 4 lanes; just below R = 1 nobody but the source is ever reached.
+    constexpr int kSide = 20;
+    std::vector<vec2> lattice;
+    for (int i = 0; i < kSide; ++i) {
+        for (int j = 0; j < kSide; ++j) {
+            lattice.push_back({10.0 + i, 10.0 + j});
+        }
+    }
+    manhattan::engine::thread_pool two(2);
+    manhattan::engine::thread_pool four(4);
+    manhattan::util::parallel_executor* const serial = nullptr;
+    for (auto* exec : {serial, &two.executor(), &four.executor()}) {
+        const std::size_t lanes = exec == nullptr ? 0 : exec->lanes();
+        auto cfg = one_message(0);
+        cfg.max_steps = 100;
+        const auto at = core::flooding_sim(frozen_walker(lattice), 1.0, cfg, nullptr, exec)
+                            .run_spread()
+                            .messages[0];
+        ASSERT_TRUE(at.completed) << "lanes=" << lanes;
+        EXPECT_EQ(at.flooding_time, 38u) << "lanes=" << lanes;
+        for (int i = 0; i < kSide; ++i) {
+            for (int j = 0; j < kSide; ++j) {
+                EXPECT_EQ(at.informed_at[i * kSide + j], static_cast<std::uint32_t>(i + j))
+                    << "agent (" << i << ", " << j << "), lanes=" << lanes;
+            }
+        }
+        const auto below = core::flooding_sim(frozen_walker(lattice),
+                                              std::nextafter(1.0, 0.0), cfg, nullptr, exec)
+                               .run_spread()
+                               .messages[0];
+        EXPECT_FALSE(below.completed) << "lanes=" << lanes;
+        EXPECT_EQ(below.informed_count, 1u) << "lanes=" << lanes;
+    }
+}
+
 TEST(flooding_test, per_component_floods_chain_in_one_step) {
     std::vector<vec2> chain;
     for (int i = 0; i < 5; ++i) {

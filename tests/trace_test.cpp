@@ -2,8 +2,11 @@
 // Lemma 16 meeting machinery, and the bootstrap/two-sample statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "core/flooding.h"
 #include "core/meetings.h"
@@ -284,6 +287,57 @@ TEST(bootstrap_test, degenerate_sample_gives_point_interval) {
     const auto ci = stats::bootstrap_mean_ci(xs, 0.95, 200, gen);
     EXPECT_DOUBLE_EQ(ci.lo, 4.2);
     EXPECT_DOUBLE_EQ(ci.hi, 4.2);
+}
+
+/// bootstrap_mean_ci with the full sort it used to pick its percentiles by:
+/// the same resampling, then means[rank] of the sorted means.
+stats::interval sorted_bootstrap_ci(std::span<const double> sample, double confidence,
+                                    std::size_t resamples, rng& gen) {
+    std::vector<double> means;
+    for (std::size_t r = 0; r < resamples; ++r) {
+        double acc = 0.0;
+        for (std::size_t i = 0; i < sample.size(); ++i) {
+            acc += sample[gen.uniform_index(sample.size())];
+        }
+        means.push_back(acc / static_cast<double>(sample.size()));
+    }
+    std::sort(means.begin(), means.end());
+    const double alpha = (1.0 - confidence) / 2.0;
+    const auto pick = [&](double q) {
+        return means[static_cast<std::size_t>(q * static_cast<double>(means.size() - 1))];
+    };
+    return {pick(alpha), pick(1.0 - alpha)};
+}
+
+TEST(bootstrap_test, percentiles_match_a_full_sort_bit_for_bit) {
+    // Samples of a few integers, so that many resampled means tie.
+    for (const std::size_t n : {1u, 2u, 10u, 100u}) {
+        for (const std::size_t resamples : {1u, 2u, 1000u}) {
+            for (const double confidence : {0.5, 0.95, 0.999}) {
+                for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+                    rng draw{seed};
+                    std::vector<double> xs;
+                    for (std::size_t i = 0; i < n; ++i) {
+                        xs.push_back(static_cast<double>(draw.uniform_index(4)));
+                    }
+                    rng gen{seed + 100};
+                    rng ref_gen{seed + 100};
+                    const auto got = stats::bootstrap_mean_ci(xs, confidence, resamples, gen);
+                    const auto want = sorted_bootstrap_ci(xs, confidence, resamples, ref_gen);
+                    const auto where = ::testing::Message()
+                                       << "n=" << n << " resamples=" << resamples
+                                       << " confidence=" << confidence << " seed=" << seed;
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.lo),
+                              std::bit_cast<std::uint64_t>(want.lo))
+                        << where;
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.hi),
+                              std::bit_cast<std::uint64_t>(want.hi))
+                        << where;
+                    EXPECT_EQ(gen.bits(), ref_gen.bits()) << where;
+                }
+            }
+        }
+    }
 }
 
 TEST(two_sample_ks_test, identical_distributions_pass) {
