@@ -22,8 +22,9 @@
 // over that pass (/proc/stat) and, on pool rows, two counts of the pool's
 // that count with telemetry off: the multi-lane run() calls of the pass
 // ("team runs") and those in which no worker claimed a lane, so the caller
-// ran every lane at the serial rate ("caller-only runs"). The JSON rows
-// carry the same figures.
+// ran every lane at the serial rate ("caller-only runs"), and the workers
+// woken on the caller's CPU that the pool moved off it ("helper hops"). The
+// JSON rows carry the same figures.
 //
 // Per-phase breakdown: every engine row (serial and pool) gets one extra
 // pass with telemetry enabled (util/telemetry.h) after its telemetry-off,
@@ -93,10 +94,11 @@ struct perf_row {
     double telemetry_steps_per_sec = 0.0;  // the enabled pass
     // The timed pass: the host's steal share over it in percent (negative
     // when /proc/stat is unreadable), and on pool rows its multi-lane run()
-    // calls and those in which the caller ran every lane.
+    // calls, those in which the caller ran every lane, and its helper hops.
     double steal_pct = -1.0;
     std::uint64_t team_runs = 0;
     std::uint64_t caller_only_runs = 0;
+    std::uint64_t helper_hops = 0;
     // Lane dispatch over the enabled pass (pool rows with more than one
     // lane): multi-lane run() calls, and the p50/p90 of lane start skew
     // (seconds) and lane-time imbalance (slowest / fastest lane), each the
@@ -399,7 +401,8 @@ void write_json(std::ostream& out, const std::vector<perf_row>& rows, double c1,
             << ", \"steal_pct\": " << steal_text(r.steal_pct, "null");
         if (r.engine == "pool") {
             out << ", \"team_runs\": " << r.team_runs
-                << ", \"caller_only_runs\": " << r.caller_only_runs;
+                << ", \"caller_only_runs\": " << r.caller_only_runs
+                << ", \"helper_hops\": " << r.helper_hops;
         }
         if (r.telemetry_steps_per_sec > 0.0) {
             // The telemetry pass: per-phase split of the step loop plus the
@@ -447,7 +450,7 @@ int run(const util::cli_args& args) {
 
     std::vector<perf_row> rows;
     util::table t({"n", "engine", "threads", "steps/sec", "flood time", "speedup vs 1t",
-                   "steal %", "team runs", "caller-only runs"});
+                   "steal %", "team runs", "caller-only runs", "helper hops"});
     bool identical = true;
     bool speedup_seen = false;
     double best_speedup = 0.0;
@@ -469,11 +472,13 @@ int run(const util::cli_args& args) {
             };
             const std::uint64_t team_before = counted("pool.team_runs");
             const std::uint64_t caller_before = counted("pool.caller_only_runs");
+            const std::uint64_t hops_before = counted("pool.helper_hops");
             const cpu_ticks ticks_before = read_cpu_ticks();
             perf_row row = measure(n, c1, seed, reps, max_steps, pool);
             row.steal_pct = steal_pct(ticks_before, read_cpu_ticks());
             row.team_runs = counted("pool.team_runs") - team_before;
             row.caller_only_runs = counted("pool.caller_only_runs") - caller_before;
+            row.helper_hops = counted("pool.helper_hops") - hops_before;
             const util::telemetry::scoped_enable on;
             const perf_row enabled = measure(n, c1, seed, reps, max_steps, pool);
             identical = identical && enabled.flooding_time == row.flooding_time;
@@ -516,7 +521,8 @@ int run(const util::cli_args& args) {
                        util::fmt(r.steps_per_sec), util::fmt(r.flooding_time),
                        r.speedup_vs_1thread > 0.0 ? util::fmt(r.speedup_vs_1thread) : "-",
                        steal_text(r.steal_pct, "-"), pooled ? util::fmt(r.team_runs) : "-",
-                       pooled ? util::fmt(r.caller_only_runs) : "-"});
+                       pooled ? util::fmt(r.caller_only_runs) : "-",
+                       pooled ? util::fmt(r.helper_hops) : "-"});
             rows.push_back(r);
         }
     }

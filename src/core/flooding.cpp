@@ -31,6 +31,8 @@ flooding_sim::flooding_sim(mobility::walker agents, double radius, spread_config
     if (!(radius > 0.0)) {
         throw std::invalid_argument("flooding_sim: radius must be positive");
     }
+    reach_ = grid_.query_reach(radius_);
+    fill_mask_.assign(grid_.bucket_count(), 0);
     if (cfg_.spread.messages.empty()) {
         throw std::invalid_argument("flooding_sim: spread workload has no messages");
     }
@@ -160,6 +162,54 @@ void flooding_sim::sum_bucket_neighborhoods() {
     }
 }
 
+/// Fill the grid buckets that a scan over \p scanned can read; the step
+/// only indexed the grid. With skip tables, a query reads a bucket only if
+/// the bucket's passive side is non-empty, and only queries from buckets
+/// that hold a scanned agent passing the skip test run, each inside its
+/// bucket's query reach. So the mask is those buckets' reach, cut to the
+/// non-empty passive side: a superset of what the queries read, in
+/// O(#buckets) with no pass over the agents. Without the tables the scan
+/// is small, and each query (each transmitting slot, with \p transmit)
+/// marks the buckets it covers. A later scan in the step fills only the
+/// buckets still empty. Billed to the grid phase.
+void flooding_sim::fill_for_scan(std::span<const std::uint32_t> scanned, bool use_skip,
+                                 const std::uint8_t* transmit) {
+    const util::phase_timer timing(profile_, util::phase::grid_rebuild);
+    std::fill(fill_mask_.begin(), fill_mask_.end(), std::uint8_t{0});
+    if (use_skip) {
+        const auto m = static_cast<std::size_t>(grid_.buckets_per_side());
+        for (std::size_t by = 0; by < m; ++by) {
+            for (std::size_t bx = 0; bx < m; ++bx) {
+                const std::size_t b = by * m + bx;
+                const std::size_t size = grid_.bucket_end(b) - grid_.bucket_begin(b);
+                if (size == bucket_counts_[b] || nb_counts_[b] == 0) {
+                    continue;  // no scanned agent here, or none that queries
+                }
+                for (std::int32_t y = reach_[by].first; y <= reach_[by].last; ++y) {
+                    for (std::int32_t x = reach_[bx].first; x <= reach_[bx].last; ++x) {
+                        const std::size_t t = static_cast<std::size_t>(y) * m +
+                                              static_cast<std::size_t>(x);
+                        fill_mask_[t] = static_cast<std::uint8_t>(bucket_counts_[t] != 0);
+                    }
+                }
+            }
+        }
+    } else {
+        const auto positions = walker_.positions();
+        for (std::size_t k = 0; k < scanned.size(); ++k) {
+            if (transmit != nullptr && transmit[k] == 0) {
+                continue;
+            }
+            grid_.visit_covering_buckets(positions[scanned[k]], radius_,
+                                         [&](std::size_t b, std::size_t, std::size_t) {
+                                             fill_mask_[b] = 1;
+                                             return false;
+                                         });
+        }
+    }
+    grid_.fill(fill_mask_);
+}
+
 /// One transmitter's radius query around \p p: appends to \p out the ids
 /// within the radius that \p fresh accepts, in row-major bucket order and
 /// ascending slot within a bucket, and passes each to \p mark. The filter
@@ -215,8 +265,9 @@ void flooding_sim::scan_transmitters(message_state& msg, std::size_t informed_be
     // neighbourhood holds no uninformed agent cannot discover anyone, so its
     // whole radius query is skipped; within a query, buckets with no
     // uninformed agent are skipped bucket-wise.
-    const bool use_skip = prepare_skip_tables(
-        std::span<const std::uint32_t>(msg.informed_list).first(informed_before));
+    const auto scanned = std::span<const std::uint32_t>(msg.informed_list).first(informed_before);
+    const bool use_skip = prepare_skip_tables(scanned);
+    fill_for_scan(scanned, use_skip, transmit);
 
     if (exec_ == nullptr) {
         for (std::size_t k = 0; k < informed_before; ++k) {
@@ -318,14 +369,15 @@ void flooding_sim::scan_transmitters(message_state& msg, std::size_t informed_be
 void flooding_sim::scan_uninformed(message_state& msg) {
     const auto positions = walker_.positions();
     const std::size_t n = walker_.size();
-    const auto items = grid_.items();
-    const auto sorted = grid_.sorted_points();
-    const double r2 = radius_ * radius_;
     // Skip tables over the *committed* side: an uninformed agent with no
     // committed transmitter anywhere in its 3x3 bucket neighbourhood cannot
     // be informed this step. The committed set is immutable during the scan,
     // so the counts stay exact throughout.
     const bool use_skip = prepare_skip_tables(msg.uninformed);
+    fill_for_scan(msg.uninformed, use_skip, nullptr);
+    const auto items = grid_.items();
+    const auto sorted = grid_.sorted_points();
+    const double r2 = radius_ * radius_;
 
     // Whether a committed transmitter sits within the radius of agent \p a.
     // Probe order is the grid scan order (first hit stops early); only the
@@ -405,6 +457,10 @@ void flooding_sim::propagate_one_hop(message_state& msg) {
 /// each message's newly set) is independent of the unite order, so results
 /// match the serial path exactly.
 void flooding_sim::build_components() {
+    {
+        const util::phase_timer timing(profile_, util::phase::grid_rebuild);
+        grid_.fill_all();  // every agent's query, so every bucket
+    }
     const util::phase_timer timing(profile_, util::phase::components);
     const auto positions = walker_.positions();
     const std::size_t n = walker_.size();
@@ -586,23 +642,28 @@ std::size_t flooding_sim::step() {
         }
     }
     {
+        // The index only: each scan fills the buckets it reads
+        // (fill_for_scan), and the component build fills them all.
         const util::phase_timer timing(profile_, util::phase::grid_rebuild);
         if (exec_ != nullptr) {
-            grid_.rebuild(walker_.positions(), *exec_);
+            grid_.index(walker_.positions(), *exec_);
         } else {
-            grid_.rebuild(walker_.positions());
+            grid_.index(walker_.positions());
         }
     }
     dsu_ready_ = false;
 
     // Scan-phase timing brackets the whole message loop but excludes the
-    // nested shared-component build, which bills to its own phase inside
-    // build_components() — the four phases tile a step without overlap.
+    // nested grid fills and shared-component build, which bill to their own
+    // phases — the four phases tile a step without overlap.
     const bool timing_on = util::telemetry::enabled();
     const auto scan_start =
         timing_on ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
-    const double components_before =
-        profile_.seconds[static_cast<std::size_t>(util::phase::components)];
+    const auto nested_seconds = [this] {
+        return profile_.seconds[static_cast<std::size_t>(util::phase::grid_rebuild)] +
+               profile_.seconds[static_cast<std::size_t>(util::phase::components)];
+    };
+    const double nested_before = nested_seconds();
 
     // One kinematics pass above, then every live message transmits over the
     // shared grid. Messages are independent overlays: order is fixed (spec
@@ -632,10 +693,7 @@ std::size_t flooding_sim::step() {
         const double loop_seconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - scan_start)
                 .count();
-        const double components_delta =
-            profile_.seconds[static_cast<std::size_t>(util::phase::components)] -
-            components_before;
-        profile_.add(util::phase::scan, loop_seconds - components_delta);
+        profile_.add(util::phase::scan, loop_seconds - (nested_seconds() - nested_before));
     }
     refresh_stop_satisfaction();
     return total_newly;

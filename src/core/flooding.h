@@ -8,8 +8,9 @@
 /// The simulation is multi-message: a spread_spec (core/spread.h) injects
 /// any number of messages, each with its own source set, spawn step,
 /// propagation mode and gossip probability. All messages share one mobility
-/// advance and one spatial-index rebuild per step — a k-message run costs
-/// one kinematics pass, not k. Every run returns one spread_result; the
+/// advance and one spatial index per step, whose buckets each scan fills
+/// as far as it reads them — a k-message run costs one kinematics pass,
+/// not k. Every run returns one spread_result; the
 /// paper's flooding time is message 0's flooding_time.
 #pragma once
 
@@ -158,6 +159,10 @@ class flooding_sim {
     void collect_in_radius(geom::vec2 p, bool use_skip, std::vector<std::uint32_t>& out,
                            Fresh fresh, Mark mark) const;
     void scan_uninformed(message_state& msg);
+    /// Fill the grid buckets a scan over \p scanned can read, from the skip
+    /// tables when \p use_skip, else from each query (flooding.cpp).
+    void fill_for_scan(std::span<const std::uint32_t> scanned, bool use_skip,
+                       const std::uint8_t* transmit);
     /// Build the per-bucket / 3x3-neighbourhood occupancy skip tables for a
     /// scan over the ids \p scanned (bucket_counts_ / nb_counts_). The
     /// scanned ids are counted per bucket and the tables keep the complement
@@ -221,6 +226,11 @@ class flooding_sim {
     std::vector<std::uint32_t> bucket_counts_;
     std::vector<std::uint32_t> nb_row_;     ///< row-wise partial sums (scratch)
     std::vector<std::uint32_t> nb_counts_;  ///< 3x3 sums of bucket_counts_
+
+    // Frontier fill (fill_for_scan): the grid's query reach per axis bucket
+    // for radius_, and the buckets the running scan may read.
+    std::vector<geom::uniform_grid::axis_span> reach_;
+    std::vector<std::uint8_t> fill_mask_;
 };
 
 }  // namespace manhattan::core

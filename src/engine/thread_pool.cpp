@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <limits>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "util/telemetry.h"
 
 namespace manhattan::engine {
@@ -51,6 +55,15 @@ inline void backoff(unsigned polls) noexcept {
 #endif
 }
 
+/// The CPU the calling thread runs on, or -1 where that is unknown.
+int current_cpu() noexcept {
+#if defined(__linux__)
+    return sched_getcpu();
+#else
+    return -1;
+#endif
+}
+
 }  // namespace
 
 std::size_t default_thread_count() noexcept {
@@ -73,6 +86,7 @@ thread_pool::thread_pool(std::size_t threads)
     : tasks_run_(metrics_.get_counter("pool.tasks_run")),
       team_runs_(metrics_.get_counter("pool.team_runs")),
       caller_only_runs_(metrics_.get_counter("pool.caller_only_runs")),
+      helper_hops_(metrics_.get_counter("pool.helper_hops")),
       queue_wait_seconds_(metrics_.get_gauge("pool.queue_wait_seconds")),
       queue_wait_hist_(metrics_.get_histogram("pool.queue_wait_s", queue_wait_bounds())),
       lane_runs_(metrics_.get_counter("pool.lane_runs")),
@@ -125,6 +139,8 @@ void thread_pool::worker_loop(std::size_t worker) {
                 if (stopping_) {
                     return;  // stopping_ with a drained queue
                 }
+                lock.unlock();
+                hop_off_caller_cpu();
                 continue;  // a run() opened lanes
             }
             entry = std::move(queue_.front());
@@ -234,6 +250,26 @@ void thread_pool::parallel_for(std::size_t count, const std::function<void(std::
     }
 }
 
+void thread_pool::hop_off_caller_cpu() {
+#if defined(__linux__)
+    const int caller = run_cpu_.load(std::memory_order_relaxed);
+    if (caller < 0 || caller >= CPU_SETSIZE || current_cpu() != caller) {
+        return;
+    }
+    cpu_set_t allowed;
+    if (sched_getaffinity(0, sizeof allowed, &allowed) != 0 || CPU_COUNT(&allowed) < 2 ||
+        !CPU_ISSET(caller, &allowed)) {
+        return;
+    }
+    cpu_set_t others = allowed;
+    CPU_CLR(caller, &others);
+    if (sched_setaffinity(0, sizeof others, &others) == 0) {
+        helper_hops_.add(1);
+        (void)sched_setaffinity(0, sizeof allowed, &allowed);
+    }
+#endif
+}
+
 bool thread_pool::lanes_open() const noexcept {
     return (ticket_.load(std::memory_order_acquire) & lane_mask) < lane_slots_.size();
 }
@@ -313,6 +349,7 @@ void thread_pool::run_lanes(std::size_t count, const lane_body& body) {
         run_start_ = clock_type::now();
     }
     lanes_unfinished_.store(lanes, std::memory_order_relaxed);
+    run_cpu_.store(current_cpu(), std::memory_order_relaxed);
     // Open lanes 0 .. lanes - 1 under a new generation. The store and the
     // parked-helper load are sequentially consistent, and a parking helper
     // counts itself before it re-checks lanes_open() under mutex_: either

@@ -12,8 +12,9 @@
 /// per run (docs/PERF.md, "Lane dispatch").
 ///
 /// Metrics: the pool counts every task it runs into its own
-/// metrics_registry, and every multi-lane run() together with those in
-/// which the caller ran every lane itself. With the process-wide telemetry
+/// metrics_registry, every multi-lane run() together with those in which
+/// the caller ran every lane itself, and every woken team worker it moved
+/// off the caller's CPU. With the process-wide telemetry
 /// switch on (util/telemetry.h, off by default) it also reads the clock for
 /// queue wait (a fixed-bucket histogram plus a summed gauge) and per-worker
 /// busy seconds, and per multi-lane run() records a lane-run count plus
@@ -110,7 +111,7 @@ class thread_pool {
     [[nodiscard]] pool_stats stats() const;
 
     /// The pool's instruments ("pool.tasks_run", "pool.team_runs",
-    /// "pool.caller_only_runs", "pool.queue_wait_seconds",
+    /// "pool.caller_only_runs", "pool.helper_hops", "pool.queue_wait_seconds",
     /// "pool.queue_wait_s" histogram, "pool.lane_runs",
     /// "pool.lane_start_skew_s" and "pool.lane_imbalance_ratio" histograms)
     /// for snapshot-level aggregation.
@@ -165,6 +166,11 @@ class thread_pool {
     /// A worker's lane duty: claim lanes, and after running one keep polling
     /// for the next run() for lane_spin before returning to park.
     void help_lanes(busy_slot& busy);
+    /// Called by a team worker woken by a run(): if it woke on the CPU of
+    /// that run()'s caller, move it once to another allowed CPU (Linux;
+    /// elsewhere, or with one allowed CPU, nothing). See docs/PERF.md,
+    /// "Lane dispatch".
+    void hop_off_caller_cpu();
     [[nodiscard]] bool lanes_open() const noexcept;
     void record_lane_run(std::size_t count);
 
@@ -179,6 +185,7 @@ class thread_pool {
     counter& tasks_run_;
     counter& team_runs_;         ///< multi-lane run()s, telemetry on or off
     counter& caller_only_runs_;  ///< those in which no helper claimed a lane
+    counter& helper_hops_;       ///< woken team workers moved off the caller's CPU
     gauge& queue_wait_seconds_;
     fixed_histogram& queue_wait_hist_;
     counter& lane_runs_;
@@ -206,6 +213,7 @@ class thread_pool {
     alignas(64) std::atomic<std::uint64_t> ticket_{0};
     alignas(64) std::atomic<std::size_t> lanes_unfinished_{0};
     std::atomic<std::size_t> parked_helpers_{0};  ///< team workers waiting on wake_
+    std::atomic<int> run_cpu_{-1};  ///< the CPU of the latest run() caller (-1: unknown)
 };
 
 }  // namespace manhattan::engine

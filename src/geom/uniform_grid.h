@@ -1,7 +1,8 @@
 /// \file uniform_grid.h
 /// Bucketed spatial index over agent positions. Rebuilt once per simulated
 /// time step (counting sort, O(n), optionally split over the lanes of an
-/// executor); answers "all agents within Euclidean distance r of p" by
+/// executor), or indexed once and filled only in the buckets that the
+/// step's queries read; answers "all agents within Euclidean distance r of p" by
 /// scanning the covering bucket rectangle. With bucket side ~= R this is the
 /// classic O(1 + local density) disk-graph query. Positions are stored
 /// bucket-sorted, so a radius query walks contiguous memory instead of
@@ -12,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "geom/vec2.h"
@@ -60,6 +62,7 @@ class uniform_grid {
     /// buffers are reused, so steady-state rebuilds allocate nothing.
     /// Indices reported by queries refer to positions in this span.
     /// Positions are copied so the caller may mutate theirs.
+    /// rebuild is index() then fill_all().
     void rebuild(std::span<const vec2> positions);
 
     /// The same four passes split over the lanes of \p ex: passes 1 and 3
@@ -73,9 +76,43 @@ class uniform_grid {
     /// is rebuild(positions).
     void rebuild(std::span<const vec2> positions, util::parallel_executor& ex);
 
-    /// rebuild(positions, ex) without the min_lane_agents rule: the split
+    /// Passes 1 and 2 alone: every point's bucket (bucket_of_item) and the
+    /// bucket ranges (bucket_count, bucket_begin, bucket_end) are final, but
+    /// no bucket is filled: items() and sorted_points() hold stale entries
+    /// until a fill covers them. The index borrows \p positions, and \p ex
+    /// when it splits the passes (as rebuild(positions, ex) does); both
+    /// must stay alive and unchanged until the last fill of this index.
+    void index(std::span<const vec2> positions);
+    void index(std::span<const vec2> positions, util::parallel_executor& ex);
+
+    /// index(positions, ex) without the min_lane_agents rule: the split
     /// passes at any n. Exposed for tests and probes.
-    void rebuild_lanes(std::span<const vec2> positions, util::parallel_executor& ex);
+    void index_lanes(std::span<const vec2> positions, util::parallel_executor& ex);
+
+    /// Passes 3 and 4 for the buckets b with mask[b] != 0 (mask has
+    /// bucket_count() entries) that no fill since the last index filled,
+    /// on the lanes the index ran on. Every filled bucket holds exactly
+    /// what rebuild gives it: each lane scatters only the ids of those
+    /// buckets' agents, in ascending order and from its own cursors, and
+    /// the gather reads only those buckets' slots.
+    void fill(std::span<const std::uint8_t> mask);
+    /// Fill every bucket not filled yet; after index() alone, the full
+    /// passes 3 and 4.
+    void fill_all();
+
+    /// For every axis bucket i (the grid is square, so rows and columns
+    /// alike): the first and last axis bucket that a radius-\p r query
+    /// from any point of bucket i covers, clamps included. With r at most
+    /// the bucket side that is i - 1 and i + 1, clamped, unless the
+    /// division of a coordinate on a bucket line rounds the other way for
+    /// the query's ends than for the point: then a side stretches by one.
+    /// Found from the least and greatest double of each bucket, so no point
+    /// of bucket i reaches outside it.
+    struct axis_span {
+        std::int32_t first;
+        std::int32_t last;
+    };
+    [[nodiscard]] std::vector<axis_span> query_reach(double r) const;
 
     [[nodiscard]] double side() const noexcept { return side_; }
     [[nodiscard]] double bucket_side() const noexcept { return bucket_side_; }
@@ -119,7 +156,7 @@ class uniform_grid {
     // ---- bucket metadata for span-based kernels (core/flooding.cpp) ----
     // The counting sort already computes everything a caller needs to build
     // per-bucket occupancy tables; these accessors expose it read-only. All
-    // of them reflect the state as of the last rebuild.
+    // of them reflect the state as of the last rebuild or index.
 
     [[nodiscard]] std::size_t bucket_count() const noexcept { return offsets_.size() - 1; }
     /// Bucket holding input point \p i (i indexes the span passed to rebuild).
@@ -177,13 +214,17 @@ class uniform_grid {
     }
 
     // The four passes (see rebuild). A lane's histogram, then its cursors,
-    // are its row of lane_cursor_.
+    // are its row of lane_cursor_. Passes 3 and 4 read the indexed
+    // positions_.
+    void index_on(std::span<const vec2> positions, util::parallel_executor* ex);
     void count_buckets(std::span<const vec2> positions, std::size_t lane, std::size_t begin,
                        std::size_t end) noexcept;
     void place_lanes(std::size_t lanes) noexcept;
     void scatter_ids(std::size_t lane, std::size_t begin, std::size_t end) noexcept;
-    void gather_points(std::span<const vec2> positions, std::size_t begin,
-                       std::size_t end) noexcept;
+    void scatter_todo(std::size_t lane, std::size_t begin, std::size_t end) noexcept;
+    void gather_points(std::size_t begin, std::size_t end) noexcept;
+    void fill_every_bucket();
+    void fill_todo(std::size_t span);
     void resize_scratch(std::size_t n, std::size_t lanes);
 
     template <typename Fn>
@@ -228,6 +269,13 @@ class uniform_grid {
     // allocate):
     std::vector<std::uint32_t> bucket_of_;    // bucket of every input point
     std::vector<std::uint32_t> lane_cursor_;  // lane-major histograms, then cursors
+    // What the last index borrowed, and how far its fills got:
+    std::span<const vec2> positions_;
+    util::parallel_executor* ex_ = nullptr;  // null: the index ran at one lane
+    std::vector<std::uint8_t> filled_;       // per bucket: filled since the index
+    std::vector<std::uint8_t> todo_;         // per bucket: in the running fill
+    std::vector<std::pair<std::size_t, std::size_t>> todo_runs_;  // their slot ranges
+    std::size_t filled_slots_ = 0;           // agents in the filled buckets
 };
 
 }  // namespace manhattan::geom

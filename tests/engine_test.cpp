@@ -20,6 +20,10 @@
 #include <thread>
 #include <utility>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "codec/json.h"
 #include "engine/runner.h"
 #include "engine/sink.h"
@@ -291,6 +295,41 @@ std::uint64_t pool_counter(const engine::thread_pool& pool, const std::string& n
     }
     ADD_FAILURE() << "no pool counter " << name;
     return 0;
+}
+
+TEST(pool_executor_test, lanes_cover_and_return_with_the_process_on_one_cpu) {
+#if defined(__linux__)
+    // The pool spawns from a thread held to one CPU, so the caller and all
+    // of its workers share that CPU, and a woken helper has no other CPU to
+    // move to. Every run() must still cover its index space exactly and
+    // return, across runs that find the helpers spinning and parked.
+    cpu_set_t allowed;
+    ASSERT_EQ(sched_getaffinity(0, sizeof allowed, &allowed), 0);
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &allowed)) {
+        ++cpu;
+    }
+    std::uint64_t hops = 1;
+    auto done = std::async(std::launch::async, [&] {
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(cpu, &one);
+        ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+        engine::thread_pool pool(4);
+        std::vector<std::atomic<int>> hits(1000);
+        for (std::size_t r = 0; r < 400; ++r) {
+            expect_exact_cover(pool.executor(), 1 + r * 7 % hits.size(), hits);
+            if (r % 40 == 39) {
+                std::this_thread::sleep_for(engine::thread_pool::lane_spin * 2);
+            }
+        }
+        hops = pool_counter(pool, "pool.helper_hops");
+    });
+    await_or_exit(done, "lane runs with the process on one CPU");
+    EXPECT_EQ(hops, 0u);
+#else
+    GTEST_SKIP() << "CPU affinity is Linux-only here";
+#endif
 }
 
 TEST(pool_executor_test, caller_only_runs_are_counted_with_telemetry_off) {

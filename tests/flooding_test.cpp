@@ -5,14 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
 #include "core/flooding.h"
 #include "core/params.h"
 #include "core/scenario.h"
 #include "engine/thread_pool.h"
+#include "graph/temporal.h"
 #include "mobility/mrwp.h"
 #include "mobility/static_model.h"
+#include "mobility/trace.h"
 #include "mobility/walker.h"
 
 namespace {
@@ -418,6 +421,100 @@ TEST(flooding_test, set_executor_mid_run_does_not_change_outcomes) {
         ASSERT_EQ(a, b) << "step " << serial.steps_taken();
     }
     EXPECT_EQ(serial.run_spread(), mixed.run_spread());
+}
+
+// ------------------------------------------------------------ frontier fill ---
+
+// A 20 000-agent MRWP flood at c1 = 1 (R = sqrt(ln n)): a step's scans read
+// buckets holding a few percent of the agents, so each scan fills only
+// those (uniform_grid::fill) where the n = 500-1500 cases above, on grids
+// of a few buckets, fill them all. A bucket that a query reads but the
+// fill skipped holds the previous step's ids and positions.
+core::net_params frontier_params() {
+    const std::size_t n = 20'000;
+    const double radius = std::sqrt(std::log(static_cast<double>(n)));
+    return core::net_params::standard_case(n, radius, core::paper::speed_bound(radius));
+}
+
+mobility::walker frontier_walker(const core::net_params& p) {
+    auto model = std::make_shared<mobility::manhattan_random_waypoint>(p.side);
+    return mobility::walker(model, p.n, p.speed, rng{2027});
+}
+
+TEST(flooding_test, frontier_fill_one_hop_matches_the_temporal_oracle_on_1_2_4_lanes) {
+    const core::net_params p = frontier_params();
+    core::flood_config cfg;
+    cfg.max_steps = 1'000;
+    core::flooding_sim sim(frontier_walker(p), p.radius, cfg);
+    mobility::trajectory_recorder rec(p.n);
+    rec.capture(sim.agents());
+    while (!sim.all_informed() && sim.steps_taken() < cfg.max_steps) {
+        (void)sim.step();
+        rec.capture(sim.agents());
+    }
+    ASSERT_TRUE(sim.all_informed());
+    const auto oracle = manhattan::graph::temporal_flood(rec, p.radius, p.side, 0);
+    ASSERT_TRUE(oracle.all_reached);
+    const auto serial = sim.run_spread().messages[0];
+    for (std::size_t i = 0; i < p.n; ++i) {
+        ASSERT_EQ(serial.informed_at[i], oracle.reached_at[i]) << "agent " << i << ", serial";
+    }
+    for (const std::size_t threads : {2u, 4u}) {
+        manhattan::engine::thread_pool pool(threads);
+        const auto lanes =
+            core::flooding_sim(frontier_walker(p), p.radius, cfg, nullptr, &pool.executor())
+                .run_spread()
+                .messages[0];
+        for (std::size_t i = 0; i < p.n; ++i) {
+            ASSERT_EQ(lanes.informed_at[i], oracle.reached_at[i])
+                << "agent " << i << ", " << threads << " lanes";
+        }
+    }
+}
+
+/// FNV-1a over every message's informed_at, timeline, flooding time and
+/// informed count, and the steps run.
+std::uint64_t spread_digest(const core::spread_result& r) {
+    std::uint64_t h = 1469598103934665603ULL;
+    const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ULL; };
+    mix(r.steps);
+    for (const core::message_result& m : r.messages) {
+        mix(m.flooding_time);
+        mix(m.informed_count);
+        for (const std::uint32_t at : m.informed_at) {
+            mix(at);
+        }
+        for (const std::size_t count : m.timeline) {
+            mix(count);
+        }
+    }
+    return h;
+}
+
+TEST(flooding_test, frontier_fill_two_messages_share_a_step_grid_on_1_2_4_lanes) {
+    // one_hop from agent 0, and from step 4 a gossip message from agent
+    // 19 999: the gossip scan fills only what the one_hop scan of the same
+    // step left empty. The digest was generated by the full per-step
+    // rebuild that the frontier fill replaced.
+    const core::net_params p = frontier_params();
+    core::spread_config cfg;
+    cfg.spread.messages.push_back({.sources = core::source_spec::agents({0})});
+    cfg.spread.messages.push_back({.sources = core::source_spec::agents({19'999}),
+                                   .spawn_step = 4,
+                                   .mode = core::propagation::gossip,
+                                   .gossip_p = 0.5,
+                                   .gossip_seed = 31});
+    cfg.max_steps = 2'000;
+    const auto serial = core::flooding_sim(frontier_walker(p), p.radius, cfg).run_spread();
+    ASSERT_TRUE(serial.completed);
+    EXPECT_EQ(spread_digest(serial), 0xf7b462a11e9d8505ULL);
+    for (const std::size_t threads : {2u, 4u}) {
+        manhattan::engine::thread_pool pool(threads);
+        const auto lanes =
+            core::flooding_sim(frontier_walker(p), p.radius, cfg, nullptr, &pool.executor())
+                .run_spread();
+        EXPECT_EQ(lanes, serial) << threads << " lanes";
+    }
 }
 
 TEST(flooding_test, moving_agents_bridge_static_gap) {

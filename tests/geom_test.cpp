@@ -11,6 +11,7 @@
 #include <numeric>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -250,7 +251,7 @@ TEST(uniform_grid_test, parallel_rebuild_matches_serial_bit_for_bit) {
     // The lane split must reproduce the serial counting sort array for
     // array (same bucket ranges, same item order within every bucket, same
     // position bits) at any lane count, including inputs where every lane
-    // writes into the same bucket. rebuild_lanes runs the split at these
+    // writes into the same bucket. index_lanes runs the split at these
     // sizes, below min_lane_agents.
     for (const std::size_t threads : {2u, 3u, 4u, 8u}) {
         manhattan::engine::thread_pool pool(threads);
@@ -263,8 +264,10 @@ TEST(uniform_grid_test, parallel_rebuild_matches_serial_bit_for_bit) {
             // a previous rebuild would show.
             uniform_grid parallel(50.0, in.bucket);
             const std::vector<vec2> reversed(in.pts.rbegin(), in.pts.rend());
-            parallel.rebuild_lanes(reversed, pool.executor());
-            parallel.rebuild_lanes(in.pts, pool.executor());
+            parallel.index_lanes(reversed, pool.executor());
+            parallel.fill_all();
+            parallel.index_lanes(in.pts, pool.executor());
+            parallel.fill_all();
             expect_same_arrays(parallel, serial);
         }
     }
@@ -429,8 +432,11 @@ TEST(uniform_grid_test, lane_rebuild_matches_a_stable_sort_oracle) {
         for (const rebuild_input& in : inputs) {
             SCOPED_TRACE("lanes=" + std::to_string(lanes) + ", " + in.name);
             uniform_grid g(oracle_side, in.bucket);
-            g.rebuild_lanes(longer_reversed(gen, in.pts), ex);
-            g.rebuild_lanes(in.pts, ex);
+            const std::vector<vec2> longer = longer_reversed(gen, in.pts);
+            g.index_lanes(longer, ex);
+            g.fill_all();
+            g.index_lanes(in.pts, ex);
+            g.fill_all();
             ASSERT_NO_FATAL_FAILURE(expect_oracle_arrays(g, in.pts));
         }
         const std::size_t least = uniform_grid::min_lane_agents * lanes;
@@ -441,6 +447,112 @@ TEST(uniform_grid_test, lane_rebuild_matches_a_stable_sort_oracle) {
             g.rebuild(longer_reversed(gen, pts), ex);
             g.rebuild(pts, ex);
             ASSERT_NO_FATAL_FAILURE(expect_oracle_arrays(g, pts));
+        }
+    }
+}
+
+/// The bucket ranges of \p got and \p want, and the items and position
+/// bits of every bucket b with filled[b] != 0.
+void expect_same_filled_buckets(const uniform_grid& got, const uniform_grid& want,
+                                const std::vector<std::uint8_t>& filled) {
+    ASSERT_EQ(got.bucket_count(), want.bucket_count());
+    for (std::size_t b = 0; b < want.bucket_count(); ++b) {
+        ASSERT_EQ(got.bucket_begin(b), want.bucket_begin(b)) << "bucket " << b;
+        ASSERT_EQ(got.bucket_end(b), want.bucket_end(b)) << "bucket " << b;
+        if (filled[b] == 0) {
+            continue;
+        }
+        for (std::size_t k = want.bucket_begin(b); k < want.bucket_end(b); ++k) {
+            ASSERT_EQ(got.items()[k], want.items()[k]) << "bucket " << b << ", slot " << k;
+            ASSERT_EQ(bits(got.sorted_points()[k]), bits(want.sorted_points()[k]))
+                << "bucket " << b << ", slot " << k;
+        }
+    }
+}
+
+TEST(uniform_grid_test, masked_fills_match_rebuild_on_every_filled_bucket) {
+    // index, then fill(mask) three times with fresh random masks, then
+    // fill_all: after every call each bucket a mask named so far must hold
+    // what rebuild gives it, bit for bit, at one lane (no executor) and
+    // split over 2 and 4 lanes, for sparse and dense masks. Each grid first
+    // holds the sort of another input, so a bucket a fill skipped would
+    // show.
+    manhattan::rng::rng gen(408);
+    for (const std::size_t lanes : {1u, 2u, 4u}) {
+        manhattan::engine::thread_pool pool(lanes);
+        for (const rebuild_input& in : rebuild_inputs(lanes)) {
+            uniform_grid want(oracle_side, in.bucket);
+            want.rebuild(in.pts);
+            const std::vector<vec2> stale = longer_reversed(gen, in.pts);
+            for (const double density : {0.02, 0.1, 0.3, 0.9}) {
+                SCOPED_TRACE("lanes=" + std::to_string(lanes) + ", " + in.name +
+                             ", density " + std::to_string(density));
+                uniform_grid g(oracle_side, in.bucket);
+                const auto index = [&](const std::vector<vec2>& pts) {
+                    if (lanes == 1) {
+                        g.index(pts);
+                    } else {
+                        g.index_lanes(pts, pool.executor());
+                    }
+                };
+                index(stale);
+                g.fill_all();
+                index(in.pts);
+                std::vector<std::uint8_t> filled(g.bucket_count(), 0);
+                std::vector<std::uint8_t> mask(g.bucket_count());
+                for (int round = 0; round < 3; ++round) {
+                    for (std::size_t b = 0; b < mask.size(); ++b) {
+                        mask[b] = gen.uniform(0.0, 1.0) < density ? 1 : 0;
+                        filled[b] |= mask[b];
+                    }
+                    g.fill(mask);
+                    ASSERT_NO_FATAL_FAILURE(expect_same_filled_buckets(g, want, filled));
+                }
+                g.fill_all();
+                ASSERT_NO_FATAL_FAILURE(expect_same_arrays(g, want));
+            }
+        }
+    }
+}
+
+TEST(uniform_grid_test, query_reach_holds_every_covering_bucket) {
+    // Every radius-r query from a point of axis bucket i covers buckets
+    // inside query_reach(r)[i], on bucket lines and one ulp either side of
+    // them included; and with r below the bucket side the reach is the
+    // clamped i - 1 .. i + 1.
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const auto& [side, bucket, r] : {std::tuple{50.0, 4.0, 4.0}, std::tuple{100.0, 5.0, 5.0},
+                                          std::tuple{141.42, 3.147, 3.147},
+                                          std::tuple{50.0, 4.0, 2.5}}) {
+        SCOPED_TRACE("side " + std::to_string(side) + ", r " + std::to_string(r));
+        const uniform_grid g(side, bucket);
+        const auto reach = g.query_reach(r);
+        ASSERT_EQ(reach.size(), static_cast<std::size_t>(g.buckets_per_side()));
+        std::vector<double> coords = {-1.0, 0.0, side, side + 1.0, inf, -inf, std::nan("")};
+        for (int k = 0; k <= g.buckets_per_side(); ++k) {
+            const double line = k * g.bucket_side();
+            coords.insert(coords.end(), {std::nextafter(line, -inf), line, std::nextafter(line, inf),
+                                         line + 0.5 * g.bucket_side()});
+        }
+        for (const double v : coords) {
+            uniform_grid one(side, bucket);
+            const std::vector<vec2> pts = {{v, v}};
+            one.rebuild(pts);
+            const std::size_t b = one.bucket_of_item(0);
+            const auto i = static_cast<std::size_t>(b) % reach.size();
+            one.visit_covering_buckets(pts[0], r, [&](std::size_t c, std::size_t, std::size_t) {
+                const auto x = static_cast<std::int32_t>(c % reach.size());
+                EXPECT_GE(x, reach[i].first) << "v " << v;
+                EXPECT_LE(x, reach[i].last) << "v " << v;
+                return false;
+            });
+        }
+        if (r < g.bucket_side()) {
+            const auto top = static_cast<std::int32_t>(reach.size()) - 1;
+            for (std::int32_t i = 0; i <= top; ++i) {
+                EXPECT_EQ(reach[static_cast<std::size_t>(i)].first, std::max(i - 1, 0));
+                EXPECT_EQ(reach[static_cast<std::size_t>(i)].last, std::min(i + 1, top));
+            }
         }
     }
 }
