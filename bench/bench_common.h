@@ -126,13 +126,12 @@ inline std::size_t count_arg(const util::cli_args& args, const std::string& key,
     return static_cast<std::size_t>(value);
 }
 
-/// Engine execution knobs every binary shares: `--threads=` (0 = all cores)
-/// and `--chunk=` (replicas per work unit). Results are identical for any
-/// value of either — they only change wall-clock time.
+/// Engine execution knob every binary shares: `--threads=` (0 = all
+/// cores). Results are identical for any value — it only changes
+/// wall-clock time.
 inline engine::run_options engine_options(const util::cli_args& args) {
     engine::run_options opts;
     opts.threads = count_arg(args, "threads", 0);
-    opts.chunk = count_arg(args, "chunk", 1);
     return opts;
 }
 
@@ -395,17 +394,16 @@ inline void apply_topology(const util::cli_args& args, engine::sweep_spec& spec)
 }
 
 /// Deterministic sharded sampling: fan \p shards independent jobs over the
-/// pool, each handed its splitmix-derived seed (engine::replica_seeds) and a
+/// pool, each handed its splitmix-derived seed (engine::replica_seed) and a
 /// balanced share of \p total. Write results into per-shard slots and merge
 /// them in shard order — the tallies are then a pure function of
 /// (seed, shards, total), independent of thread count.
 template <typename Fn>
 void sharded_sample(engine::thread_pool& pool, std::size_t shards, std::uint64_t seed,
                     std::size_t total, Fn&& fn) {
-    const auto shard_seeds = engine::replica_seeds(seed, shards);
     pool.parallel_for(shards, [&](std::size_t s) {
         const std::size_t quota = total / shards + (s < total % shards ? 1 : 0);
-        fn(s, shard_seeds[s], quota);
+        fn(s, engine::replica_seed(seed, s), quota);
     });
 }
 

@@ -24,7 +24,7 @@ namespace {
 // bare `s ^ m` would (seed 3 / message 0 vs seed 2 / message 1).
 constexpr std::uint64_t kGossipTag = 0x676f737369702121ULL;  // "gossip!!"
 constexpr std::uint64_t kSourceTag = 0x6d756c7469737263ULL;  // "multisrc"
-constexpr std::uint64_t kMessageStride = 0x9e3779b97f4a7c15ULL;
+constexpr std::uint64_t kMessageStride = rng::splitmix64::gamma;
 
 }  // namespace
 

@@ -9,7 +9,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <future>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -566,9 +565,6 @@ fabric_report run_fabric_worker(const fabric_options& opts, const run_options& r
 
     fabric_report report;
     std::mutex report_mutex;
-    // Each point's replica seeds, drawn once on this thread when a batch
-    // first reaches the point.
-    std::vector<std::vector<std::uint64_t>> seeds(spec.points.size());
 
     while (true) {
         if (stop_requested()) {
@@ -642,69 +638,54 @@ fabric_report run_fabric_worker(const fabric_options& opts, const run_options& r
             // marker quarantines, rescanned now that the lease is ours.
             const coverage cov = scan_coverage(opts.dir, spec, opts.owner);
             const auto [first, last] = batch_pairs(spec, b);
-            std::vector<std::future<void>> pending;
+            std::vector<std::size_t> uncovered;
             for (std::size_t flat = first; flat < last; ++flat) {
                 if (own[flat] != 0) {
                     continue;
                 }
                 if (cov.covers(flat)) {
-                    ++report.skipped;  // this thread's field; tasks count fresh
+                    ++report.skipped;  // this thread's field; pairs count fresh
                     continue;
                 }
+                uncovered.push_back(flat);
+            }
+            // A throw leaves with the lease released: others re-drain.
+            pool.parallel_for(uncovered.size(), [&](std::size_t k) {
+                const std::size_t flat = uncovered[k];
                 const auto [p, r] = spec.pair(flat);
-                if (seeds[p].empty()) {
-                    seeds[p] = replica_seeds(spec.points[p].sc.seed, reps);
-                }
-                pending.push_back(pool.submit([&, flat, p, r, seed = seeds[p][r]] {
-                    registry.begin(p, r);
-                    struct dereg {  // also on the exception path
-                        running_registry* reg;
-                        std::size_t p, r;
-                        ~dereg() { reg->end(p, r); }
-                    } guard{&registry, p, r};
-                    std::string failure;
-                    for (std::size_t attempt = 1; attempt <= max_replica_attempts;
-                         ++attempt) {
-                        try {
-                            fault::inject("replica.run");
-                            core::scenario sc = spec.points[p].sc;
-                            sc.seed = seed;
-                            replica_stat stat =
-                                reduce_outcome(core::run_scenario(sc));
-                            ledger.record(p, r, std::move(stat));
-                            own[flat] = 1;
-                            const std::lock_guard<std::mutex> lock(report_mutex);
-                            ++report.fresh;
-                            return;
-                        } catch (const error& e) {
-                            failure = e.what();
-                            if (!e.transient() || attempt == max_replica_attempts) {
-                                break;
-                            }
-                            std::this_thread::sleep_for(backoff_policy{}.delay(attempt));
-                        } catch (const std::exception& e) {
-                            failure = e.what();
-                            break;  // deterministic failure: retrying cannot help
+                registry.begin(p, r);
+                struct dereg {  // also on the exception path
+                    running_registry* reg;
+                    std::size_t p, r;
+                    ~dereg() { reg->end(p, r); }
+                } guard{&registry, p, r};
+                std::string failure;
+                for (std::size_t attempt = 1; attempt <= max_replica_attempts; ++attempt) {
+                    try {
+                        fault::inject("replica.run");
+                        core::scenario sc = spec.points[p].sc;
+                        sc.seed = replica_seed(sc.seed, r);
+                        replica_stat stat = reduce_outcome(core::run_scenario(sc));
+                        ledger.record(p, r, std::move(stat));
+                        own[flat] = 1;
+                        const std::lock_guard<std::mutex> lock(report_mutex);
+                        ++report.fresh;
+                        return;
+                    } catch (const error& e) {
+                        failure = e.what();
+                        if (!e.transient() || attempt == max_replica_attempts) {
+                            break;
                         }
-                    }
-                    write_pair_quarantine(opts.dir, opts.owner, p, r, failure);
-                    const std::lock_guard<std::mutex> lock(report_mutex);
-                    ++report.quarantined_pairs;
-                }));
-            }
-            std::exception_ptr first_error;
-            for (auto& f : pending) {
-                try {
-                    f.get();
-                } catch (...) {
-                    if (!first_error) {
-                        first_error = std::current_exception();
+                        std::this_thread::sleep_for(backoff_policy{}.delay(attempt));
+                    } catch (const std::exception& e) {
+                        failure = e.what();
+                        break;  // deterministic failure: retrying cannot help
                     }
                 }
-            }
-            if (first_error) {
-                std::rethrow_exception(first_error);  // the lease goes: others re-drain
-            }
+                write_pair_quarantine(opts.dir, opts.owner, p, r, failure);
+                const std::lock_guard<std::mutex> lock(report_mutex);
+                ++report.quarantined_pairs;
+            });
             ledger.flush();  // durable before the lease goes
             progress = true;
         }

@@ -39,7 +39,7 @@
 /// max_batch_attempts and is quarantined instead of wedging the fabric.
 ///
 /// Determinism contract: every replica's seed is a pure function of the
-/// spec (engine::replica_seeds), every record is bit-identical no matter
+/// spec (engine::replica_seed), every record is bit-identical no matter
 /// which worker computes it (wall_seconds excepted), and rows re-aggregate
 /// through engine::aggregate_sweep_row — so merged output is byte-identical
 /// to an uninterrupted single-process run_sweep, under arbitrary kills,

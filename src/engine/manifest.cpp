@@ -13,20 +13,11 @@
 #include "codec/number.h"
 #include "core/scenario_fields.h"
 #include "engine/fault.h"
+#include "rng/splitmix64.h"
 
 namespace manhattan::engine {
 
 namespace {
-
-/// splitmix64 finaliser as a hash-combine step: strong bit diffusion, and a
-/// pure function of the fed words — the fingerprint is stable across runs,
-/// hosts and thread counts.
-std::uint64_t mix(std::uint64_t z) {
-    z += 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
 
 /// Turns the schema walk (core::for_each_field) into the 64-bit words the
 /// fingerprint hashes: integers, enums and bools as their value, doubles as
@@ -86,8 +77,11 @@ struct word_walk {
 
 class fingerprint_hasher {
  public:
+    /// One splitmix64 draw as the hash-combine step: strong bit diffusion,
+    /// and a pure function of the fed words — the fingerprint is stable
+    /// across runs, hosts and thread counts.
     void word(const char* /*name*/, std::uint64_t v, bool /*real*/ = false) {
-        state_ = mix(state_ ^ v);
+        state_ = rng::splitmix64(state_ ^ v)();
     }
     void enter(const char* /*name*/) {}
     void leave() {}

@@ -2,12 +2,12 @@
 /// The replica fan-out layer: run N independent copies of one scenario
 /// across a thread pool with deterministic per-replica seeding.
 ///
-/// Seeding scheme: replica r receives the r-th output of a splitmix64
-/// stream seeded with the scenario's base seed (the xoshiro-recommended
-/// expansion, see rng/splitmix64.h). The seed vector is a pure function of
-/// (base seed, replica count), and every outcome is written into its own
-/// pre-sized slot — so results are bit-identical for any thread count,
-/// including 1, and independent of OS scheduling.
+/// Seeding scheme: replica r receives replica_seed(base seed, r), the r-th
+/// output of a splitmix64 stream seeded with the scenario's base seed (the
+/// xoshiro-recommended expansion, see rng/splitmix64.h), computed in O(1).
+/// Every outcome is written into its own pre-sized slot — so results are
+/// bit-identical for any thread count, including 1, and independent of OS
+/// scheduling.
 #pragma once
 
 #include <cstddef>
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/scenario.h"
+#include "rng/splitmix64.h"
 
 namespace manhattan::engine {
 
@@ -26,9 +27,6 @@ class trace_sink;
 /// `--threads=` / `--reps=` straight onto these).
 struct run_options {
     std::size_t threads = 0;  ///< worker count; 0 = hardware concurrency
-    std::size_t chunk = 1;    ///< replicas per work unit in run_replicas /
-                              ///< flooding_times (1 = best balance; the sweep
-                              ///< driver always schedules per-replica)
 
     /// Caller-owned shared pool (optional). When set, run_sweep and
     /// run_fabric_worker schedule on it instead of constructing their own —
@@ -44,27 +42,22 @@ struct run_options {
     progress_reporter* progress = nullptr;  ///< live progress/ETA (sweep driver)
 };
 
-/// The per-replica seeds run_replicas assigns: the first \p count outputs
-/// of splitmix64(base_seed). Exposed so tests and sinks can label replicas.
-/// Prefix-stable: replica_seeds(s, n) is a prefix of replica_seeds(s, m)
-/// for n <= m — seed r never depends on the batch size. That property is
+/// The seed of replica \p replica: the (replica + 1)-th output of
+/// splitmix64(base_seed), which is splitmix64(base_seed + replica * gamma)()
+/// and costs O(1). Seed r never depends on how many replicas run — that is
 /// what lets a resumed sweep (engine/manifest.h) restart a partially
-/// complete grid point at the exact replica boundary: the remaining
-/// replicas get exactly the seeds the uninterrupted run would have used.
-[[nodiscard]] std::vector<std::uint64_t> replica_seeds(std::uint64_t base_seed,
-                                                       std::size_t count);
+/// complete grid point at the exact replica boundary, and a fabric worker
+/// (engine/fabric.h) seed any pair it claims.
+[[nodiscard]] constexpr std::uint64_t replica_seed(std::uint64_t base_seed,
+                                                   std::size_t replica) noexcept {
+    return rng::splitmix64(base_seed + replica * rng::splitmix64::gamma)();
+}
 
 /// Run \p repetitions independent replicas of \p base (identical except for
 /// the derived seed) and return their outcomes in replica order. Thread-safe
 /// and deterministic (see file comment). Throws what run_scenario throws.
 [[nodiscard]] std::vector<core::scenario_outcome> run_replicas(
     const core::scenario& base, std::size_t repetitions, const run_options& opts = {});
-
-/// Same, on a caller-owned pool (the sweep driver reuses one pool across
-/// every grid point instead of respawning workers per row).
-[[nodiscard]] std::vector<core::scenario_outcome> run_replicas(
-    thread_pool& pool, const core::scenario& base, std::size_t repetitions,
-    std::size_t chunk = 1);
 
 /// Flooding times (steps of message 0) of \p repetitions replicas.
 /// Incomplete runs contribute the steps they took (max_steps for the

@@ -1,8 +1,11 @@
 #include "engine/sweep.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -312,41 +315,33 @@ sweep_result run_sweep(const sweep_spec& spec, const run_options& opts,
     const std::size_t sweep_id = trace != nullptr ? trace->next_sweep_id() : 0;
 
     // Checkpoint/restart: replay recorded replicas into their slots and only
-    // compute the missing ones. Because seeds[p] is a pure function of the
-    // point's base seed, a partially complete point restarts at the exact
-    // replica boundary and the resumed output is bit-identical.
+    // compute the missing ones. Because replica_seed is a pure function of
+    // the point's base seed and the replica index, a partially complete
+    // point restarts at the exact replica boundary and the resumed output is
+    // bit-identical.
     const auto ledger = open_ledger(checkpoint, points, reps);
 
-    // Queue every (point, replica) pair upfront on one pool: replicas of a
-    // slow grid point overlap with replicas of fast ones, so workers never
-    // idle between points. Each stat lands in its (point, rep) slot —
-    // output is independent of scheduling.
-    std::vector<std::vector<replica_stat>> replica_stats(points.size());
-    std::vector<std::vector<std::uint64_t>> seeds(points.size());
-    std::vector<std::vector<std::future<void>>> pending(points.size());
-    for (std::size_t p = 0; p < points.size(); ++p) {
-        replica_stats[p].resize(reps);
-        seeds[p] = replica_seeds(points[p].sc.seed, reps);
-        pending[p].reserve(reps);
-    }
     // Copy the replayed stats out of the ledger *before* workers start:
     // record() grows the manifest's record vector, so pointers into it are
-    // only stable while the sweep is single-threaded.
-    std::vector<std::vector<std::uint8_t>> done(points.size(),
-                                                std::vector<std::uint8_t>(reps, 0));
-    std::size_t replayed = 0;
-    if (ledger != nullptr) {
-        const auto table = ledger->manifest().by_point();
-        for (std::size_t p = 0; p < points.size(); ++p) {
-            for (std::size_t r = 0; r < reps; ++r) {
-                if (table[p][r] != nullptr) {
-                    replica_stats[p][r] = table[p][r]->stat;
-                    done[p][r] = 1;
-                    ++replayed;
-                }
+    // only stable while the sweep is single-threaded. Every other pair is
+    // pending, in point-major order.
+    std::vector<std::vector<replica_stat>> replica_stats(points.size(),
+                                                         std::vector<replica_stat>(reps));
+    std::vector<std::size_t> pending;  // flat pair indices, p * reps + r
+    std::vector<std::atomic<std::size_t>> unfinished(points.size());  // pairs left per point
+    const auto table = ledger != nullptr ? ledger->manifest().by_point()
+                                         : std::vector<std::vector<const replica_record*>>{};
+    for (std::size_t p = 0; p < points.size(); ++p) {
+        for (std::size_t r = 0; r < reps; ++r) {
+            if (!table.empty() && table[p][r] != nullptr) {
+                replica_stats[p][r] = table[p][r]->stat;
+            } else {
+                pending.push_back(p * reps + r);
+                unfinished[p].fetch_add(1, std::memory_order_relaxed);
             }
         }
     }
+    const std::size_t replayed = points.size() * reps - pending.size();
 
     // A caller-supplied pool (opts.pool) is shared across sweeps — the
     // daemon's steady-state path; otherwise this sweep owns a fresh one.
@@ -374,68 +369,91 @@ sweep_result run_sweep(const sweep_spec& spec, const run_options& opts,
     std::mutex profile_mutex;
     util::phase_profile sweep_phases;
 
-    for (std::size_t p = 0; p < points.size(); ++p) {
-        for (std::size_t r = 0; r < reps; ++r) {
-            if (done[p][r] != 0) {
-                continue;  // replayed from the manifest
+    // One fan-out over every pending pair: replicas of a slow grid point
+    // overlap with replicas of fast ones, so workers never idle between
+    // points. Each stat lands in its (point, rep) slot — output is
+    // independent of scheduling. A pair's last step counts its point down;
+    // the pair that finishes a point wakes the driver.
+    std::mutex point_mutex;
+    std::condition_variable point_done;
+    std::vector<std::atomic<bool>> point_failed(points.size());
+    std::future<void> pairs = pool.fan_out(pending.size(), [&](std::size_t k) {
+        const std::size_t p = pending[k] / reps;
+        const std::size_t r = pending[k] % reps;
+        struct count_down {  // also when the pair throws
+            std::atomic<std::size_t>& left;
+            std::mutex& mutex;
+            std::condition_variable& done;
+            ~count_down() {
+                if (left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+                    const std::lock_guard<std::mutex> lock(mutex);
+                    done.notify_all();
+                }
             }
-            pending[p].push_back(pool.submit([&replica_stats, &seeds, &points, &ledger,
-                                              &profile_mutex, &sweep_phases, trace, progress,
-                                              sweep_id, p, r] {
-                core::scenario sc = points[p].sc;
-                sc.seed = seeds[p][r];
-                if (trace != nullptr) {
-                    trace->emit("replica_begin", {trace_field::num("sweep", sweep_id),
-                                                  trace_field::num("point", p),
-                                                  trace_field::num("replica", r),
-                                                  trace_field::str("seed",
-                                                                   std::to_string(sc.seed))});
-                }
-                const core::scenario_outcome out = core::run_scenario(sc);
-                replica_stat stat = reduce_outcome(out);
-                if (trace != nullptr) {
-                    trace->emit("replica_end",
-                                {trace_field::num("sweep", sweep_id),
-                                 trace_field::num("point", p),
-                                 trace_field::num("replica", r),
-                                 trace_field::str("seed", std::to_string(sc.seed)),
-                                 trace_field::num("steps", out.spread.steps),
-                                 trace_field::num("time", stat.time),
-                                 trace_field::boolean("completed", stat.completed),
-                                 trace_field::num("wall_s", stat.wall_seconds),
-                                 trace_field::raw("phases", phases_json(out.phases))});
-                    const std::lock_guard<std::mutex> lock(profile_mutex);
-                    sweep_phases += out.phases;
-                }
-                replica_stats[p][r] = stat;
-                if (ledger != nullptr) {
-                    ledger->record(p, r, std::move(stat));
-                }
-                if (progress != nullptr) {
-                    progress->replica_done();
-                }
-            }));
+        } guard{unfinished[p], point_mutex, point_done};
+        try {
+            core::scenario sc = points[p].sc;
+            sc.seed = replica_seed(sc.seed, r);
+            if (trace != nullptr) {
+                trace->emit("replica_begin", {trace_field::num("sweep", sweep_id),
+                                              trace_field::num("point", p),
+                                              trace_field::num("replica", r),
+                                              trace_field::str("seed",
+                                                               std::to_string(sc.seed))});
+            }
+            const core::scenario_outcome out = core::run_scenario(sc);
+            replica_stat stat = reduce_outcome(out);
+            if (trace != nullptr) {
+                trace->emit("replica_end",
+                            {trace_field::num("sweep", sweep_id),
+                             trace_field::num("point", p),
+                             trace_field::num("replica", r),
+                             trace_field::str("seed", std::to_string(sc.seed)),
+                             trace_field::num("steps", out.spread.steps),
+                             trace_field::num("time", stat.time),
+                             trace_field::boolean("completed", stat.completed),
+                             trace_field::num("wall_s", stat.wall_seconds),
+                             trace_field::raw("phases", phases_json(out.phases))});
+                const std::lock_guard<std::mutex> lock(profile_mutex);
+                sweep_phases += out.phases;
+            }
+            replica_stats[p][r] = stat;
+            if (ledger != nullptr) {
+                ledger->record(p, r, std::move(stat));
+            }
+            if (progress != nullptr) {
+                progress->replica_done();
+            }
+        } catch (...) {
+            point_failed[p].store(true, std::memory_order_relaxed);
+            throw;
         }
-    }
+    });
+    // Every pair has run before this frame's locals go, also when a sink,
+    // the progress reporter, the aggregation or the trace throws below.
+    struct await_pairs {
+        std::future<void>& pairs;
+        ~await_pairs() {
+            if (pairs.valid()) {
+                pairs.wait();
+            }
+        }
+    } await{pairs};
 
     // Deliver each row to the sinks as soon as its replicas complete, in
     // expansion order — a killed multi-hour sweep keeps every finished row
     // in its CSV/JSON files. Point p+1 keeps computing while p streams.
     sweep_result result;
     result.rows.reserve(points.size());
-    std::exception_ptr first_error;
     for (std::size_t p = 0; p < points.size(); ++p) {
-        for (auto& f : pending[p]) {
-            try {
-                f.get();
-            } catch (...) {
-                if (!first_error) {
-                    first_error = std::current_exception();
-                }
-            }
+        {
+            std::unique_lock<std::mutex> lock(point_mutex);
+            point_done.wait(lock, [&] {
+                return unfinished[p].load(std::memory_order_acquire) == 0;
+            });
         }
-        if (first_error) {
-            continue;  // keep draining remaining futures before rethrowing
+        if (point_failed[p].load(std::memory_order_relaxed)) {
+            break;  // the pairs' error is rethrown once every pair ran
         }
 
         if (trace != nullptr) {
@@ -461,6 +479,12 @@ sweep_result run_sweep(const sweep_spec& spec, const run_options& opts,
         }
         result.rows.push_back(std::move(row));
     }
+    std::exception_ptr first_error;
+    try {
+        pairs.get();
+    } catch (...) {
+        first_error = std::current_exception();
+    }
     if (ledger != nullptr) {
         // Final publish — also on the error path, so completed replicas
         // survive a failed sweep and the next --resume= picks them up. A
@@ -483,10 +507,7 @@ sweep_result run_sweep(const sweep_spec& spec, const run_options& opts,
         trace->emit("sweep_end",
                     {trace_field::num("sweep", sweep_id),
                      trace_field::num("points", result.rows.size()),
-                     trace_field::num("replicas_fresh",
-                                      points.size() * reps >= replayed
-                                          ? points.size() * reps - replayed
-                                          : 0),
+                     trace_field::num("replicas_fresh", pending.size()),
                      trace_field::num("replayed", replayed),
                      trace_field::boolean("error", first_error != nullptr),
                      trace_field::num("wall_s", clock.seconds()),

@@ -1,9 +1,10 @@
 /// \file sweep.h
 /// Declarative parameter-grid experiments: "vary n / R / v / model over a
 /// grid, M replicas each" as data instead of hand-rolled nested loops. The
-/// driver expands the grid, fans every (point, replica) pair over one
-/// thread pool, aggregates each row through stats::summary / bootstrap, and
-/// streams each row into the result sinks as it completes (see sink.h).
+/// driver expands the grid, runs every pending (point, replica) pair in one
+/// thread_pool::fan_out (claimed in point-major order), aggregates each row
+/// through stats::summary / bootstrap, and streams each row into the result
+/// sinks as soon as its point's pairs are done (see sink.h).
 ///
 /// Reproducibility contract: each grid point uses the spec's base seed, so
 /// every row is bit-identical to a standalone engine::run_replicas (and
@@ -131,9 +132,10 @@ struct checkpoint_options {
 /// while earlier rows stream out — an interrupted sweep keeps its finished
 /// rows). run_sweep never calls sink->finish(): the composer does, so one
 /// sink may span several sweeps (bench::sink_set automates this). Sinks may
-/// be empty. Throws what run_scenario throws, after draining the pool (the
-/// manifest, when enabled, is flushed even on the error path so completed
-/// replicas survive a failed sweep).
+/// be empty. Throws what run_scenario throws (the lowest failing pair's
+/// exception), and what a sink, the progress reporter or the trace throws,
+/// only after every pair ran. On a failed pair the manifest, when enabled,
+/// is still flushed, so completed replicas survive a failed sweep.
 sweep_result run_sweep(const sweep_spec& spec, const run_options& opts = {},
                        std::span<result_sink* const> sinks = {},
                        const checkpoint_options& checkpoint = {});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 
 #if defined(__linux__)
 #include <sched.h>
@@ -82,6 +83,17 @@ double pool_stats::busy_fraction() const noexcept {
     return busy / (static_cast<double>(workers) * alive_seconds);
 }
 
+struct thread_pool::fan_out_job {
+    std::function<void(std::size_t)> body;
+    std::size_t count = 0;
+    std::atomic<std::size_t> next{0};      ///< next unclaimed index
+    std::atomic<std::size_t> claimers{0};  ///< claimers still to return
+    std::mutex error_mutex;
+    std::size_t error_index = 0;  ///< lowest index that threw, once error is set
+    std::exception_ptr error;
+    std::promise<void> done;
+};
+
 thread_pool::thread_pool(std::size_t threads)
     : tasks_run_(metrics_.get_counter("pool.tasks_run")),
       team_runs_(metrics_.get_counter("pool.team_runs")),
@@ -123,7 +135,8 @@ void thread_pool::worker_loop(std::size_t worker) {
         if (helper) {
             help_lanes(busy_[worker]);
         }
-        queued_task entry;
+        fan_out_job* job = nullptr;
+        clock_type::time_point enqueued{};
         {
             std::unique_lock<std::mutex> lock(mutex_);
             if (helper) {
@@ -143,48 +156,95 @@ void thread_pool::worker_loop(std::size_t worker) {
                 hop_off_caller_cpu();
                 continue;  // a run() opened lanes
             }
-            entry = std::move(queue_.front());
-            queue_.pop_front();
+            queued_claimers& front = queue_.front();
+            job = front.job;
+            enqueued = front.enqueued;
+            if (--front.waiting == 0) {
+                queue_.pop_front();
+            }
         }
         tasks_run_.add(1);
-        // Telemetry: time only tasks whose submit stamped an enqueue time
-        // (the switch may flip mid-flight; an unstamped task is skipped
-        // rather than billed a bogus wait since the epoch).
-        const bool measured = entry.enqueued != std::chrono::steady_clock::time_point{};
+        // Telemetry: time only claimers whose fan_out stamped an enqueue
+        // time (the switch may flip mid-flight; an unstamped claimer is
+        // skipped rather than billed a bogus wait since the epoch).
+        const bool measured = enqueued != clock_type::time_point{};
         if (measured) {
-            const double wait = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() - entry.enqueued)
-                                    .count();
+            const double wait = seconds_between(enqueued, clock_type::now());
             queue_wait_seconds_.add(wait);
             queue_wait_hist_.observe(wait);
         }
-        const auto run_start = measured ? std::chrono::steady_clock::now()
-                                        : std::chrono::steady_clock::time_point{};
-        entry.task();  // packaged_task stores any exception in its future
-        if (measured) {
-            const double busy = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() - run_start)
-                                    .count();
-            if (util::telemetry::enabled()) {
-                busy_[worker].seconds.fetch_add(busy, std::memory_order_relaxed);
-            }
+        const auto run_start = measured ? clock_type::now() : clock_type::time_point{};
+        claim(job);
+        if (measured && util::telemetry::enabled()) {
+            busy_[worker].seconds.fetch_add(seconds_between(run_start, clock_type::now()),
+                                            std::memory_order_relaxed);
         }
     }
 }
 
-std::future<void> thread_pool::submit(std::function<void()> task) {
-    queued_task entry;
-    entry.task = std::packaged_task<void()>(std::move(task));
-    if (util::telemetry::enabled()) {
-        entry.enqueued = std::chrono::steady_clock::now();
+void thread_pool::claim(fan_out_job* job) {
+    for (std::size_t i = job->next.fetch_add(1, std::memory_order_relaxed); i < job->count;
+         i = job->next.fetch_add(1, std::memory_order_relaxed)) {
+        try {
+            job->body(i);
+        } catch (...) {
+            const std::lock_guard<std::mutex> lock(job->error_mutex);
+            if (!job->error || i < job->error_index) {
+                job->error = std::current_exception();
+                job->error_index = i;
+            }
+        }
     }
-    std::future<void> result = entry.task.get_future();
+    // The other claimers' body calls and error writes happen before their
+    // decrements, which this last one acquires; none of them touches the
+    // job again.
+    if (job->claimers.fetch_sub(1, std::memory_order_acq_rel) != 1) {
+        return;
+    }
+    job->body = nullptr;  // its captures die before the caller resumes
+    if (job->error) {
+        job->done.set_exception(job->error);
+    } else {
+        job->done.set_value();
+    }
+    // The job's promise and error still hold the exception once the caller
+    // wakes. A worker dropping the last reference would free it after the
+    // caller read it, ordered only by the standard library's uninstrumented
+    // reference counts, which ThreadSanitizer reports as a race. So a
+    // caller's thread frees the job: the next fan_out() or the destructor.
+    const std::lock_guard<std::mutex> lock(mutex_);
+    finished_.emplace_back(job);
+}
+
+std::future<void> thread_pool::fan_out(std::size_t count,
+                                       std::function<void(std::size_t)> body) {
+    auto job = std::make_unique<fan_out_job>();
+    std::future<void> done = job->done.get_future();
+    if (count == 0) {
+        job->done.set_value();
+        return done;
+    }
+    const std::size_t claimers = std::min(count, size());
+    job->body = std::move(body);
+    job->count = count;
+    job->claimers.store(claimers, std::memory_order_relaxed);
+    const auto enqueued =
+        util::telemetry::enabled() ? clock_type::now() : clock_type::time_point{};
+    std::vector<std::unique_ptr<fan_out_job>> finished;  // freed on return
     {
         const std::lock_guard<std::mutex> lock(mutex_);
-        queue_.push_back(std::move(entry));
+        finished.swap(finished_);
+        queue_.push_back({job.get(), claimers, enqueued});
     }
-    wake_.notify_one();
-    return result;
+    job.release();  // the claimers own it now
+    for (std::size_t k = 0; k < claimers; ++k) {
+        wake_.notify_one();
+    }
+    return done;
+}
+
+void thread_pool::parallel_for(std::size_t count, std::function<void(std::size_t)> body) {
+    fan_out(count, std::move(body)).get();
 }
 
 pool_stats thread_pool::stats() const {
@@ -198,56 +258,8 @@ pool_stats thread_pool::stats() const {
     for (const busy_slot& slot : busy_) {
         s.worker_busy_seconds.push_back(slot.seconds.load(std::memory_order_relaxed));
     }
-    s.alive_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - born_).count();
+    s.alive_seconds = seconds_between(born_, clock_type::now());
     return s;
-}
-
-void thread_pool::parallel_for(std::size_t count, const std::function<void(std::size_t)>& body,
-                               std::size_t chunk) {
-    if (count == 0) {
-        return;
-    }
-    if (chunk == 0) {
-        chunk = std::max<std::size_t>(1, count / (4 * size()));
-    }
-
-    // Dynamic chunking off a shared counter: workers grab the next chunk
-    // when free, so uneven replica costs balance out. Result placement is
-    // by index, so the schedule never affects outputs.
-    auto next = std::make_shared<std::atomic<std::size_t>>(0);
-    auto run_chunks = [next, count, chunk, &body] {
-        for (;;) {
-            const std::size_t begin = next->fetch_add(chunk);
-            if (begin >= count) {
-                return;
-            }
-            const std::size_t end = std::min(count, begin + chunk);
-            for (std::size_t i = begin; i < end; ++i) {
-                body(i);
-            }
-        }
-    };
-
-    std::vector<std::future<void>> futures;
-    futures.reserve(size());
-    for (std::size_t w = 0; w < size(); ++w) {
-        futures.push_back(submit(run_chunks));
-    }
-
-    std::exception_ptr first_error;
-    for (auto& f : futures) {
-        try {
-            f.get();
-        } catch (...) {
-            if (!first_error) {
-                first_error = std::current_exception();
-            }
-        }
-    }
-    if (first_error) {
-        std::rethrow_exception(first_error);
-    }
 }
 
 void thread_pool::hop_off_caller_cpu() {

@@ -1,17 +1,17 @@
 /// \file thread_pool.h
 /// A small fixed-size worker pool for fanning independent replicas across
-/// cores. Tasks are arbitrary callables; `parallel_for` adds chunked index
-/// dispatch with exception propagation. Determinism note: the pool never
-/// influences *what* a task computes, only *when* — engine::run_replicas
-/// writes every result into a pre-sized slot so outputs are bit-identical
-/// for any thread count (see docs/ENGINE.md).
+/// cores through one primitive, `fan_out` (`parallel_for` is its blocking
+/// form). Determinism note: the pool never influences *what* an index
+/// computes, only *when* — engine::run_replicas writes every result into a
+/// pre-sized slot so outputs are bit-identical for any thread count (see
+/// docs/ENGINE.md).
 ///
 /// The same workers double as a persistent lane team for executor().run()
 /// (intra-replica parallelism): the caller and up to size() - 1 workers
 /// claim lanes from a per-run ticket, with no queued task and no allocation
 /// per run (docs/PERF.md, "Lane dispatch").
 ///
-/// Metrics: the pool counts every task it runs into its own
+/// Metrics: the pool counts every fan-out claimer it runs into its own
 /// metrics_registry, every multi-lane run() together with those in which
 /// the caller ran every lane itself, and every woken team worker it moved
 /// off the caller's CPU. With the process-wide telemetry
@@ -19,7 +19,7 @@
 /// queue wait (a fixed-bucket histogram plus a summed gauge) and per-worker
 /// busy seconds, and per multi-lane run() records a lane-run count plus
 /// lane start skew and lane-time imbalance histograms. stats() snapshots the
-/// task side; the trace sink's sweep_end event renders it. Measuring never
+/// claimer side; the trace sink's sweep_end event renders it. Measuring never
 /// changes scheduling or task outputs.
 #pragma once
 
@@ -32,6 +32,7 @@
 #include <exception>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -49,11 +50,11 @@ namespace manhattan::engine {
 /// off; tasks_run always counts).
 struct pool_stats {
     std::size_t workers = 0;
-    std::uint64_t tasks_run = 0;
-    double queue_wait_seconds = 0.0;  ///< summed submit-to-dequeue latency
+    std::uint64_t tasks_run = 0;      ///< claimers run, at most size() per fan-out
+    double queue_wait_seconds = 0.0;  ///< summed fan_out-to-claim latency
     std::vector<double> queue_wait_bounds;        ///< histogram bucket uppers (s)
     std::vector<std::uint64_t> queue_wait_counts; ///< per-bucket counts (+overflow)
-    std::vector<double> worker_busy_seconds;      ///< per-worker task execution time
+    std::vector<double> worker_busy_seconds;      ///< per-worker claimer execution time
     double alive_seconds = 0.0;       ///< pool age (busy fraction denominator)
 
     /// Mean busy fraction across workers: total busy / (workers x alive).
@@ -61,13 +62,13 @@ struct pool_stats {
 };
 
 /// Fixed-size thread pool. Construction spawns the workers; destruction
-/// drains the queue and joins. Thread-safe: any thread may submit.
+/// drains the queue and joins. Thread-safe: any thread may fan out.
 class thread_pool {
  public:
     /// Spawn \p threads workers (0 = default_thread_count()).
     explicit thread_pool(std::size_t threads = 0);
 
-    /// Blocks until all queued tasks finished, then joins the workers.
+    /// Blocks until every queued claimer finished, then joins the workers.
     ~thread_pool();
 
     thread_pool(const thread_pool&) = delete;
@@ -75,17 +76,18 @@ class thread_pool {
 
     [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
-    /// Enqueue one task. The future carries the task's exception, if any.
-    std::future<void> submit(std::function<void()> task);
+    /// Run body(i) for every i in [0, count) on the workers and return at
+    /// once. min(count, size()) queued claimers take ascending indices off
+    /// one counter until none is left; every index runs even when another
+    /// index throws. The future becomes ready once every claimer returned
+    /// (every index ran, and the pool's copy of \p body is destroyed) and
+    /// carries the exception of the lowest index that threw. A count of 0
+    /// gives a ready future.
+    std::future<void> fan_out(std::size_t count, std::function<void(std::size_t)> body);
 
-    /// Run body(i) for every i in [0, count) across the pool, chunked
-    /// \p chunk indices at a time (0 = pick a chunk that yields ~4 chunks
-    /// per worker). Blocks until done; without exceptions every index runs
-    /// exactly once. If a body throws, the throwing worker abandons its
-    /// remaining indices and the first exception is rethrown here once all
-    /// workers returned.
-    void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body,
-                      std::size_t chunk = 0);
+    /// fan_out(count, body), waited for: rethrows the lowest throwing
+    /// index's exception once every index ran.
+    void parallel_for(std::size_t count, std::function<void(std::size_t)> body);
 
     /// The pool as a reusable lane-partitioned executor (util/parallel.h):
     /// one lane per worker. run() hands the body to the lane team: the
@@ -95,8 +97,8 @@ class thread_pool {
     /// never changes a result. This is the handle flooding_sim / walker /
     /// uniform_grid borrow for intra-replica parallelism. The reference
     /// stays valid for the pool's lifetime and may be used for any number of
-    /// run() calls from any thread, including from a task running on this
-    /// pool. Concurrent run() calls are serialised. A lane body must not
+    /// run() calls from any thread, including from a fan-out body running on
+    /// this pool. Concurrent run() calls are serialised. A lane body must not
     /// call run() on the same executor.
     [[nodiscard]] util::parallel_executor& executor() noexcept { return executor_; }
 
@@ -105,9 +107,9 @@ class thread_pool {
     /// run() calls of one flooding step (docs/PERF.md, "Lane dispatch").
     static constexpr std::chrono::microseconds lane_spin{200};
 
-    /// Utilization snapshot (thread-safe; callable while tasks run). The
+    /// Utilization snapshot (thread-safe; callable while claimers run). The
     /// timings stay zero unless telemetry was enabled while the measured
-    /// work happened; tasks_run counts every task.
+    /// work happened; tasks_run counts every claimer.
     [[nodiscard]] pool_stats stats() const;
 
     /// The pool's instruments ("pool.tasks_run", "pool.team_runs",
@@ -133,10 +135,17 @@ class thread_pool {
         thread_pool& pool_;
     };
 
-    /// A queued task plus its enqueue instant (only stamped while telemetry
-    /// is enabled; a default time_point means "don't measure this one").
-    struct queued_task {
-        std::packaged_task<void()> task;
+    /// One fan_out call: its body, the next unclaimed index, the claimers
+    /// still to return and the lowest throwing index's exception. Owned by
+    /// its claimers until the last one moves it to finished_.
+    struct fan_out_job;
+
+    /// The claimers of \p job not yet taken by a worker, plus their enqueue
+    /// instant (only stamped while telemetry is enabled; a default
+    /// time_point means "don't measure them").
+    struct queued_claimers {
+        fan_out_job* job = nullptr;
+        std::size_t waiting = 0;
         std::chrono::steady_clock::time_point enqueued{};
     };
 
@@ -156,6 +165,9 @@ class thread_pool {
     };
 
     void worker_loop(std::size_t worker);
+    /// Run indices of \p job until none is left; the last claimer to return
+    /// completes the job's future and moves the job to finished_.
+    void claim(fan_out_job* job);
 
     void run_lanes(std::size_t count, const lane_body& body);
     /// Claim and run lanes of the current run() until none is left; returns
@@ -176,7 +188,8 @@ class thread_pool {
 
     std::mutex mutex_;
     std::condition_variable wake_;
-    std::deque<queued_task> queue_;
+    std::deque<queued_claimers> queue_;
+    std::vector<std::unique_ptr<fan_out_job>> finished_;  ///< completed fan-outs not yet freed
     std::vector<std::thread> workers_;
     pool_executor executor_{*this};
     std::atomic<bool> stopping_{false};  ///< written under mutex_; read by spinning helpers

@@ -123,12 +123,13 @@ class uniform_grid {
     template <typename Fn>
     void for_each_in_radius(vec2 p, double r, Fn&& fn) const {
         const double r2 = r * r;
-        visit_buckets(p, r, [&](std::size_t begin, std::size_t end) {
+        visit_covering_buckets(p, r, [&](std::size_t, std::size_t begin, std::size_t end) {
             for (std::size_t k = begin; k < end; ++k) {
                 if (dist2(sorted_points_[k], p) <= r2) {
                     fn(items_[k]);
                 }
             }
+            return false;
         });
     }
 
@@ -137,17 +138,15 @@ class uniform_grid {
     template <typename Fn>
     [[nodiscard]] bool any_in_radius(vec2 p, double r, Fn&& fn) const {
         const double r2 = r * r;
-        bool found = false;
-        visit_buckets_until(p, r, [&](std::size_t begin, std::size_t end) {
+        const auto hit = [&](std::size_t, std::size_t begin, std::size_t end) {
             for (std::size_t k = begin; k < end; ++k) {
                 if (dist2(sorted_points_[k], p) <= r2 && fn(items_[k])) {
-                    found = true;
                     return true;
                 }
             }
             return false;
-        });
-        return found;
+        };
+        return visit_covering_buckets(p, r, hit);
     }
 
     /// Indices of all points within distance r of p (allocating convenience).
@@ -226,38 +225,6 @@ class uniform_grid {
     void fill_every_bucket();
     void fill_todo(std::size_t span);
     void resize_scratch(std::size_t n, std::size_t lanes);
-
-    template <typename Fn>
-    void visit_buckets(vec2 p, double r, Fn&& fn) const {
-        const std::int32_t x0 = bucket_index(p.x - r);
-        const std::int32_t x1 = bucket_index(p.x + r);
-        const std::int32_t y0 = bucket_index(p.y - r);
-        const std::int32_t y1 = bucket_index(p.y + r);
-        for (std::int32_t by = y0; by <= y1; ++by) {
-            const std::size_t row = static_cast<std::size_t>(by) * static_cast<std::size_t>(m_);
-            for (std::int32_t bx = x0; bx <= x1; ++bx) {
-                const std::size_t b = row + static_cast<std::size_t>(bx);
-                fn(offsets_[b], offsets_[b + 1]);
-            }
-        }
-    }
-
-    template <typename Fn>
-    void visit_buckets_until(vec2 p, double r, Fn&& fn) const {
-        const std::int32_t x0 = bucket_index(p.x - r);
-        const std::int32_t x1 = bucket_index(p.x + r);
-        const std::int32_t y0 = bucket_index(p.y - r);
-        const std::int32_t y1 = bucket_index(p.y + r);
-        for (std::int32_t by = y0; by <= y1; ++by) {
-            const std::size_t row = static_cast<std::size_t>(by) * static_cast<std::size_t>(m_);
-            for (std::int32_t bx = x0; bx <= x1; ++bx) {
-                const std::size_t b = row + static_cast<std::size_t>(bx);
-                if (fn(offsets_[b], offsets_[b + 1])) {
-                    return;
-                }
-            }
-        }
-    }
 
     double side_;
     double bucket_side_;

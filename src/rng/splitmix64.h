@@ -13,13 +13,17 @@ class splitmix64 {
  public:
     using result_type = std::uint64_t;
 
+    /// The state increment per draw (2^64 / golden ratio, odd), so the
+    /// k-th draw mixes seed + k * gamma.
+    static constexpr std::uint64_t gamma = 0x9e3779b97f4a7c15ULL;
+
     constexpr explicit splitmix64(std::uint64_t seed) noexcept : state_(seed) {}
 
     static constexpr result_type min() noexcept { return 0; }
     static constexpr result_type max() noexcept { return ~std::uint64_t{0}; }
 
     constexpr result_type operator()() noexcept {
-        std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
+        std::uint64_t z = (state_ += gamma);
         z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
         z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
         return z ^ (z >> 31);

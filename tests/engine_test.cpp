@@ -1,11 +1,13 @@
 // Unit tests for the parallel experiment engine: thread-pool semantics
-// (every task runs exactly once, exceptions propagate), the pool's lane
+// (every fan-out index runs exactly once, the lowest throwing index's
+// exception is delivered after every index ran), the pool's lane
 // team (exact lane coverage across spin/park handoffs, concurrent and
 // nested run() callers, lane exceptions), deterministic
 // replica sharding (bit-identical results at 1, 2 and 8 threads), sweep-grid
 // expansion, and the structured result sinks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -25,6 +27,7 @@
 #endif
 
 #include "codec/json.h"
+#include "engine/progress.h"
 #include "engine/runner.h"
 #include "engine/sink.h"
 #include "engine/sweep.h"
@@ -63,7 +66,7 @@ TEST(thread_pool_test, parallel_for_runs_every_index_exactly_once) {
 TEST(thread_pool_test, parallel_for_with_one_thread_and_large_chunks) {
     std::atomic<int> total{0};
     engine::thread_pool pool(1);
-    pool.parallel_for(37, [&](std::size_t) { total.fetch_add(1); }, 8);
+    pool.parallel_for(37, [&](std::size_t) { total.fetch_add(1); });
     EXPECT_EQ(total.load(), 37);
 }
 
@@ -81,14 +84,58 @@ TEST(thread_pool_test, parallel_for_propagates_exceptions) {
     EXPECT_GE(ran.load(), 1);
 }
 
-TEST(thread_pool_test, submit_returns_future_carrying_result_or_exception) {
+TEST(thread_pool_test, one_index_fan_out_returns_future_carrying_result_or_exception) {
     engine::thread_pool pool(2);
     std::atomic<bool> ran{false};
-    auto ok = pool.submit([&] { ran = true; });
-    auto bad = pool.submit([] { throw std::invalid_argument("boom"); });
+    auto ok = pool.fan_out(1, [&](std::size_t) { ran = true; });
+    auto bad = pool.fan_out(1, [](std::size_t) { throw std::invalid_argument("boom"); });
     ok.get();
     EXPECT_TRUE(ran.load());
     EXPECT_THROW(bad.get(), std::invalid_argument);
+}
+
+TEST(thread_pool_test, fan_out_runs_every_index_and_delivers_the_lowest_throw) {
+    constexpr std::size_t kCount = 100;
+    for (std::size_t threads = 1; threads <= 8; ++threads) {
+        engine::thread_pool pool(threads);
+        for (int round = 0; round < 20; ++round) {
+            std::vector<std::atomic<int>> hits(kCount);
+            auto done = pool.fan_out(kCount, [&](std::size_t i) {
+                hits[i].fetch_add(1);
+                if (i == 7 || i == 41 || i == 99) {
+                    throw std::runtime_error("index " + std::to_string(i));
+                }
+            });
+            try {
+                done.get();
+                ADD_FAILURE() << "fan_out swallowed the exceptions";
+            } catch (const std::runtime_error& e) {
+                EXPECT_STREQ(e.what(), "index 7") << threads << " threads";
+            }
+            for (std::size_t i = 0; i < kCount; ++i) {
+                ASSERT_EQ(hits[i].load(), 1) << "index " << i << ", " << threads << " threads";
+            }
+        }
+    }
+}
+
+TEST(thread_pool_test, fan_out_queues_one_claimer_per_worker_at_most) {
+    for (std::size_t threads = 1; threads <= 8; ++threads) {
+        engine::thread_pool pool(threads);
+        for (const std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                                        threads, 2 * threads + 1}) {
+            const std::uint64_t before = pool.stats().tasks_run;
+            std::atomic<std::size_t> ran{0};
+            auto done = pool.fan_out(count, [&](std::size_t) { ran.fetch_add(1); });
+            if (count == 0) {
+                EXPECT_EQ(done.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+            }
+            done.get();
+            EXPECT_EQ(ran.load(), count);
+            EXPECT_EQ(pool.stats().tasks_run - before, std::min(count, pool.size()))
+                << count << " indices, " << threads << " threads";
+        }
+    }
 }
 
 TEST(thread_pool_test, zero_resolves_to_hardware_concurrency) {
@@ -194,7 +241,7 @@ TEST(pool_executor_test, back_to_back_tiny_runs_cross_the_spin_and_park_boundary
     }
 }
 
-TEST(pool_executor_test, runs_while_another_thread_drives_submit_and_parallel_for) {
+TEST(pool_executor_test, runs_while_another_thread_drives_fan_out_and_parallel_for) {
     engine::thread_pool pool(4);
     auto& ex = pool.executor();
     std::thread replicas([&pool] {
@@ -202,7 +249,7 @@ TEST(pool_executor_test, runs_while_another_thread_drives_submit_and_parallel_fo
         std::vector<std::atomic<int>> hits(kCount);
         for (int round = 0; round < 200; ++round) {
             std::atomic<int> ran{0};
-            pool.submit([&ran] { ran.fetch_add(1); }).get();
+            pool.fan_out(1, [&ran](std::size_t) { ran.fetch_add(1); }).get();
             pool.parallel_for(kCount, [&](std::size_t i) { hits[i].fetch_add(1); });
             EXPECT_EQ(ran.load(), 1);
             for (std::size_t i = 0; i < kCount; ++i) {
@@ -267,7 +314,7 @@ TEST(pool_executor_test, every_worker_in_a_task_runs_the_same_pool_executor) {
     std::atomic<std::size_t> started{0};
     std::vector<std::future<void>> tasks;
     for (std::size_t w = 0; w < kWorkers; ++w) {
-        tasks.push_back(pool.submit([&ex, &started, w] {
+        tasks.push_back(pool.fan_out(1, [&ex, &started, w](std::size_t) {
             // Hold every worker inside a task before any run() starts, so no
             // idle worker is left to take lanes.
             started.fetch_add(1);
@@ -343,7 +390,7 @@ TEST(pool_executor_test, caller_only_runs_are_counted_with_telemetry_off) {
     std::atomic<bool> release{false};
     std::vector<std::future<void>> tasks;
     for (std::size_t w = 0; w < kWorkers; ++w) {
-        tasks.push_back(pool.submit([&] {
+        tasks.push_back(pool.fan_out(1, [&](std::size_t) {
             started.fetch_add(1);
             const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
             while (!release.load() && std::chrono::steady_clock::now() < give_up) {
@@ -391,13 +438,20 @@ TEST(serial_executor_test, runs_inline_as_one_lane) {
 // --------------------------------------------------------- replica runner ---
 
 TEST(runner_test, replica_seeds_are_the_splitmix_stream) {
-    const auto seeds = engine::replica_seeds(123, 4);
-    manhattan::rng::splitmix64 reference(123);
-    ASSERT_EQ(seeds.size(), 4u);
-    for (const auto seed : seeds) {
-        EXPECT_EQ(seed, reference());
+    // Seed r is the r-th draw of splitmix64(s), also where s + r * gamma
+    // wraps past 2^64.
+    constexpr std::uint64_t gamma = manhattan::rng::splitmix64::gamma;
+    for (const std::uint64_t base : {std::uint64_t{123}, ~std::uint64_t{0},
+                                     ~std::uint64_t{0} - gamma, 0 - 1000 * gamma}) {
+        manhattan::rng::splitmix64 reference(base);
+        std::set<std::uint64_t> distinct;
+        for (std::size_t r = 0; r < 1000; ++r) {
+            const std::uint64_t seed = engine::replica_seed(base, r);
+            ASSERT_EQ(seed, reference()) << "base " << base << ", replica " << r;
+            distinct.insert(seed);
+        }
+        EXPECT_EQ(distinct.size(), 1000u);
     }
-    EXPECT_EQ(std::set<std::uint64_t>(seeds.begin(), seeds.end()).size(), 4u);
 }
 
 TEST(runner_test, results_bit_identical_across_thread_counts) {
@@ -409,19 +463,17 @@ TEST(runner_test, results_bit_identical_across_thread_counts) {
     ASSERT_EQ(t1.size(), kReps);
     EXPECT_EQ(t1, t2);
     EXPECT_EQ(t1, t8);
-    // And the chunk size must not matter either.
-    const auto chunked = engine::flooding_times(sc, kReps, {.threads = 3, .chunk = 4});
-    EXPECT_EQ(t1, chunked);
+    const auto t3 = engine::flooding_times(sc, kReps, {.threads = 3});
+    EXPECT_EQ(t1, t3);
 }
 
 TEST(runner_test, outcomes_match_serial_run_scenario) {
     auto sc = small_scenario();
     const auto outcomes = engine::run_replicas(sc, 3, {.threads = 2});
-    const auto seeds = engine::replica_seeds(sc.seed, 3);
     ASSERT_EQ(outcomes.size(), 3u);
     for (std::size_t r = 0; r < 3; ++r) {
         core::scenario replica = sc;
-        replica.seed = seeds[r];
+        replica.seed = engine::replica_seed(sc.seed, r);
         const auto reference = core::run_scenario(replica);
         EXPECT_EQ(outcomes[r].spread, reference.spread);
     }
@@ -652,6 +704,41 @@ TEST(sweep_test, run_sweep_rows_match_standalone_replicas) {
         EXPECT_EQ(memory.rows()[p].times, row.times);
         EXPECT_DOUBLE_EQ(row.completed_fraction, 1.0);
     }
+}
+
+/// A sink whose every row throws.
+class throwing_sink final : public engine::result_sink {
+ public:
+    void on_row(const engine::sweep_row&) override { throw std::runtime_error("sink full"); }
+};
+
+TEST(sweep_test, a_throwing_sink_rethrows_after_every_replica_finished) {
+    // The first row throws while the later, larger points still compute:
+    // run_sweep may only return once no worker writes into its frame.
+    engine::sweep_spec spec;
+    spec.base = small_scenario();
+    spec.n = {200, 4000};
+    spec.c1 = {2.0, 1.5};
+    spec.repetitions = 4;
+    engine::thread_pool pool(4);
+    std::ostringstream progress_out;
+    engine::progress_reporter progress(4, 16, {.out = &progress_out});
+    engine::run_options opts;
+    opts.pool = &pool;
+    opts.progress = &progress;
+    throwing_sink sink;
+    engine::result_sink* sinks[] = {&sink};
+    try {
+        (void)engine::run_sweep(spec, opts, sinks);
+        ADD_FAILURE() << "run_sweep swallowed the sink's exception";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "sink full");
+        EXPECT_EQ(progress.replicas_done(), 16u);
+    }
+    // The pool stays usable.
+    std::atomic<int> ran{0};
+    pool.parallel_for(8, [&](std::size_t) { ran.fetch_add(1); });
+    EXPECT_EQ(ran.load(), 8);
 }
 
 // ------------------------------------------------------------------ sinks ---

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -14,15 +15,20 @@
 #include <string>
 #include <utility>
 
+#include "engine/error.h"
+#include "engine/fault.h"
 #include "engine/manifest.h"
 #include "engine/runner.h"
 #include "engine/sink.h"
 #include "engine/sweep.h"
+#include "engine/thread_pool.h"
+#include "rng/splitmix64.h"
 
 namespace {
 
 namespace core = manhattan::core;
 namespace engine = manhattan::engine;
+namespace fault = manhattan::engine::fault;
 
 core::scenario small_scenario() {
     core::scenario sc;
@@ -432,6 +438,54 @@ TEST(manifest_test, resume_from_a_ledger_cut_mid_record_is_bit_identical) {
     EXPECT_TRUE(engine::load_manifest(file.path()).complete());
 }
 
+TEST(manifest_test, a_failed_ledger_record_still_leaves_a_ledger_that_replays) {
+    // ledger.record:fail:1 throws from the first record() after the record
+    // was kept: the sweep rethrows it once every pair ran, and its flushed
+    // ledger resumes as a pure replay of a plain run's rows.
+    const auto spec = small_spec();
+    const auto csv_of = [&spec](const engine::run_options& opts,
+                                const engine::checkpoint_options& checkpoint) {
+        std::ostringstream csv;
+        engine::csv_sink sink(csv);
+        engine::result_sink* sinks[] = {&sink};
+        (void)engine::run_sweep(spec, opts, sinks, checkpoint);
+        return csv.str();
+    };
+    const std::string plain = csv_of({.threads = 2}, {});
+
+    scratch_file file("record_fail.manifest");
+    {
+        // Armed alone for this sweep; the environment's plan (a sanitizer
+        // leg arms one) is back for the rest of the suite.
+        struct plan_guard {
+            plan_guard() {
+                (void)fault::armed();  // load the environment's plan first
+                fault::configure("ledger.record:fail:1");
+            }
+            ~plan_guard() {
+                const char* env = std::getenv("MANHATTAN_FAULT");
+                fault::configure(env != nullptr ? env : "");
+            }
+        } const armed;
+        try {
+            (void)csv_of({.threads = 4}, {.manifest_path = file.path()});
+            ADD_FAILURE() << "the failed record was swallowed";
+        } catch (const engine::error& e) {
+            EXPECT_NE(std::string(e.what()).find("ledger.record"), std::string::npos)
+                << e.what();
+        }
+    }
+    const auto ledger = engine::load_manifest(file.path());
+    EXPECT_EQ(ledger.records.size(), 2u * 3u);
+    EXPECT_TRUE(ledger.complete());
+
+    engine::thread_pool pool(2);
+    engine::run_options resume;
+    resume.pool = &pool;
+    EXPECT_EQ(csv_of(resume, {.manifest_path = file.path()}), plain);
+    EXPECT_EQ(pool.stats().tasks_run, 0u);  // nothing recomputed
+}
+
 TEST(manifest_test, resume_of_a_complete_manifest_is_a_pure_replay) {
     scratch_file file("replay.manifest");
     const auto spec = small_spec();
@@ -593,15 +647,17 @@ TEST(manifest_test, atomic_csv_sink_matches_the_stream_sink) {
 // ----------------------------------------------------------------- runner ---
 
 TEST(manifest_test, replica_seeds_are_prefix_stable) {
-    // The resume-at-replica-boundary contract: seed r never depends on the
-    // batch size, so the replicas a resumed run still has to compute get
-    // exactly the seeds the uninterrupted run would have used.
-    const auto full = engine::replica_seeds(123, 6);
-    for (std::size_t count = 0; count <= full.size(); ++count) {
-        const auto prefix = engine::replica_seeds(123, count);
-        ASSERT_EQ(prefix.size(), count);
-        for (std::size_t i = 0; i < count; ++i) {
-            EXPECT_EQ(prefix[i], full[i]) << i;
+    // The resume-at-replica-boundary contract: seed r never depends on how
+    // many replicas run or which ran before, so the replicas a resumed run
+    // still has to compute get exactly the seeds the uninterrupted run
+    // would have used.
+    for (std::size_t skipped = 0; skipped <= 6; ++skipped) {
+        manhattan::rng::splitmix64 uninterrupted(123);
+        for (std::size_t r = 0; r < 6; ++r) {
+            const std::uint64_t seed = uninterrupted();
+            if (r >= skipped) {
+                EXPECT_EQ(engine::replica_seed(123, r), seed) << r;
+            }
         }
     }
 }

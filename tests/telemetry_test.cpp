@@ -206,7 +206,7 @@ TEST(metrics_test, aggregate_snapshots_sums_by_name) {
 TEST(pool_stats_test, counts_every_task_and_times_them_only_while_enabled) {
     engine::thread_pool pool(2);
     for (int i = 0; i < 4; ++i) {
-        pool.submit([] {}).get();
+        pool.fan_out(1, [](std::size_t) {}).get();
     }
     // Disabled: every task counts, but no clock is read for its timings.
     const engine::pool_stats off = pool.stats();
@@ -222,7 +222,7 @@ TEST(pool_stats_test, counts_every_task_and_times_them_only_while_enabled) {
     const telemetry::scoped_enable on;
     std::atomic<int> hits{0};
     for (int i = 0; i < 8; ++i) {
-        pool.submit([&hits] { ++hits; }).get();
+        pool.fan_out(1, [&hits](std::size_t) { ++hits; }).get();
     }
     const engine::pool_stats s = pool.stats();
     EXPECT_EQ(hits.load(), 8);
